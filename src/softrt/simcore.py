@@ -1,10 +1,20 @@
-"""Tick-driven single-processor scheduling engine.
+"""Event-driven single-processor scheduling engine with tick semantics.
 
 Supports plain EDF, fixed priorities, and constant-bandwidth reservations
 (soft deadline-postponing and hard suspending variants) layered on EDF, with
-optional bandwidth reclaiming.  The processor is re-dispatched at every tick
-boundary; all quantities are integers except reclaimed budgets, which use
-exact rationals.
+optional bandwidth reclaiming.
+
+Time is discrete: the processor is dispatched for whole ticks and the trace
+is exactly what re-dispatching at every tick boundary would give.  The engine
+only visits the ticks where that decision can change: arrivals, job
+deadlines, completions, budget exhaustions and hard-server wake-ups.  Between
+two such ticks the running job and its budget drain are constant, so the
+next completion is at ``now + demand - executed`` and the next exhaustion at
+``now + ceil(budget / drain)``; deadlines and wake-ups wait in heaps.
+
+All quantities are integers.  The one exception is the budget of a server
+with ``reclaiming="grub"``, which drains by the active bandwidth and is kept
+as an exact ``Fraction``.
 
 Tie-breaking is documented and total: EDF orders ready jobs by
 (absolute deadline, arrival tick, task id); reservation scheduling orders
@@ -17,12 +27,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+import logging
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from .errors import ConfigError
 from .taskmodel import JobRecord, ReservationSpec, TaskSpec
+
+log = logging.getLogger(__name__)
 
 EVENT_KINDS = (
     "arrival",
@@ -87,7 +102,11 @@ class Trace:
         return len(self.of_kind("deadline_miss", task))
 
     def job_records(self) -> Dict[int, List[JobRecord]]:
-        """Rebuild per-task job records from arrival/completion/outcome events."""
+        """Rebuild per-task job records from arrival/completion/outcome events.
+
+        Every job an outcome event names needs its arrival event; a trace
+        recorded with a ``collect`` filter that drops arrivals is rejected.
+        """
         records: Dict[int, Dict[int, JobRecord]] = {t: {} for t in self.task_ids}
         for e in self.events:
             jobs = records.setdefault(e.task, {})
@@ -95,12 +114,20 @@ class Trace:
             if e.kind == "arrival":
                 jobs[j] = JobRecord(e.task, j, e.tick, e.payload["deadline"],
                                     e.payload["demand"])
-            elif e.kind == "completion":
+                continue
+            if e.kind not in ("completion", "job_aborted", "job_skipped"):
+                continue
+            if j not in jobs:
+                raise ConfigError(
+                    "trace: %s of task %d job %s at tick %d has no arrival event "
+                    "(was the trace recorded with a scheduler.collect filter "
+                    "that drops 'arrival'?)" % (e.kind, e.task, j, e.tick))
+            if e.kind == "completion":
                 jobs[j].completion = e.tick
                 jobs[j].outcome = "late" if e.payload["late"] else "met"
             elif e.kind == "job_aborted":
                 jobs[j].outcome = "aborted"
-            elif e.kind == "job_skipped":
+            else:
                 jobs[j].outcome = "skipped"
         return {t: [jobs[k] for k in sorted(jobs)] for t, jobs in records.items()}
 
@@ -149,11 +176,18 @@ class Trace:
 # ---------------------------------------------------------------------------
 # reservation state machine
 
+Budget = Union[int, Fraction]  # Fraction only under grub reclaiming
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class ServerState:
+    """Mutable per-run state of one reservation server.
+
+    The ``cbs_*`` rules below update it in place and return it.
+    """
+
     task_id: int
-    remaining_budget: object  # int, or Fraction under reclaiming
+    remaining_budget: Budget
     current_deadline: int
     status: str = "idle"  # idle | active | suspended
     suspended_until: Optional[int] = None
@@ -165,14 +199,15 @@ def cbs_on_arrival(server: ServerState, now: int, spec: ReservationSpec) -> Serv
     The pair (budget, deadline) is kept only if serving the leftover budget by
     the current deadline stays within the reserved bandwidth, i.e. if
     q * P < (d - now) * Q evaluated exactly; otherwise the server is reset to
-    a full budget with deadline now + P.  A stale deadline (d <= now) always
-    fails the test and resets.
+    a full budget with deadline now + P.  A stale deadline (d <= now) with a
+    non-negative leftover always fails the test and resets.
     """
-    q, d = server.remaining_budget, server.current_deadline
-    if q * spec.period >= (d - now) * spec.budget:
-        return replace(server, remaining_budget=spec.budget,
-                       current_deadline=now + spec.period, status="active")
-    return replace(server, status="active")
+    if server.remaining_budget * spec.period >= \
+            (server.current_deadline - now) * spec.budget:
+        server.remaining_budget = spec.budget
+        server.current_deadline = now + spec.period
+    server.status = "active"
+    return server
 
 
 def cbs_on_exhaustion(server: ServerState, now: int, spec: ReservationSpec) -> ServerState:
@@ -183,29 +218,34 @@ def cbs_on_exhaustion(server: ServerState, now: int, spec: ReservationSpec) -> S
     the current deadline; the recharge happens at wake-up via cbs_wake.
     """
     if spec.variant == "soft_postpone":
-        return replace(server, remaining_budget=spec.budget,
-                       current_deadline=server.current_deadline + spec.period,
-                       status="active")
-    return replace(server, status="suspended",
-                   suspended_until=server.current_deadline)
+        server.remaining_budget = spec.budget
+        server.current_deadline += spec.period
+        server.status = "active"
+    else:
+        server.status = "suspended"
+        server.suspended_until = server.current_deadline
+    return server
 
 
 def cbs_wake(server: ServerState, spec: ReservationSpec) -> ServerState:
     """End of a hard suspension: full budget, deadline moved one period on."""
-    return replace(server, remaining_budget=spec.budget,
-                   current_deadline=server.current_deadline + spec.period,
-                   status="active", suspended_until=None)
+    server.remaining_budget = spec.budget
+    server.current_deadline += spec.period
+    server.status = "active"
+    server.suspended_until = None
+    return server
 
 
-def grub_tick(active: Sequence[ReservationSpec], executing: ReservationSpec) -> Fraction:
+def grub_tick(active: Iterable[ReservationSpec], executing: ReservationSpec) -> Budget:
     """Budget drain for one executing tick under bandwidth reclaiming.
 
     The executing server pays only the total bandwidth of currently active
     servers (a server is active while it has pending work), so spare
-    bandwidth stretches the budget.  Without reclaiming the drain is 1.
+    bandwidth stretches the budget.  Without reclaiming the drain is the
+    integer 1 and ``active`` is not read, so plain budgets stay integers.
     """
     if executing.reclaiming != "grub":
-        return Fraction(1)
+        return 1
     u_act = sum((s.bandwidth for s in active), Fraction(0))
     return min(u_act, Fraction(1)) if u_act > 0 else Fraction(1)
 
@@ -234,11 +274,16 @@ class SchedulerConfig:
             raise ConfigError("scheduler.reservations: required for cbs_edf")
         if self.miss_detection not in ("deadline", "completion"):
             raise ConfigError("scheduler.miss_detection: must be deadline or completion")
+        if self.collect is not None:
+            unknown = sorted(set(self.collect) - set(EVENT_KINDS))
+            if unknown:
+                raise ConfigError("scheduler.collect: unknown event kind %r (expected "
+                                  "some of %s)" % (unknown[0], ", ".join(EVENT_KINDS)))
 
 
 class _Job:
     __slots__ = ("task", "index", "arrival", "deadline", "demand", "executed",
-                 "completion", "outcome", "miss_logged")
+                 "outcome")
 
     def __init__(self, task_id, index, arrival, deadline, demand):
         self.task = task_id
@@ -247,13 +292,7 @@ class _Job:
         self.deadline = deadline
         self.demand = demand
         self.executed = 0
-        self.completion = None
-        self.outcome = None
-        self.miss_logged = False
-
-    @property
-    def open(self):
-        return self.completion is None and self.outcome is None
+        self.outcome = None  # met | late | aborted | skipped; None while open
 
 
 def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> Trace:
@@ -263,11 +302,16 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     byte-identical trace.  Per-job demand and arrival-gap draws are keyed by
     (seed, task id, job index), so one task's stochastic model never perturbs
     another task's samples.
+
+    Each visited tick runs the per-tick steps in a fixed order: completion of
+    the previous tick's work, hard-server wake-ups, deadline checks, arrivals,
+    budget exhaustion, dispatch.  A debug line on the ``softrt.simcore``
+    logger reports the ticks visited and the events emitted and collected.
     """
+    tasks = sorted(tasks, key=lambda t: t.id)
     ids = [t.id for t in tasks]
     if len(set(ids)) != len(ids):
         raise ConfigError("tasks: duplicate task id")
-    tasks = sorted(tasks, key=lambda t: t.id)
     if scheduler.kind == "fixed_priority":
         missing = [t.id for t in tasks if t.id not in scheduler.priorities]
         if missing:
@@ -278,175 +322,191 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
             raise ConfigError("scheduler.reservations: missing task id %s" % missing[0])
 
     horizon = scheduler.horizon
+    cbs = scheduler.kind == "cbs_edf"
+    edf = scheduler.kind == "edf"
+    reservations = scheduler.reservations
+    priorities = scheduler.priorities
+    on_deadline = scheduler.miss_detection == "deadline"
+    policy = {t.id: t.miss_policy for t in tasks}
     events: List[Event] = []
     collect = scheduler.collect
+    emitted = 0
 
     def emit(tick, kind, task, payload):
+        nonlocal emitted
+        emitted += 1
         if collect is None or kind in collect:
             events.append(Event(tick, kind, task, payload))
 
-    # precomputed arrivals and demands, keyed independently per (task, job)
-    schedule = {}
+    # every job's (arrival, task id, index, demand, deadline) in visiting
+    # order; the draws are keyed independently per (task, job)
+    arrivals = []
     for t in tasks:
-        arr = t.arrivals(horizon, seed)
-        schedule[t.id] = [(a, j, t.demand(j, seed)) for j, a in enumerate(arr)]
+        arrivals.extend((a, t.id, j, t.demand(j, seed), a + t.rel_deadline)
+                        for j, a in enumerate(t.arrivals(horizon, seed)))
+    arrivals.sort()
+    arrivals.append((horizon, -1, 0, 0, 0))  # sentinel past the last arrival
+    next_arrival = 0
 
-    by_id = {t.id: t for t in tasks}
-    queues: Dict[int, List[_Job]] = {t.id: [] for t in tasks}
-    open_jobs: Dict[int, List[_Job]] = {t.id: [] for t in tasks}
-    next_arrival = {t.id: 0 for t in tasks}
+    queues: Dict[int, deque] = {i: deque() for i in ids}  # open jobs, arrival order
+    servers: Dict[int, ServerState] = \
+        {i: ServerState(i, 0, 0, "idle") for i in ids} if cbs else {}
+    deadlines: list = []  # heap of (deadline, task id, job index, job), deadline mode only
+    wakes: list = []  # heap of (wake tick, task id) of suspended hard servers
 
-    servers: Dict[int, ServerState] = {}
-    if scheduler.kind == "cbs_edf":
-        for t in tasks:
-            servers[t.id] = ServerState(t.id, 0, 0, "idle")
+    def drop(job, q):
+        """Take a resolved job off its queue; an emptied active server goes
+        idle, keeping (q, d) for the admission test of a later arrival."""
+        q.remove(job)
+        if cbs and not q and servers[job.task].status == "active":
+            servers[job.task].status = "idle"
 
-    last_runner: Optional[_Job] = None
-    stopped_now: set = set()
-
-    def resolve_completion(job, t):
-        job.completion = t
+    def resolve_completion(job, t, stopped):
         late = t > job.deadline
         job.outcome = "late" if late else "met"
-        if late and scheduler.miss_detection == "completion":
+        if late and not on_deadline:
             emit(t, "deadline_miss", job.task, {"job": job.index})
         emit(t, "completion", job.task, {"job": job.index, "late": late})
-        stopped_now.add(id(job))
+        stopped.add(job)
         q = queues[job.task]
-        q.remove(job)
-        if late and by_id[job.task].miss_policy == "skip_late":
-            for stale in [x for x in q if x.arrival < t]:
+        drop(job, q)
+        if late and policy[job.task] == "skip_late":
+            while q and q[0].arrival < t:
+                stale = q[0]
                 stale.outcome = "skipped"
                 emit(t, "job_skipped", job.task, {"job": stale.index})
-                q.remove(stale)
+                drop(stale, q)
 
-    for t in range(horizon + 1):
-        stopped_now = set()
+    runner: Optional[_Job] = None  # job that executed in the tick before t
+    visited = 0
+    t = 0
+    while True:
+        visited += 1
+        stopped = set()  # jobs whose execution segment closed at t
+        # servers that may have run out of budget: the one that executed up
+        # to t, and any admitted by an arrival at t
+        may_exhaust = [runner.task] if cbs and runner is not None else []
 
-        # 1. completion of work executed in [t-1, t)
-        if last_runner is not None and last_runner.executed == last_runner.demand:
-            resolve_completion(last_runner, t)
-            last_runner = None
+        # 1. completion of work executed up to t
+        if runner is not None and runner.executed == runner.demand:
+            resolve_completion(runner, t, stopped)
+            runner = None
 
-        # 2. hard-server wake-ups due now
-        for tid in sorted(servers):
-            s = servers[tid]
-            if s.status == "suspended" and s.suspended_until <= t:
-                s = cbs_wake(s, scheduler.reservations[tid])
-                if not queues[tid]:
-                    s = replace(s, status="idle")
-                servers[tid] = s
-                emit(t, "server_recharge", tid, {"budget": scheduler.reservations[tid].budget})
-                emit(t, "deadline_postponed", tid, {"deadline": s.current_deadline})
+        # 2. hard-server wake-ups due now, in task id order
+        while wakes and wakes[0][0] <= t:
+            tid = heappop(wakes)[1]
+            spec = reservations[tid]
+            s = cbs_wake(servers[tid], spec)
+            if not queues[tid]:
+                s.status = "idle"
+            emit(t, "server_recharge", tid, {"budget": spec.budget})
+            emit(t, "deadline_postponed", tid, {"deadline": s.current_deadline})
 
-        # 3. deadline checks and miss policies
-        for tid in sorted(open_jobs):
-            for job in list(open_jobs[tid]):
-                if not job.open:
-                    open_jobs[tid].remove(job)
-                    continue
-                if job.deadline != t or job.miss_logged:
-                    continue
-                job.miss_logged = True
-                if scheduler.miss_detection == "deadline":
-                    emit(t, "deadline_miss", tid, {"job": job.index})
-                    if by_id[tid].miss_policy == "abort":
-                        job.outcome = "aborted"
-                        emit(t, "job_aborted", tid,
-                             {"job": job.index, "remaining": job.demand - job.executed})
-                        stopped_now.add(id(job))
-                        if job in queues[tid]:
-                            queues[tid].remove(job)
+        # 3. deadline checks and miss policies, in task id order
+        while deadlines and deadlines[0][0] <= t:
+            job = heappop(deadlines)[3]
+            if job.outcome is not None:
+                continue
+            emit(t, "deadline_miss", job.task, {"job": job.index})
+            if policy[job.task] == "abort":
+                job.outcome = "aborted"
+                emit(t, "job_aborted", job.task,
+                     {"job": job.index, "remaining": job.demand - job.executed})
+                stopped.add(job)
+                drop(job, queues[job.task])
 
         if t == horizon:
             break
 
-        # a server whose queue drained this tick goes idle, keeping (q, d)
-        # for the admission test of any arrival later in the same tick
-        if scheduler.kind == "cbs_edf":
-            for tid in sorted(servers):
-                if servers[tid].status == "active" and not queues[tid]:
-                    servers[tid] = replace(servers[tid], status="idle")
-
-        # 4. arrivals at t
-        for task in tasks:
-            sched = schedule[task.id]
-            i = next_arrival[task.id]
-            while i < len(sched) and sched[i][0] == t:
-                a, j, demand = sched[i]
-                job = _Job(task.id, j, a, a + task.rel_deadline, demand)
-                emit(t, "arrival", task.id,
-                     {"job": j, "deadline": job.deadline, "demand": demand})
-                was_empty = not queues[task.id]
-                queues[task.id].append(job)
-                open_jobs[task.id].append(job)
-                i += 1
-                if scheduler.kind == "cbs_edf" and was_empty:
-                    s = servers[task.id]
-                    if s.status == "idle":
-                        spec = scheduler.reservations[task.id]
-                        new = cbs_on_arrival(s, t, spec)
-                        if (new.remaining_budget, new.current_deadline) != \
-                                (s.remaining_budget, s.current_deadline):
-                            emit(t, "server_recharge", task.id,
-                                 {"budget": spec.budget, "deadline": new.current_deadline})
-                        servers[task.id] = new
-            next_arrival[task.id] = i
-
-        # 5. budget exhaustion sweep: pending work but no budget left
-        if scheduler.kind == "cbs_edf":
-            for tid in sorted(servers):
+        # 4. arrivals at t, in task id order
+        while arrivals[next_arrival][0] == t:
+            _, tid, j, demand, deadline = arrivals[next_arrival]
+            next_arrival += 1
+            job = _Job(tid, j, t, deadline, demand)
+            emit(t, "arrival", tid, {"job": j, "deadline": deadline, "demand": demand})
+            q = queues[tid]
+            was_empty = not q
+            q.append(job)
+            if on_deadline:
+                heappush(deadlines, (deadline, tid, j, job))
+            if cbs and was_empty and servers[tid].status == "idle":
                 s = servers[tid]
-                if s.status != "active" or not queues[tid] or s.remaining_budget > 0:
+                spec = reservations[tid]
+                before = (s.remaining_budget, s.current_deadline)
+                cbs_on_arrival(s, t, spec)
+                if (s.remaining_budget, s.current_deadline) != before:
+                    emit(t, "server_recharge", tid,
+                         {"budget": spec.budget, "deadline": s.current_deadline})
+                may_exhaust.append(tid)
+
+        # 5. budget exhaustion: pending work but no budget left; servers
+        # are independent here, so the order of the candidates is immaterial
+        for tid in may_exhaust:
+            s = servers[tid]
+            q = queues[tid]
+            if s.status != "active" or not q or s.remaining_budget > 0:
+                continue
+            spec = reservations[tid]
+            emit(t, "budget_exhausted", tid, {"job": q[0].index})
+            stopped.add(q[0])
+            cbs_on_exhaustion(s, t, spec)
+            if s.status == "suspended":
+                if s.suspended_until > t:
+                    heappush(wakes, (s.suspended_until, tid))
                     continue
-                spec = scheduler.reservations[tid]
-                emit(t, "budget_exhausted", tid, {"job": queues[tid][0].index})
-                stopped_now.add(id(queues[tid][0]))
-                s = cbs_on_exhaustion(s, t, spec)
-                if s.status == "suspended" and s.suspended_until <= t:
-                    s = cbs_wake(s, spec)
-                servers[tid] = s
-                if s.status != "suspended":
-                    emit(t, "server_recharge", tid, {"budget": spec.budget})
-                    emit(t, "deadline_postponed", tid, {"deadline": s.current_deadline})
+                cbs_wake(s, spec)
+            emit(t, "server_recharge", tid, {"budget": spec.budget})
+            emit(t, "deadline_postponed", tid, {"deadline": s.current_deadline})
 
         # 6. dispatch for [t, t+1)
-        ready = []
-        if scheduler.kind == "cbs_edf":
-            for tid in sorted(queues):
-                if queues[tid] and servers[tid].status == "active":
-                    ready.append(((servers[tid].current_deadline, tid), queues[tid][0]))
-        elif scheduler.kind == "edf":
-            for tid in sorted(queues):
-                if queues[tid]:
-                    head = queues[tid][0]
-                    ready.append(((head.deadline, head.arrival, tid), head))
-        else:
-            for tid in sorted(queues):
-                if queues[tid]:
-                    ready.append(((scheduler.priorities[tid], tid), queues[tid][0]))
+        pick = None
+        best = None
+        for tid in ids:
+            q = queues[tid]
+            if not q:
+                continue
+            if cbs:
+                s = servers[tid]
+                if s.status != "active":
+                    continue
+                key = (s.current_deadline, tid)
+            elif edf:
+                key = (q[0].deadline, q[0].arrival, tid)
+            else:
+                key = (priorities[tid], tid)
+            if best is None or key < best:
+                best, pick = key, q[0]
 
-        pick = min(ready, key=lambda kv: kv[0])[1] if ready else None
+        if runner is not None and runner is not pick and \
+                runner.outcome is None and runner not in stopped:
+            emit(t, "preemption", runner.task, {"job": runner.index})
+            stopped.add(runner)
+        if pick is not None and (pick is not runner or pick in stopped):
+            emit(t, "job_start", pick.task,
+                 {"job": pick.index, "resumed": pick.executed > 0})
 
-        if last_runner is not None and last_runner is not pick and \
-                last_runner.open and id(last_runner) not in stopped_now:
-            emit(t, "preemption", last_runner.task, {"job": last_runner.index})
-            stopped_now.add(id(last_runner))
-
+        # 7. run the pick up to the next tick where something can change
+        nxt = arrivals[next_arrival][0]
+        while deadlines and deadlines[0][3].outcome is not None:
+            heappop(deadlines)
+        if deadlines and deadlines[0][0] < nxt:
+            nxt = deadlines[0][0]
+        if wakes and wakes[0][0] < nxt:
+            nxt = wakes[0][0]
         if pick is not None:
-            if pick is not last_runner or id(pick) in stopped_now:
-                emit(t, "job_start", pick.task,
-                     {"job": pick.index, "resumed": pick.executed > 0})
-            pick.executed += 1
-            if scheduler.kind == "cbs_edf":
-                spec = scheduler.reservations[pick.task]
-                active = [scheduler.reservations[tid] for tid in sorted(queues)
-                          if queues[tid]]
-                drain = grub_tick(active, spec)
+            nxt = min(nxt, t + pick.demand - pick.executed)
+            if cbs:
                 s = servers[pick.task]
-                servers[pick.task] = replace(
-                    s, remaining_budget=s.remaining_budget - drain)
-        last_runner = pick
+                drain = grub_tick((reservations[i] for i in ids if queues[i]),
+                                  reservations[pick.task])
+                budget = s.remaining_budget
+                nxt = min(nxt, t - (-budget // drain))  # ceil(budget / drain)
+                s.remaining_budget = budget - drain * (nxt - t)
+            pick.executed += nxt - t
+        runner = pick
+        t = nxt
 
     events.sort(key=Event.sort_key)
-    return Trace(events, horizon, [t.id for t in tasks])
+    log.debug("simulate: visited %d of %d ticks; emitted %d events, collected %d",
+              visited, horizon + 1, emitted, len(events))
+    return Trace(events, horizon, ids)

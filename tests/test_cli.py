@@ -68,6 +68,18 @@ def test_analyze_csv(capsys):
         "3,3,1,1\n")
 
 
+def test_analyze_rejects_trace_without_arrivals(tmp_path, capsys):
+    doc = json.loads(json.dumps(OVERLOAD_CONFIG))
+    doc["scheduler"]["collect"] = ["completion"]
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: trace:") and "no arrival event" in err
+
+
 DOUBLE_INTEGRATOR = {"plant": {"A": [[0.0, 1.0], [0.0, 0.0]],
                                "B": [[0.0], [1.0]]}}
 

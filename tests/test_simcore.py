@@ -1,3 +1,5 @@
+import logging
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,6 +112,8 @@ def test_scheduler_config_validation():
         SchedulerConfig(kind="cbs_edf", horizon=8)
     with pytest.raises(ConfigError):
         SchedulerConfig(kind="edf", horizon=8, miss_detection="poll")
+    with pytest.raises(ConfigError, match="arival"):
+        SchedulerConfig(kind="edf", horizon=8, collect=frozenset({"arival"}))
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +348,20 @@ def test_edf_trace_invariants(tasks, seed):
             end = r.completion if r.completion is not None else 30
             pending.update(range(r.arrival, end))
     assert pending <= busy
+
+
+def test_engine_skips_event_free_ticks(caplog):
+    # one CBS task whose job finishes long before the next arrival: the
+    # engine visits the event ticks only and says so on its debug logger
+    t = TaskSpec(id=1, wcet=2, rel_deadline=50, period=50)
+    cfg = SchedulerConfig(kind="cbs_edf", horizon=200,
+                          reservations={1: ReservationSpec(budget=5, period=10)})
+    with caplog.at_level(logging.DEBUG, logger="softrt.simcore"):
+        trace = simulate([t], cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "softrt.simcore"]
+    assert len(lines) == 1
+    m = re.search(r"visited (\d+) of (\d+) ticks; emitted (\d+) events, "
+                  r"collected (\d+)", lines[0])
+    visited, ticks, emitted, collected = map(int, m.groups())
+    assert ticks == 201 and visited < ticks // 10
+    assert emitted == collected == len(trace.events)
