@@ -13,7 +13,8 @@ from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti,
                           second_moment_stable, spectral_radius,
                           stability_matrix)
 from .moc import (CoSimResult, DelayChain, MocKind, build_delay_chain,
-                  cosimulate, cs_modes, service_periods, tt_maxb_modes)
+                  cosimulate, cs_modes, service_periods, stabilizes,
+                  tt_maxb_modes)
 from .sweep import SweepConfig, bandwidth_sweep, random_system
 from .render import render_trace
 

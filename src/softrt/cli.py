@@ -171,8 +171,7 @@ def cmd_cosim(args) -> int:
     K, _ = dlqr(d.A, d.B, Qx, Ru)
     res = cosimulate(plant, K, m["moc"], m["exec_model"], m["Q"], m["R"], m["T"],
                      tick_seconds=m["tick_seconds"], horizon=m["horizon"],
-                     n_traj=m["n_traj"], seed=args.seed,
-                     act_delay=m["act_delay"], d_max=m["d_max"])
+                     n_traj=m["n_traj"], seed=args.seed)
     if args.format == "csv":
         lines = ["step,second_moment"]
         for k, v in enumerate(res.estimates):

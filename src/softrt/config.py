@@ -44,6 +44,14 @@ def _get(d: dict, key: str, path: str, required=True, default=None):
     return d[key]
 
 
+def _int(d: dict, key: str, path: str, required=True, default=None):
+    """_get for an integer field; JSON strings, floats and booleans are rejected."""
+    v = _get(d, key, path, required, default)
+    if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+        raise ConfigError("%s.%s: must be an integer, got %r" % (path, key, v))
+    return v
+
+
 def parse_exec_model(d, path: str):
     if not isinstance(d, dict):
         raise ConfigError("%s: expected an object with a 'kind' field" % path)
@@ -179,22 +187,22 @@ def parse_control(doc: dict) -> dict:
 
 def parse_moc(doc: dict) -> dict:
     raw = _get(doc, "moc", "config")
-    kind = _get(raw, "kind", "moc")
-    moc = MocKind(kind, raw.get("max_delay"))
-    out = {
-        "moc": moc,
+    if "d_max" in raw:
+        raise ConfigError("moc.d_max: not a moc field; the backlog bound is "
+                          "moc.max_delay")
+    return {
+        "moc": MocKind(_get(raw, "kind", "moc"),
+                       _int(raw, "max_delay", "moc", required=False),
+                       _int(raw, "act_delay", "moc", required=False)),
         "exec_model": parse_exec_model(_get(raw, "exec_model", "moc"),
                                        "moc.exec_model"),
-        "Q": _get(raw, "Q", "moc"),
-        "R": _get(raw, "R", "moc"),
-        "T": raw.get("T"),
+        "Q": _int(raw, "Q", "moc"),
+        "R": _int(raw, "R", "moc"),
+        "T": _int(raw, "T", "moc", required=False),
         "tick_seconds": raw.get("tick_seconds", 1.0),
-        "horizon": raw.get("horizon", 300),
-        "n_traj": raw.get("n_traj", 100),
-        "act_delay": raw.get("act_delay"),
-        "d_max": raw.get("d_max"),
+        "horizon": _int(raw, "horizon", "moc", required=False, default=300),
+        "n_traj": _int(raw, "n_traj", "moc", required=False, default=100),
     }
-    return out
 
 
 def parse_chain(doc: dict) -> dict:
@@ -202,10 +210,10 @@ def parse_chain(doc: dict) -> dict:
     return {
         "exec_model": parse_exec_model(_get(raw, "exec_model", "chain"),
                                        "chain.exec_model"),
-        "Q": _get(raw, "Q", "chain"),
-        "R": _get(raw, "R", "chain"),
-        "T": _get(raw, "T", "chain"),
-        "d_max": _get(raw, "d_max", "chain"),
+        "Q": _int(raw, "Q", "chain"),
+        "R": _int(raw, "R", "chain"),
+        "T": _int(raw, "T", "chain"),
+        "d_max": _int(raw, "d_max", "chain"),
     }
 
 

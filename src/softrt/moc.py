@@ -13,7 +13,9 @@ past max_delay reservation periods.
 
 tt_maxb and cs have i.i.d. mode sequences, so second-moment stability is
 decided analytically from the Kronecker stability matrix; tt_sort carries
-backlog memory and is assessed by Monte Carlo co-simulation.  All the
+backlog memory and is assessed by Monte Carlo co-simulation; stabilizes()
+holds this verdict rule.  cosimulate() runs tt_hard (as one deterministic
+trajectory), tt_maxb and cs through one switched-ensemble loop.  All the
 stochastic timing derives from one quantity: a job of demand c ticks served
 by a budget-Q reservation occupies ceil(c/Q) reservation periods.
 """
@@ -28,26 +30,33 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti,
-                          _as_matrix, build_modes, c2d)
+                          _as_matrix, build_modes, c2d, second_moment_stable)
 from .errors import ConfigError, NumericalError
 from .taskmodel import ExecTimeModel, derived_seed, max_ticks, sample_exec_times, tick_cdf
 
 MOC_KINDS = ("tt_hard", "tt_maxb", "tt_sort", "cs")
+BUFFERED_KINDS = ("tt_sort", "cs")  # the kinds that cancel past max_delay
 
 
 @dataclass(frozen=True)
 class MocKind:
     kind: str
     max_delay: Optional[int] = None  # in reservation periods; tt_sort and cs only
+    act_delay: Optional[int] = None  # ticks, default T; tt_hard only
 
     def __post_init__(self):
         if self.kind not in MOC_KINDS:
             raise ConfigError("moc.kind: must be one of %s" % (MOC_KINDS,))
-        if self.kind in ("tt_sort", "cs"):
+        if self.kind in BUFFERED_KINDS:
             if self.max_delay is None or self.max_delay < 1:
                 raise ConfigError("moc.max_delay: required and >= 1 for %s" % self.kind)
         elif self.max_delay is not None:
             raise ConfigError("moc.max_delay: not applicable to %s" % self.kind)
+        if self.act_delay is not None:
+            if self.kind != "tt_hard":
+                raise ConfigError("moc.act_delay: not applicable to %s" % self.kind)
+            if self.act_delay < 0:
+                raise ConfigError("moc.act_delay: must be >= 0")
 
 
 def service_periods(c: int, Q: int, R: int) -> int:
@@ -192,11 +201,6 @@ def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
     """
     if max_delay < 1:
         raise ConfigError("max_delay: must be >= 1")
-    K = _as_matrix(K, "cs.K")
-    n, p = plant.A.shape[0], plant.B.shape[1]
-    if K.shape != (p, n):
-        raise ConfigError("cs.K: shape must be (inputs, states)")
-
     dist = dict(service_distribution(model, Q, R))
     mu_drop = sum((p for s, p in dist.items() if s > max_delay),
                   Fraction(0) if all(isinstance(v, Fraction) for v in dist.values()) else 0.0)
@@ -206,26 +210,34 @@ def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
         p_s = dist.get(s, 0)
         if p_s <= 0:
             continue
-        d = c2d(plant, s * R * tick_seconds)
-        M = np.zeros((n + p, n + p))
-        M[:n, :n] = d.A
-        M[:n, n:] = d.B
-        M[n:, :n] = -K
         labels.append("s=%d" % s)
-        mats.append(M)
+        mats.append(_cs_matrix(plant, K, s * R * tick_seconds))
         probs.append(float(p_s))
     if mu_drop > 0:
-        d = c2d(plant, max_delay * R * tick_seconds)
-        M = np.zeros((n + p, n + p))
-        M[:n, :n] = d.A
-        M[:n, n:] = d.B
-        M[n:, n:] = np.eye(p)
         labels.append("cancel")
-        mats.append(M)
+        mats.append(_cs_matrix(plant, K, max_delay * R * tick_seconds, cancel=True))
         probs.append(float(mu_drop))
     if abs(sum(probs) - 1.0) > 1e-12:
         raise NumericalError("cs_modes: probabilities sum to %r, expected 1" % sum(probs))
     return ClosedLoopModes(labels, mats, probs)
+
+
+def _cs_matrix(plant: ContinuousLti, K, seconds: float, cancel: bool = False) -> np.ndarray:
+    """cs mode over (x, u_held) for a job spanning `seconds`: the held command
+    drives the plant, then -K x(start) is latched, or kept held on cancel."""
+    K = _as_matrix(K, "cs.K")
+    n, p = plant.A.shape[0], plant.B.shape[1]
+    if K.shape != (p, n):
+        raise ConfigError("cs.K: shape must be (inputs, states)")
+    d = c2d(plant, seconds)
+    M = np.zeros((n + p, n + p))
+    M[:n, :n] = d.A
+    M[:n, n:] = d.B
+    if cancel:
+        M[n:, n:] = np.eye(p)
+    else:
+        M[n:, :n] = -K
+    return M
 
 
 def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
@@ -302,9 +314,10 @@ def _traj_demands(model, steps, n_traj, seed):
                      for i in range(n_traj)])
 
 
-def _ensemble_switched(mats, mode_idx, dim, horizon, n_traj):
+def _ensemble_switched(mats, mode_idx):
     """Vectorized ensemble run: X[i] <- A_{mode_idx[i,k]} X[i] at each step."""
-    X = np.zeros((n_traj, dim))
+    n_traj, horizon = mode_idx.shape
+    X = np.zeros((n_traj, mats[0].shape[0]))
     X[:, 0] = 1.0
     est = np.empty(horizon + 1)
     est[0] = 1.0
@@ -320,95 +333,61 @@ def _ensemble_switched(mats, mode_idx, dim, horizon, n_traj):
     return est
 
 
+def _check_reservation(moc: MocKind, Q: int, R: int, T: Optional[int]) -> None:
+    if not 1 <= Q <= R:
+        raise ConfigError("Q: need 1 <= Q <= R")
+    if moc.kind != "cs" and (T is None or T < R or T % R != 0):
+        raise ConfigError("T: %s needs a task period that is a positive multiple "
+                          "of R" % moc.kind)
+
+
 def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
                T: Optional[int] = None, *, tick_seconds: float = 1.0,
-               horizon: int = 300, n_traj: int = 100, seed=0,
-               act_delay: Optional[int] = None, d_max: Optional[int] = None) -> CoSimResult:
+               horizon: int = 300, n_traj: int = 100, seed=0) -> CoSimResult:
     """Monte Carlo second-moment run of the closed loop under a moc.
 
     The plant starts at x = e1 with controller command and held input zero;
     execution demands are drawn per trajectory from streams keyed by
     (seed, trajectory index), so results are independent of evaluation
-    order.  T is the task period in ticks (unused by cs).  For tt_sort,
-    d_max bounds the buffered backlog (defaults to the moc's max_delay).
+    order.  T is the task period in ticks (unused by cs).  tt_hard has no
+    randomness: all trajectories coincide, so one is run.
     """
-    if isinstance(plant, DiscreteLti):
-        if moc.kind not in ("tt_maxb",):
-            raise ConfigError("plant: continuous model required for %s" % moc.kind)
-        plant_d = plant
-        plant_c = None
-    else:
-        plant_c = plant
-        plant_d = None
+    if isinstance(plant, DiscreteLti) and moc.kind != "tt_maxb":
+        raise ConfigError("plant: continuous model required for %s" % moc.kind)
     if n_traj < 1:
         raise ConfigError("n_traj: must be >= 1")
     if horizon < 4:
         raise ConfigError("horizon: must be >= 4")
-    if moc.kind != "cs":
-        if T is None:
-            raise ConfigError("T: task period required for %s" % moc.kind)
-        if T < R or T % R != 0:
-            raise ConfigError("T: must be a positive multiple of R")
+    _check_reservation(moc, Q, R, T)
 
+    if moc.kind == "tt_sort":
+        return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, tick_seconds,
+                              horizon, n_traj, seed)
     if moc.kind == "tt_hard":
-        if act_delay is None:
-            act_delay = T
-        modes = tt_hard_modes(plant_c, K, T, act_delay, tick_seconds)
-        M = modes.matrices[0]
-        x = np.zeros(M.shape[0])
-        x[0] = 1.0
-        est = np.empty(horizon + 1)
-        est[0] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(horizon):
-                x = M @ x
-                est[k + 1] = float(x @ x)
-        return CoSimResult(est, n_traj, _verdict(est))
-
-    if moc.kind == "tt_maxb":
-        if plant_d is None:
-            plant_d = c2d(plant_c, T * tick_seconds)
-        modes = build_modes(plant_d, K, hold_strategy="hold")
-        threshold = Q * (T // R)
+        act_delay = T if moc.act_delay is None else moc.act_delay
+        mats = tt_hard_modes(plant, K, T, act_delay, tick_seconds).matrices
+        mode_idx = np.zeros((1, horizon), dtype=np.int8)
+    elif moc.kind == "tt_maxb":
+        plant_d = plant if isinstance(plant, DiscreteLti) else c2d(plant, T * tick_seconds)
+        mats = build_modes(plant_d, K, hold_strategy="hold").matrices
         demands = _traj_demands(model, horizon, n_traj, seed)
-        mode_idx = (demands > threshold).astype(np.int8)  # 0 closed, 1 open
-        est = _ensemble_switched(modes.matrices, mode_idx, modes.augmented_dim,
-                                 horizon, n_traj)
-        return CoSimResult(est, n_traj, _verdict(est), mode_sequence=mode_idx[0])
-
-    if moc.kind == "cs":
+        mode_idx = (demands > Q * (T // R)).astype(np.int8)  # 0 closed, 1 open
+    else:  # cs: service lengths s = 1..D, cancel bucketed at index D
         D = moc.max_delay
-        # all service lengths, cancel bucketed at index D
-        dist = service_distribution(model, Q, R)
-        mats = []
-        for s in range(1, D + 1):
-            d = c2d(plant_c, s * R * tick_seconds)
-            n, p = d.A.shape[0], d.B.shape[1]
-            M = np.zeros((n + p, n + p))
-            M[:n, :n] = d.A
-            M[:n, n:] = d.B
-            M[n:, :n] = -np.asarray(K, dtype=float)
-            mats.append(M)
-        d = c2d(plant_c, D * R * tick_seconds)
-        M = np.zeros_like(mats[0])
-        n = d.A.shape[0]
-        M[:n, :n] = d.A
-        M[:n, n:] = d.B
-        M[n:, n:] = np.eye(M.shape[0] - n)
-        mats.append(M)
+        mats = [_cs_matrix(plant, K, s * R * tick_seconds) for s in range(1, D + 1)]
+        mats.append(_cs_matrix(plant, K, D * R * tick_seconds, cancel=True))
         demands = _traj_demands(model, horizon, n_traj, seed)
-        s_vals = -(-demands // Q)
-        mode_idx = np.minimum(s_vals, D + 1).astype(np.int64) - 1  # s -> 0-based, cancel -> D
-        est = _ensemble_switched(mats, mode_idx, mats[0].shape[0], horizon, n_traj)
-        return CoSimResult(est, n_traj, _verdict(est), mode_sequence=mode_idx[0])
+        mode_idx = np.minimum(-(-demands // Q), D + 1).astype(np.int64) - 1
+    est = _ensemble_switched(mats, mode_idx)
+    return CoSimResult(est, n_traj, _verdict(est),
+                       mode_sequence=None if moc.kind == "tt_hard" else mode_idx[0])
 
-    # tt_sort: buffered activations with backlog memory, stepped per
-    # reservation period
-    D = moc.max_delay
-    if d_max is None:
-        d_max = D
+
+def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
+                   n_traj, seed) -> CoSimResult:
+    """Buffered activations with backlog memory, stepped per reservation period."""
     F = T // R
-    dR = c2d(plant_c, R * tick_seconds)
+    dR = c2d(plant, R * tick_seconds)
     A_R, B_R = dR.A, dR.B
     Km = np.asarray(K, dtype=float)
     n, p = A_R.shape[0], B_R.shape[1]
@@ -434,7 +413,7 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
                     job += 1
                     delays.append(backlog)
                     fin = backlog + s
-                    if fin - F > d_max:
+                    if fin - F > max_delay:
                         backlog = 0
                         due.clear()  # cancellation discards queued work
                     else:
@@ -447,3 +426,26 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
     est /= n_traj
     return CoSimResult(est, n_traj, _verdict(est),
                        delay_sequence=first_delays)
+
+
+def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: int,
+               R: int, T: int, *, tick_seconds: float = 1.0, horizon: int = 300,
+               n_traj: int = 100, seed=0) -> bool:
+    """Whether a (Q, R) reservation keeps the loop under moc second-moment stable.
+
+    tt_hard: the hard schedulability condition Q * (T // R) >= max_ticks;
+    tt_maxb and cs: the exact Kronecker test; tt_sort: a co-simulation
+    verdict of "stable" (the only use of horizon, n_traj and seed).
+    """
+    _check_reservation(moc, Q, R, T)
+    if moc.kind == "tt_hard":
+        return Q * (T // R) >= max_ticks(model)
+    if moc.kind == "tt_maxb":
+        return second_moment_stable(
+            tt_maxb_modes(c2d(plant, T * tick_seconds), K, model, Q, R, T))
+    if moc.kind == "cs":
+        return second_moment_stable(
+            cs_modes(plant, K, model, Q, R, moc.max_delay, tick_seconds))
+    res = cosimulate(plant, K, moc, model, Q, R, T, tick_seconds=tick_seconds,
+                     horizon=horizon, n_traj=n_traj, seed=seed)
+    return res.verdict == "stable"

@@ -4,10 +4,11 @@ For every sampled plant an LQR controller is synthesized at the nominal
 sampling period, then each bandwidth fraction b on the grid funds a
 reservation of budget b*R per period R and every model of computation is
 asked whether the resulting switched loop is second-moment stable.
-tt_maxb and cs are decided analytically from the Kronecker stability
-matrix; tt_sort by co-simulation; tt_hard by the hard schedulability
-condition (the budget must cover the worst-case demand every task period,
-which with worst-case utilization 1 happens only at b = 1).
+The verdict rule lives in moc.stabilizes: tt_maxb and cs are decided
+analytically from the Kronecker stability matrix; tt_sort by
+co-simulation; tt_hard by the hard schedulability condition (the budget
+must cover the worst-case demand every task period, which with
+worst-case utilization 1 happens only at b = 1).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .controlcore import ContinuousLti, c2d, dlqr, second_moment_stable
+from .controlcore import ContinuousLti, c2d, dlqr
 from .errors import ConfigError, NumericalError
-from .moc import MocKind, cosimulate, cs_modes, tt_maxb_modes
-from .taskmodel import Beta, derived_seed, max_ticks
+from .moc import BUFFERED_KINDS, MOC_KINDS, MocKind, stabilizes
+from .taskmodel import Beta, derived_seed
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +42,7 @@ class SweepConfig:
     # U-shaped demand: most frames are cheap, cluttered ones near worst case
     beta_alpha: float = 0.5
     beta_beta: float = 0.5
-    mocs: Tuple[str, ...] = ("tt_hard", "tt_maxb", "tt_sort", "cs")
+    mocs: Tuple[str, ...] = MOC_KINDS
     max_delay: int = 6  # cancellation threshold, reservation periods
     tick_seconds: float = 0.01
     horizon: int = 200  # co-simulation steps per trajectory
@@ -61,7 +62,7 @@ class SweepConfig:
         if self.T < self.R or self.T % self.R != 0:
             raise ConfigError("T: must be a positive multiple of R")
         for m in self.mocs:
-            if m not in ("tt_hard", "tt_maxb", "tt_sort", "cs"):
+            if m not in MOC_KINDS:
                 raise ConfigError("mocs: unknown model of computation %r" % (m,))
         if self.max_delay < 1:
             raise ConfigError("max_delay: must be >= 1")
@@ -97,10 +98,10 @@ def random_system(state_dim: int, seed, retries: int = 50) -> ContinuousLti:
 def bandwidth_sweep(config: SweepConfig) -> List[dict]:
     """Rows (bandwidth, moc, fraction_stabilized), deterministic given the seed."""
     model = config.exec_model
-    F = config.T // config.R
-    wcet = max_ticks(model)
+    mocs = [MocKind(m, config.max_delay if m in BUFFERED_KINDS else None)
+            for m in config.mocs]
 
-    systems = []
+    counts = {(b, m): 0 for b in config.grid for m in config.mocs}
     for i in range(config.n_systems):
         plant = random_system(config.state_dim, derived_seed(config.seed, "sys", i))
         plant_d = c2d(plant, config.T * config.tick_seconds)
@@ -108,34 +109,15 @@ def bandwidth_sweep(config: SweepConfig) -> List[dict]:
             K, _ = dlqr(plant_d.A, plant_d.B, np.eye(config.state_dim), np.eye(1))
         except NumericalError as exc:
             log.warning("system %d: synthesis failed, counted unstabilized (%s)", i, exc)
-            K = None
-        systems.append((i, plant, plant_d, K))
-
-    counts = {(b, m): 0 for b in config.grid for m in config.mocs}
-    for i, plant, plant_d, K in systems:
-        if K is None:
             continue
         for b in config.grid:
             Q = int(round(b * config.R))
-            for m in config.mocs:
-                if m == "tt_hard":
-                    ok = Q * F >= wcet
-                elif m == "tt_maxb":
-                    ok = second_moment_stable(
-                        tt_maxb_modes(plant_d, K, model, Q, config.R, config.T))
-                elif m == "cs":
-                    ok = second_moment_stable(
-                        cs_modes(plant, K, model, Q, config.R, config.max_delay,
-                                 config.tick_seconds))
-                else:
-                    res = cosimulate(
-                        plant, K, MocKind("tt_sort", config.max_delay), model,
-                        Q, config.R, config.T, tick_seconds=config.tick_seconds,
-                        horizon=config.horizon, n_traj=config.n_traj,
-                        seed=derived_seed(config.seed, "cell", i, m, Q))
-                    ok = res.verdict == "stable"
-                if ok:
-                    counts[(b, m)] += 1
+            for moc in mocs:
+                if stabilizes(plant, K, moc, model, Q, config.R, config.T,
+                              tick_seconds=config.tick_seconds,
+                              horizon=config.horizon, n_traj=config.n_traj,
+                              seed=derived_seed(config.seed, "cell", i, moc.kind, Q)):
+                    counts[(b, moc.kind)] += 1
 
     rows = []
     for b in config.grid:

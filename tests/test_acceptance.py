@@ -380,7 +380,7 @@ def test_criterion_10_delay_chain_and_memory():
             "%s lag-1 %.4f" % (name, r)
     sort_res = cosimulate(plant, K, MocKind("tt_sort", max_delay=2), model,
                           1, 1, 2, tick_seconds=0.05, horizon=16000, n_traj=1,
-                          seed=7, d_max=2)
+                          seed=7)
     r = _lag1(sort_res.delay_sequence)
     assert r > 3 / math.sqrt(len(sort_res.delay_sequence)), "lag-1 %.4f" % r
     print("criterion 10 PASS: chain steady state matches simulation; only "

@@ -174,6 +174,45 @@ def test_cosim_csv(tmp_path, capsys):
     assert lines[1].startswith("0,")
 
 
+COSIM_SORT = {
+    "plant": {"A": [[0.2]], "B": [[1.0]]},
+    "moc": {"kind": "tt_sort", "max_delay": 2,
+            "exec_model": {"kind": "empirical", "values": [1, 3]},
+            "Q": 1, "R": 1, "T": 2, "tick_seconds": 0.05,
+            "horizon": 40, "n_traj": 2},
+}
+
+
+def _with_moc(**fields):
+    doc = json.loads(json.dumps(COSIM_SORT))
+    doc["moc"].update(fields)
+    return doc
+
+
+def test_cosim_rejects_misplaced_moc_fields(tmp_path, capsys):
+    assert main(["cosim", "--config", write_config(tmp_path, COSIM_SORT)]) == 0
+    capsys.readouterr()
+    # act_delay belongs to tt_hard only
+    cfg = write_config(tmp_path, _with_moc(act_delay=1))
+    assert main(["cosim", "--config", cfg]) == 2
+    assert "moc.act_delay" in capsys.readouterr().err
+    # the backlog bound has one name, max_delay
+    cfg = write_config(tmp_path, _with_moc(d_max=2))
+    assert main(["cosim", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "moc.d_max" in err and "moc.max_delay" in err
+
+
+def test_non_integer_fields_are_config_errors(tmp_path, capsys):
+    cfg = write_config(tmp_path, _with_moc(horizon=40.5))
+    assert main(["cosim", "--config", cfg]) == 2
+    assert "moc.horizon: must be an integer" in capsys.readouterr().err
+    doc = json.loads(json.dumps(CHAIN_CONFIG))
+    doc["chain"]["Q"] = "1"
+    assert main(["chain", "--config", write_config(tmp_path, doc)]) == 2
+    assert "chain.Q: must be an integer" in capsys.readouterr().err
+
+
 def test_sweep_cli(tmp_path, capsys):
     doc = {"sweep": {"n_systems": 2, "grid": [0.5, 1.0],
                      "mocs": ["tt_hard", "tt_maxb"], "R": 10, "T": 10,

@@ -22,6 +22,7 @@ from softrt.moc import (
     cs_modes,
     service_distribution,
     service_periods,
+    stabilizes,
     tt_hard_modes,
     tt_maxb_modes,
 )
@@ -57,6 +58,12 @@ def test_moc_kind_validation():
         MocKind("tt_sort", max_delay=0)
     with pytest.raises(ConfigError):
         MocKind("tt_hard", max_delay=2)
+    MocKind("tt_hard", act_delay=0)
+    for kind, max_delay in (("tt_maxb", None), ("tt_sort", 2), ("cs", 2)):
+        with pytest.raises(ConfigError, match="act_delay"):
+            MocKind(kind, max_delay, act_delay=1)
+    with pytest.raises(ConfigError, match="act_delay"):
+        MocKind("tt_hard", act_delay=-1)
 
 
 def test_service_periods():
@@ -265,6 +272,12 @@ def test_cosim_validation():
     with pytest.raises(ConfigError):
         cosimulate(d, [[0.4]], MocKind("cs", max_delay=1), Deterministic(1),
                    Q=1, R=1)
+    # the budget must satisfy 1 <= Q <= R for every kind
+    for moc, Q in ((MocKind("tt_hard"), 0), (MocKind("tt_maxb"), -1),
+                   (MocKind("tt_sort", max_delay=2), 0),
+                   (MocKind("cs", max_delay=2), 3)):
+        with pytest.raises(ConfigError, match="Q"):
+            cosimulate(plant, [[0.4]], moc, Deterministic(1), Q=Q, R=2, T=2)
 
 
 def test_cosim_analytic_agreement_smoke():
@@ -277,6 +290,24 @@ def test_cosim_analytic_agreement_smoke():
     res = cosimulate(plant, K, MocKind("tt_maxb"), model, Q=1, R=1, T=T,
                      horizon=400, n_traj=150, seed=2)
     assert res.verdict == "unstable"
+
+
+def test_stabilizes_rule_per_mechanism():
+    # a budget of 1 per 2 ticks overruns on three jobs in four; a budget of 2
+    # always fits, so every mechanism's verdict flips between the two
+    plant = scalar_plant(a=0.2)
+    K = lqr_gain(plant, 1.0)
+    model = Empirical((2, 2, 2, 1))
+    kw = dict(tick_seconds=0.5, horizon=200, n_traj=20, seed=1)
+    for moc in (MocKind("tt_hard"), MocKind("tt_maxb"),
+                MocKind("tt_sort", max_delay=1), MocKind("cs", max_delay=1)):
+        assert not stabilizes(plant, K, moc, model, 1, 2, 2, **kw), moc.kind
+        assert stabilizes(plant, K, moc, model, 2, 2, 2, **kw), moc.kind
+    # tt_hard is schedulability alone: it ignores the loop dynamics
+    assert stabilizes(plant, [[0.0]], MocKind("tt_hard"), model, 2, 2, 2, **kw)
+    assert not stabilizes(plant, [[0.0]], MocKind("tt_maxb"), model, 2, 2, 2, **kw)
+    with pytest.raises(ConfigError, match="Q"):
+        stabilizes(plant, K, MocKind("tt_hard"), model, 3, 2, 2, **kw)
 
 
 def lag1_autocorr(x):

@@ -1,11 +1,15 @@
 """Bandwidth sweep: random plants and the stabilized-fraction table."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from softrt.errors import ConfigError
 from softrt.sweep import SweepConfig, bandwidth_sweep, random_system, sweep_to_csv
 from softrt.taskmodel import max_ticks
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "sweep_small.csv"
 
 
 def test_random_system_deterministic():
@@ -98,3 +102,10 @@ def test_sweep_csv_format():
     assert b == "0.5"
     assert moc == "tt_hard"
     assert frac == "0.000000"
+
+
+def test_sweep_matches_golden_table():
+    # eight plants cover all four mechanisms with fractions from 0.125 to 1;
+    # only a documented correctness fix may regenerate the golden file
+    cfg = SweepConfig(n_systems=8, seed=0, grid=(0.1, 0.3, 0.4, 0.7, 1.0))
+    assert sweep_to_csv(bandwidth_sweep(cfg)) == GOLDEN.read_text()
