@@ -220,8 +220,10 @@ def parse_chain(doc: dict) -> dict:
 def parse_sweep(doc: dict, seed=None) -> SweepConfig:
     raw = doc.get("sweep", {})
     kwargs = {}
-    for field in ("n_systems", "state_dim", "seed", "R", "T", "beta_alpha",
-                  "beta_beta", "max_delay", "tick_seconds", "horizon", "n_traj"):
+    for field in ("n_systems", "state_dim", "R", "T", "max_delay", "horizon", "n_traj"):
+        if field in raw:
+            kwargs[field] = _int(raw, field, "sweep")
+    for field in ("seed", "beta_alpha", "beta_beta", "tick_seconds"):
         if field in raw:
             kwargs[field] = raw[field]
     if "grid" in raw:

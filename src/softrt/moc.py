@@ -15,9 +15,12 @@ tt_maxb and cs have i.i.d. mode sequences, so second-moment stability is
 decided analytically from the Kronecker stability matrix; tt_sort carries
 backlog memory and is assessed by Monte Carlo co-simulation; stabilizes()
 holds this verdict rule.  cosimulate() runs tt_hard (as one deterministic
-trajectory), tt_maxb and cs through one switched-ensemble loop.  All the
-stochastic timing derives from one quantity: a job of demand c ticks served
-by a budget-Q reservation occupies ceil(c/Q) reservation periods.
+trajectory), tt_maxb and cs through one switched-ensemble loop; tt_sort has
+its own loop, which also advances all trajectories at once and keeps their
+pending commands in a ring buffer.  The three stochastic mechanisms draw
+their demands from the same per-trajectory streams.  All the stochastic
+timing derives from one quantity: a job of demand c ticks served by a
+budget-Q reservation occupies ceil(c/Q) reservation periods.
 """
 
 from __future__ import annotations
@@ -385,47 +388,58 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
 
 def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
                    n_traj, seed) -> CoSimResult:
-    """Buffered activations with backlog memory, stepped per reservation period."""
+    """Buffered activations with backlog memory, stepped per reservation period.
+
+    All trajectories advance together, each with its state x, held input u
+    and backlog.  Every F = T // R steps each trajectory activates a job of
+    s service periods; it latches -K x at offset backlog + s, or, if the
+    backlog would then exceed max_delay, is cancelled together with all its
+    pending commands.  Pending commands sit in a ring buffer of
+    L = F + max_delay + 1 slots indexed by due step mod L: due offsets lie
+    in 1..F + max_delay and grow strictly from one job to the next, so no
+    two pending commands share a slot.
+
+    x and u are kept as stacks of column vectors, X (n_traj, n, 1) and U
+    (n_traj, p, 1), so A_R @ X computes A_R @ x for every trajectory bit for
+    bit as a per-trajectory loop would; only the sum over trajectories in
+    the estimates runs in another order.
+    """
     F = T // R
+    L = F + max_delay + 1
     dR = c2d(plant, R * tick_seconds)
     A_R, B_R = dR.A, dR.B
-    Km = np.asarray(K, dtype=float)
+    negK = -np.asarray(K, dtype=float)
     n, p = A_R.shape[0], B_R.shape[1]
-    n_jobs = horizon // F + 2
-    est = np.zeros(horizon + 1)
-    first_delays = None
+    S = -(-_traj_demands(model, horizon // F + 2, n_traj, seed) // Q)
+    rows = np.arange(n_traj)
+    X = np.zeros((n_traj, n, 1))
+    X[:, 0] = 1.0
+    U = np.zeros((n_traj, p, 1))
+    pending = np.zeros((L, n_traj, p, 1))
+    has = np.zeros((L, n_traj), dtype=bool)
+    backlog = np.zeros(n_traj, dtype=np.int64)
+    delays = np.empty(-(-horizon // F), dtype=np.int64)
+    est = np.empty(horizon + 1)
+    est[0] = n_traj
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_traj):
-            s_vals = -(-sample_exec_times(model, n_jobs, derived_seed(seed, "traj", i)) // Q)
-            x = np.zeros(n)
-            x[0] = 1.0
-            u = np.zeros(p)
-            due = {}
-            backlog = 0
-            delays = []
-            est[0] += 1.0
-            job = 0
-            for m in range(horizon):
-                if m in due:
-                    u = due.pop(m)
-                if m % F == 0:
-                    s = int(s_vals[job])
-                    job += 1
-                    delays.append(backlog)
-                    fin = backlog + s
-                    if fin - F > max_delay:
-                        backlog = 0
-                        due.clear()  # cancellation discards queued work
-                    else:
-                        due[m + fin] = -Km @ x
-                        backlog = max(0, fin - F)
-                x = A_R @ x + B_R @ u
-                est[m + 1] += float(x @ x + u @ u)
-            if first_delays is None:
-                first_delays = np.asarray(delays, dtype=np.int64)
+        for m in range(horizon):
+            slot = m % L
+            np.copyto(U, pending[slot], where=has[slot][:, None, None])
+            has[slot] = False
+            if m % F == 0:
+                j = m // F
+                delays[j] = backlog[0]
+                fin = backlog + S[:, j]
+                fire = fin - F <= max_delay
+                has &= fire  # a cancellation discards every pending command
+                due = (m + fin) % L
+                pending[due, rows] = negK @ X
+                has[due, rows] = fire
+                backlog = np.maximum(fin - F, 0) * fire
+            X = A_R @ X + B_R @ U
+            est[m + 1] = np.vdot(X, X) + np.vdot(U, U)
     est /= n_traj
-    return CoSimResult(est, n_traj, _verdict(est),
-                       delay_sequence=first_delays)
+    return CoSimResult(est, n_traj, _verdict(est), delay_sequence=delays)
 
 
 def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: int,

@@ -179,10 +179,10 @@ def tick_cdf(model: ExecTimeModel, m: int):
         span = model.hi - model.lo
         return min(1.0, max(0.0, (m + 0.5 - model.lo) / span))
     if isinstance(model, Beta):
-        from scipy.stats import beta as beta_dist
+        from scipy.special import betainc  # the regularized incomplete beta
 
         z = (m + 0.5 - model.lo) / (model.hi - model.lo)
-        return float(beta_dist.cdf(min(1.0, max(0.0, z)), model.alpha, model.beta))
+        return float(betainc(model.alpha, model.beta, min(1.0, max(0.0, z))))
     raise ConfigError("exec_model: no stationary distribution for %r" % (model,))
 
 

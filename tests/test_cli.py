@@ -8,6 +8,7 @@ import sys
 from softrt.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "edf_overload_trace.csv"
+GOLDEN_COSIM_SORT = GOLDEN.with_name("cosim_tt_sort.csv")
 
 OVERLOAD_CONFIG = {
     "tasks": [
@@ -224,6 +225,26 @@ def test_sweep_cli(tmp_path, capsys):
     assert len(lines) == 5
     for ln in lines[1:]:
         assert 0.0 <= float(ln.split(",")[2]) <= 1.0
+
+
+def test_sweep_non_integer_fields_are_config_errors(tmp_path, capsys):
+    base = {"n_systems": 1, "mocs": ["tt_sort"], "grid": [0.5, 1.0],
+            "horizon": 40, "n_traj": 2}
+    assert main(["sweep", "--config", write_config(tmp_path, {"sweep": base})]) == 0
+    capsys.readouterr()
+    for field, bad in (("horizon", 40.5), ("n_systems", "1"), ("state_dim", 2.0),
+                       ("R", True), ("T", 20.0), ("max_delay", "6"), ("n_traj", 2.5)):
+        doc = {"sweep": dict(base, **{field: bad})}
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2, field
+        assert "sweep.%s: must be an integer" % field in capsys.readouterr().err
+
+
+def test_cosim_tt_sort_matches_golden_csv(tmp_path, capsys):
+    # the sweep's co-simulation shape: horizon 200, 30 trajectories
+    doc = json.loads(json.dumps(COSIM_SORT))
+    doc["moc"].update(horizon=200, n_traj=30)
+    assert main(["cosim", "--config", write_config(tmp_path, doc), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == GOLDEN_COSIM_SORT.read_text()
 
 
 def test_render_ascii_golden(capsys):

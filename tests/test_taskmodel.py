@@ -106,6 +106,21 @@ def test_tick_cdf_beta_hand_value():
     assert tick_cdf(m, 1) == pytest.approx(0.84375, abs=1e-12)
 
 
+def test_tick_cdf_beta_equals_scipy_stats():
+    from scipy.stats import beta as beta_dist
+
+    # lo = 2.25 puts tick 1 below the support (z clipped to 0), ticks past
+    # hi = 11.5 lie above it (z clipped to 1)
+    lo, hi = 2.25, 11.5
+    for a in (0.3, 0.5, 1.0, 2.0, 5.5):
+        for b in (0.5, 1.0, 3.0, 7.25):
+            m = Beta(a, b, lo, hi)
+            for k in range(1, 15):
+                z = min(1.0, max(0.0, (k + 0.5 - lo) / (hi - lo)))
+                assert tick_cdf(m, k) == float(beta_dist.cdf(z, a, b)), (a, b, k)
+            assert tick_cdf(m, 1) == 0.0 and tick_cdf(m, 14) == 1.0
+
+
 def test_tick_cdf_matches_sampled_frequencies():
     for m in (Uniform(0.5, 6.5), Beta(2.0, 5.0, 0.0, 10.0), Empirical((1, 1, 4))):
         xs = sample_exec_times(m, 20_000, 7)
