@@ -99,24 +99,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _synthesize(doc):
+def _lqr(doc, default_seconds: float):
+    """The plant, its discretisation and the LQR gain the control section asks for."""
     plant = cfg.parse_plant(doc)
     ctl = cfg.parse_control(doc)
-    Ts = ctl["sample_seconds"] if ctl["sample_seconds"] is not None else 1.0
+    Ts = ctl["sample_seconds"] if ctl["sample_seconds"] is not None else default_seconds
     d = c2d(plant, Ts)
     n, p = d.A.shape[0], d.B.shape[1]
     Qx = ctl["Qx"] if ctl["Qx"] is not None else np.eye(n)
     Ru = ctl["Ru"] if ctl["Ru"] is not None else np.eye(p)
     K, P = dlqr(d.A, d.B, Qx, Ru)
+    return plant, ctl, d, K, P
+
+
+def cmd_control_synth(args) -> int:
+    _, ctl, d, K, P = _lqr(cfg.load_config(args.config), 1.0)
     L = controller = None
     if ctl["feedback"] == "lqg":
         L = kalman_gain(d.A, d.C)
         controller = lqg_assemble(d, K, L)
-    return plant, d, K, P, L, controller
-
-
-def cmd_control_synth(args) -> int:
-    _, d, K, P, L, controller = _synthesize(cfg.load_config(args.config))
     modes = build_modes(d, controller if controller is not None else K)
     if args.format == "csv":
         lines = ["mu,rho"]
@@ -160,15 +161,8 @@ def cmd_chain(args) -> int:
 def cmd_cosim(args) -> int:
     doc = cfg.load_config(args.config)
     m = cfg.parse_moc(doc)
-    plant = cfg.parse_plant(doc)
-    ctl = cfg.parse_control(doc)
     nominal = (m["T"] if m["T"] is not None else m["R"]) * m["tick_seconds"]
-    Ts = ctl["sample_seconds"] if ctl["sample_seconds"] is not None else nominal
-    d = c2d(plant, Ts)
-    n, p = d.A.shape[0], d.B.shape[1]
-    Qx = ctl["Qx"] if ctl["Qx"] is not None else np.eye(n)
-    Ru = ctl["Ru"] if ctl["Ru"] is not None else np.eye(p)
-    K, _ = dlqr(d.A, d.B, Qx, Ru)
+    plant, _, _, K, _ = _lqr(doc, nominal)
     res = cosimulate(plant, K, m["moc"], m["exec_model"], m["Q"], m["R"], m["T"],
                      tick_seconds=m["tick_seconds"], horizon=m["horizon"],
                      n_traj=m["n_traj"], seed=args.seed)

@@ -52,6 +52,14 @@ def _int(d: dict, key: str, path: str, required=True, default=None):
     return v
 
 
+def _seconds(d: dict, key: str, path: str, default=None):
+    """_get for an optional duration: a finite number > 0, not a string or boolean."""
+    v = _get(d, key, path, False, default)
+    if v is not None and not (type(v) in (int, float) and 0 < v < float("inf")):
+        raise ConfigError("%s.%s: must be a number > 0, got %r" % (path, key, v))
+    return v
+
+
 def parse_exec_model(d, path: str):
     if not isinstance(d, dict):
         raise ConfigError("%s: expected an object with a 'kind' field" % path)
@@ -172,13 +180,11 @@ def parse_control(doc: dict) -> dict:
     """Controller synthesis settings: period, weights, feedback structure."""
     raw = doc.get("control", {})
     out = {
-        "sample_seconds": raw.get("sample_seconds"),  # None lets the caller pick
+        "sample_seconds": _seconds(raw, "sample_seconds", "control"),  # None: caller picks
         "feedback": raw.get("feedback", "lqr"),
     }
     if out["feedback"] not in ("lqr", "lqg"):
         raise ConfigError("control.feedback: must be lqr or lqg")
-    if out["sample_seconds"] is not None and not out["sample_seconds"] > 0:
-        raise ConfigError("control.sample_seconds: must be > 0")
     w = raw.get("weights", {})
     out["Qx"] = _matrix(w["Qx"], "control.weights.Qx") if "Qx" in w else None
     out["Ru"] = _matrix(w["Ru"], "control.weights.Ru") if "Ru" in w else None
@@ -199,7 +205,7 @@ def parse_moc(doc: dict) -> dict:
         "Q": _int(raw, "Q", "moc"),
         "R": _int(raw, "R", "moc"),
         "T": _int(raw, "T", "moc", required=False),
-        "tick_seconds": raw.get("tick_seconds", 1.0),
+        "tick_seconds": _seconds(raw, "tick_seconds", "moc", default=1.0),
         "horizon": _int(raw, "horizon", "moc", required=False, default=300),
         "n_traj": _int(raw, "n_traj", "moc", required=False, default=100),
     }

@@ -1,7 +1,7 @@
 """Discretization, LQR/LQG synthesis and switched-mode stability algebra.
 
-Matrices are dense float64 numpy arrays throughout.  The exponential and the
-eigenvalue solver are delegated to scipy/LAPACK; the Riccati recursion, the
+Matrices are dense float64 numpy arrays throughout.  The exponential, the
+eigenvalue solver and the Riccati equation are delegated to scipy/LAPACK; the
 mode construction and the second-moment test are implemented here because
 their exact forms are what the rest of the package is built around.
 
@@ -182,45 +182,44 @@ def c2d(plant: ContinuousLti, T: float) -> DiscreteLti:
     return DiscreteLti(E[:n, :n], E[:n, n:], plant.C.copy(), plant.D.copy(), T)
 
 
-def dlqr(A, B, Qx, Ru, tol=1e-10, max_iter=100_000) -> Tuple[np.ndarray, np.ndarray]:
-    """Infinite-horizon discrete LQR gain by Riccati value iteration.
+def dlqr(A, B, Qx, Ru) -> Tuple[np.ndarray, np.ndarray]:
+    """Infinite-horizon discrete LQR: (K, P) with u = -Kx, K = (Ru + B'PB)^-1 B'PA.
 
-    Iterates P <- Qx + A'PA - A'PB (Ru + B'PB)^-1 B'PA from P0 = Qx until
-    the sup-norm update falls below tol.  Returns (K, P) with
-    u = -Kx, K = (Ru + B'PB)^-1 B'PA, and verifies the closed loop is
-    Schur stable.
+    P solves P = Qx + A'PA - A'PB (Ru + B'PB)^-1 B'PA directly (scipy's
+    generalized-eigenvalue method, Arnold & Laub 1984).  It is accepted if its
+    residual is small relative to max(1, |P|) and A - BK is Schur stable;
+    otherwise NumericalError names the cause found by a PBH test on (A, B).
     """
     A = _square(A, "dlqr.A")
     B = _as_matrix(B, "dlqr.B")
     w = CostWeights(Qx, Ru)
-    Qx, Ru = w.Qx, w.Ru
-    if B.shape[0] != A.shape[0]:
+    n, p = B.shape
+    if n != A.shape[0]:
         raise ConfigError("dlqr.B: row count must match A")
+    for M, name, k in ((w.Qx, "weights.Qx", n), (w.Ru, "weights.Ru", p)):
+        if M.shape != (k, k):
+            raise ConfigError("%s: expected shape (%d, %d), got %s" % (name, k, k, M.shape))
+    try:
+        P = scipy.linalg.solve_discrete_are(A, B, w.Qx, w.Ru)
+        K = np.linalg.solve(w.Ru + B.T @ P @ B, B.T @ P @ A)
+        # valid solutions for nearly uncontrollable plants (|P| ~ 1e9) leave ~1e-7
+        residual = np.max(np.abs(w.Qx + A.T @ P @ (A - B @ K) - P))
+        if residual <= 1e-6 * max(1.0, np.max(np.abs(P))) and \
+                spectral_radius(A - B @ K) < 1.0:
+            return K, P
+    except np.linalg.LinAlgError:
+        pass
+    raise NumericalError("dlqr: " + _failure_cause(A, B))
 
-    P = Qx.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            BtP = B.T @ P
-            K = np.linalg.solve(Ru + BtP @ B, BtP @ A)
-            Pn = Qx + A.T @ P @ (A - B @ K)
-            Pn = (Pn + Pn.T) / 2
-            if not np.all(np.isfinite(Pn)):
-                raise NumericalError("dlqr: Riccati iteration diverged; "
-                                     "system may be unstabilizable")
-            if np.max(np.abs(Pn - P)) < tol:
-                P = Pn
-                break
-            P = Pn
-        else:
-            raise NumericalError("dlqr: Riccati iteration did not converge "
-                                 "within %d steps" % max_iter)
 
-    BtP = B.T @ P
-    K = np.linalg.solve(Ru + BtP @ B, BtP @ A)
-    if spectral_radius(A - B @ K) >= 1.0:
-        raise NumericalError("dlqr: converged gain does not stabilize; "
-                             "(A, B) may be unstabilizable")
-    return K, P
+def _failure_cause(A, B) -> str:
+    """Why dlqr failed: PBH test, rank [A - lambda I, B] < n for a mode |lambda| >= 1."""
+    for lam in np.linalg.eigvals(A):
+        s = np.linalg.svd(np.hstack([A - lam * np.eye(len(A)), B]), compute_uv=False)
+        if abs(lam) >= 1 - 1e-9 and s[-1] <= 1e-8 * max(1.0, s[0]):
+            return "(A, B) is not stabilizable: mode lambda = %s is uncontrollable" % \
+                np.real_if_close(np.round(lam, 6))
+    return "no stabilizing solution for these weights"
 
 
 def kalman_gain(A, C, Wproc=None, Wmeas=None) -> np.ndarray:

@@ -214,6 +214,37 @@ def test_non_integer_fields_are_config_errors(tmp_path, capsys):
     assert "chain.Q: must be an integer" in capsys.readouterr().err
 
 
+def test_mis_sized_weights_are_config_errors(tmp_path, capsys):
+    def control(**ctl):
+        return dict(DOUBLE_INTEGRATOR, control=ctl)
+
+    cases = [
+        ("control-synth", control(weights={"Qx": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+         "weights.Qx"),
+        ("control-synth", control(weights={"Ru": [[1, 0], [0, 1]]}), "weights.Ru"),
+        ("control-synth", control(feedback="lqg", weights={"Qx": [[1]]}), "weights.Qx"),
+        ("cosim", dict(COSIM_SORT, control={"weights": {"Qx": [[1, 0], [0, 1]]}}),
+         "weights.Qx"),
+    ]
+    for cmd, doc, field in cases:
+        assert main([cmd, "--config", write_config(tmp_path, doc)]) == 2, field
+        assert "%s: expected shape" % field in capsys.readouterr().err
+
+
+def test_non_numeric_seconds_are_config_errors(tmp_path, capsys):
+    cases = [
+        ("control-synth", dict(DOUBLE_INTEGRATOR, control={"sample_seconds": "0.5"}),
+         "control.sample_seconds"),
+        ("cosim", dict(COSIM_SORT, control={"sample_seconds": True}),
+         "control.sample_seconds"),
+        ("cosim", _with_moc(tick_seconds="0.05"), "moc.tick_seconds"),
+        ("cosim", _with_moc(tick_seconds=0), "moc.tick_seconds"),
+    ]
+    for cmd, doc, field in cases:
+        assert main([cmd, "--config", write_config(tmp_path, doc)]) == 2, field
+        assert "%s: must be a number > 0" % field in capsys.readouterr().err
+
+
 def test_sweep_cli(tmp_path, capsys):
     doc = {"sweep": {"n_systems": 2, "grid": [0.5, 1.0],
                      "mocs": ["tt_hard", "tt_maxb"], "R": 10, "T": 10,

@@ -22,6 +22,8 @@ from softrt.controlcore import (
     stability_matrix,
 )
 from softrt.errors import ConfigError, NumericalError
+from softrt.sweep import SweepConfig, random_system
+from softrt.taskmodel import derived_seed
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -96,10 +98,35 @@ def test_c2d_matches_rk4():
         c2d(ContinuousLti.from_ab(A, B), 0.0)
 
 
-def test_dlqr_scalar_golden_section():
-    K, P = dlqr([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-    assert P[0, 0] == pytest.approx(GOLDEN_RATIO, abs=1e-6)
-    assert K[0, 0] == pytest.approx(1.0 / GOLDEN_RATIO, abs=1e-6)
+@pytest.mark.parametrize("a, b, q, r, known", [
+    pytest.param(1.0, 1.0, 1.0, 1.0, (GOLDEN_RATIO, 1.0 / GOLDEN_RATIO),
+                 id="golden_section"),
+    # P = 0 also solves this Riccati equation but leaves the plant unstable
+    pytest.param(2.0, 1.0, 0.0, 1.0, (3.0, 1.5), id="unstable_zero_state_cost"),
+    # the cosim plant dx/dt = 0.2 x + u under a 0.1 s zero-order hold
+    pytest.param(math.exp(0.02), math.expm1(0.02) / 0.2, 1.0, 1.0, None, id="cosim_plant"),
+])
+def test_dlqr_scalar_closed_form(a, b, q, r, known):
+    # P is the positive root of b^2 P^2 + (r - a^2 r - q b^2) P - q r = 0
+    c = r - a * a * r - q * b * b
+    p = (-c + math.sqrt(c * c + 4 * b * b * q * r)) / (2 * b * b)
+    k = a * b * p / (r + b * b * p)
+    if known is not None:
+        assert (p, k) == pytest.approx(known, rel=1e-15)
+    K, P = dlqr([[a]], [[b]], [[q]], [[r]])
+    assert P[0, 0] == pytest.approx(p, rel=1e-12)
+    assert K[0, 0] == pytest.approx(k, rel=1e-12)
+
+
+def test_dlqr_synthesizes_sweep_system_14():
+    # stabilizable but badly conditioned: max|P| is about 7e6
+    cfg = SweepConfig()
+    plant = random_system(cfg.state_dim, derived_seed(cfg.seed, "sys", 14))
+    d = c2d(plant, cfg.T * cfg.tick_seconds)
+    K, P = dlqr(d.A, d.B, np.eye(2), np.eye(1))
+    residual = np.eye(2) + d.A.T @ P @ (d.A - d.B @ K) - P
+    assert np.max(np.abs(residual)) <= 1e-9 * np.max(np.abs(P))
+    assert spectral_radius(d.A - d.B @ K) == pytest.approx(0.782, abs=1e-3)
 
 
 def test_dlqr_zero_state_cost_keeps_stable_plant_open():
@@ -135,6 +162,23 @@ def test_dlqr_cross_checks_scipy_are():
 def test_dlqr_rejects_unstabilizable():
     with pytest.raises(NumericalError):
         dlqr([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+
+
+def test_dlqr_failure_names_the_cause():
+    with pytest.raises(NumericalError, match=r"\(A, B\) is not stabilizable: "
+                       r"mode lambda = 2\.0 is uncontrollable"):
+        dlqr([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+    # stabilizable, but Qx = 0 does not observe the mode on the unit circle
+    with pytest.raises(NumericalError, match="no stabilizing solution for these weights"):
+        dlqr([[1.0]], [[1.0]], [[0.0]], [[1.0]])
+
+
+def test_dlqr_rejects_mis_sized_weights():
+    A, B = np.eye(2), np.ones((2, 1))
+    with pytest.raises(ConfigError, match=r"weights\.Qx: expected shape \(2, 2\)"):
+        dlqr(A, B, np.eye(3), np.eye(1))
+    with pytest.raises(ConfigError, match=r"weights\.Ru: expected shape \(1, 1\)"):
+        dlqr(A, B, np.eye(2), np.eye(2))
 
 
 def test_cost_weight_validation():
