@@ -3,7 +3,9 @@
 Everything here is a pure function over an immutable trace or an execution
 time model.  Miss classification works from job records (arrival, deadline,
 completion) rather than from miss events, so it is independent of the
-detection mode the simulation ran with.
+detection mode the simulation ran with.  The records come from
+``Trace.records``, which builds them once per trace, so asking for several
+metrics of every task reads the events once.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class CheckResult:
 
 
 def _records(trace: Trace, task_id: int):
-    records = trace.job_records()
+    records = trace.records
     if task_id not in records:
         raise ConfigError("task_id: %r not present in trace" % (task_id,))
     return records[task_id]

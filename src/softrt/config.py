@@ -52,8 +52,9 @@ def _int(d: dict, key: str, path: str, required=True, default=None):
     return v
 
 
-def _seconds(d: dict, key: str, path: str, default=None):
-    """_get for an optional duration: a finite number > 0, not a string or boolean."""
+def _positive(d: dict, key: str, path: str, default=None):
+    """_get for an optional finite number > 0 (a duration, a shape parameter),
+    not a string or boolean."""
     v = _get(d, key, path, False, default)
     if v is not None and not (type(v) in (int, float) and 0 < v < float("inf")):
         raise ConfigError("%s.%s: must be a number > 0, got %r" % (path, key, v))
@@ -180,7 +181,7 @@ def parse_control(doc: dict) -> dict:
     """Controller synthesis settings: period, weights, feedback structure."""
     raw = doc.get("control", {})
     out = {
-        "sample_seconds": _seconds(raw, "sample_seconds", "control"),  # None: caller picks
+        "sample_seconds": _positive(raw, "sample_seconds", "control"),  # None: caller picks
         "feedback": raw.get("feedback", "lqr"),
     }
     if out["feedback"] not in ("lqr", "lqg"):
@@ -205,7 +206,7 @@ def parse_moc(doc: dict) -> dict:
         "Q": _int(raw, "Q", "moc"),
         "R": _int(raw, "R", "moc"),
         "T": _int(raw, "T", "moc", required=False),
-        "tick_seconds": _seconds(raw, "tick_seconds", "moc", default=1.0),
+        "tick_seconds": _positive(raw, "tick_seconds", "moc", default=1.0),
         "horizon": _int(raw, "horizon", "moc", required=False, default=300),
         "n_traj": _int(raw, "n_traj", "moc", required=False, default=100),
     }
@@ -229,9 +230,12 @@ def parse_sweep(doc: dict, seed=None) -> SweepConfig:
     for field in ("n_systems", "state_dim", "R", "T", "max_delay", "horizon", "n_traj"):
         if field in raw:
             kwargs[field] = _int(raw, field, "sweep")
-    for field in ("seed", "beta_alpha", "beta_beta", "tick_seconds"):
-        if field in raw:
-            kwargs[field] = raw[field]
+    for field in ("beta_alpha", "beta_beta", "tick_seconds"):
+        v = _positive(raw, field, "sweep")  # null: the default, as for absent
+        if v is not None:
+            kwargs[field] = v
+    if "seed" in raw:
+        kwargs["seed"] = raw["seed"]
     if "grid" in raw:
         kwargs["grid"] = tuple(raw["grid"])
     if "mocs" in raw:

@@ -209,23 +209,31 @@ def dlqr(A, B, Qx, Ru) -> Tuple[np.ndarray, np.ndarray]:
             return K, P
     except np.linalg.LinAlgError:
         pass
-    raise NumericalError("dlqr: " + _failure_cause(A, B))
+    lam = _unreachable_mode(A, B)
+    if lam is None:
+        raise NumericalError("dlqr: no stabilizing solution for these weights")
+    raise NumericalError("dlqr: (A, B) is not stabilizable: mode lambda = %s is "
+                         "uncontrollable" % lam)
 
 
-def _failure_cause(A, B) -> str:
-    """Why dlqr failed: PBH test, rank [A - lambda I, B] < n for a mode |lambda| >= 1."""
+def _unreachable_mode(A, B):
+    """A mode |lambda| >= 1 of A that B cannot reach, rounded, or None.
+
+    PBH test: rank [A - lambda I, B] < n.
+    """
     for lam in np.linalg.eigvals(A):
         s = np.linalg.svd(np.hstack([A - lam * np.eye(len(A)), B]), compute_uv=False)
         if abs(lam) >= 1 - 1e-9 and s[-1] <= 1e-8 * max(1.0, s[0]):
-            return "(A, B) is not stabilizable: mode lambda = %s is uncontrollable" % \
-                np.real_if_close(np.round(lam, 6))
-    return "no stabilizing solution for these weights"
+            return np.real_if_close(np.round(lam, 6))
+    return None
 
 
 def kalman_gain(A, C, Wproc=None, Wmeas=None) -> np.ndarray:
     """Steady-state observer gain via LQR duality: L = dlqr(A', C', Wp, Wm)'.
 
-    Noise weights default to identity covariances.
+    Noise weights default to identity covariances.  A - LC is the transpose
+    of A' - C'L', which dlqr has checked to be Schur stable; when it fails,
+    the PBH test on (A', C') finds a mode of A that C does not observe.
     """
     A = _square(A, "kalman.A")
     C = _as_matrix(C, "kalman.C")
@@ -234,12 +242,16 @@ def kalman_gain(A, C, Wproc=None, Wmeas=None) -> np.ndarray:
         Wproc = np.eye(n)
     if Wmeas is None:
         Wmeas = np.eye(m)
-    K, _ = dlqr(A.T, C.T, Wproc, Wmeas)
-    L = K.T
-    if spectral_radius(A - L @ C) >= 1.0:
-        raise NumericalError("kalman_gain: observer is not stable; "
-                             "(A, C) may be undetectable")
-    return L
+    try:
+        K, _ = dlqr(A.T, C.T, Wproc, Wmeas)
+    except NumericalError:
+        lam = _unreachable_mode(A.T, C.T)
+        if lam is None:
+            raise NumericalError("kalman_gain: no stabilizing solution for these "
+                                 "noise weights") from None
+        raise NumericalError("kalman_gain: (A, C) is not detectable: mode lambda = %s "
+                             "is unobservable" % lam) from None
+    return K.T
 
 
 def lqg_assemble(plant_d: DiscreteLti, K, L) -> ControllerLti:

@@ -28,11 +28,12 @@ import csv
 import io
 import json
 import logging
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigError
 from .taskmodel import JobRecord, ReservationSpec, TaskSpec
@@ -72,7 +73,7 @@ _SORT_RANK = {
 STOP_KINDS = ("preemption", "completion", "job_aborted", "budget_exhausted")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     tick: int
     kind: str
@@ -83,9 +84,20 @@ class Event:
         return (self.tick, _SORT_RANK[self.kind], self.task)
 
 
-@dataclass
+_CSV_HEADER = "tick,kind,task,payload\n"
+# event kinds csv.writer writes without quotes
+_PLAIN_KINDS = frozenset(EVENT_KINDS)
+_encode_payload = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@dataclass(frozen=True)
 class Trace:
-    """Ordered event log of one simulation run."""
+    """Ordered event log of one simulation run.
+
+    A trace is immutable.  What is derived from its events, the per-task job
+    records and miss-event counts, is computed once, on first use, and kept;
+    events appended to ``events`` in place after that are not seen by them.
+    """
 
     events: List[Event]
     horizon: int
@@ -98,14 +110,25 @@ class Trace:
         return [e for e in self.events
                 if e.kind == kind and (task is None or e.task == task)]
 
+    @cached_property
+    def _miss_counts(self) -> Counter:
+        return Counter(e.task for e in self.events if e.kind == "deadline_miss")
+
     def miss_count(self, task: Optional[int] = None) -> int:
-        return len(self.of_kind("deadline_miss", task))
+        counts = self._miss_counts
+        return counts.total() if task is None else counts[task]
+
+    @cached_property
+    def records(self) -> Dict[int, List[JobRecord]]:
+        """``job_records()``, built on first use and kept; shared, so read-only."""
+        return self.job_records()
 
     def job_records(self) -> Dict[int, List[JobRecord]]:
         """Rebuild per-task job records from arrival/completion/outcome events.
 
         Every job an outcome event names needs its arrival event; a trace
         recorded with a ``collect`` filter that drops arrivals is rejected.
+        Each call builds the records afresh; ``records`` keeps one build.
         """
         records: Dict[int, Dict[int, JobRecord]] = {t: {} for t in self.task_ids}
         for e in self.events:
@@ -132,13 +155,24 @@ class Trace:
         return {t: [jobs[k] for k in sorted(jobs)] for t, jobs in records.items()}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["tick", "kind", "task", "payload"])
-        for e in self.events:
-            w.writerow([e.tick, e.kind, e.task,
-                        json.dumps(e.payload, sort_keys=True, separators=(",", ":"))])
-        return buf.getvalue()
+        """The trace as CSV: header ``tick,kind,task,payload``, one row per
+        event, the payload as compact sorted-key JSON.
+
+        The bytes are those ``csv.writer`` (minimal quoting, ``\\n`` line
+        ends) writes for these rows.  All payloads are encoded by one JSON
+        call; a row whose tick or task is not an ``int`` or whose kind is not
+        one of ``EVENT_KINDS`` is written by ``csv.writer`` itself.
+        """
+        events = self.events
+        fields = _payload_fields([e.payload for e in events])
+        if fields is None:
+            return _CSV_HEADER + "".join(map(_csv_row, events))
+        return _CSV_HEADER + "".join([
+            f"{e.tick},{e.kind},{e.task},{field}\n"
+            if type(e.tick) is int and type(e.task) is int
+            and type(e.kind) is str and e.kind in _PLAIN_KINDS
+            else _csv_row(e)
+            for e, field in zip(events, fields)])
 
     def to_jsonl(self) -> str:
         lines = []
@@ -150,19 +184,53 @@ class Trace:
 
     @classmethod
     def from_csv(cls, text: str, horizon: Optional[int] = None) -> "Trace":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["tick", "kind", "task", "payload"]:
+        """Read ``to_csv`` output.
+
+        A malformed row (not four fields, a tick or task that is not an
+        integer, a payload that is not one JSON object) is a ``ConfigError``
+        naming its line.
+        """
+        reader = csv.reader(io.StringIO(text))
+        try:
+            header = next(reader, None)
+        except csv.Error:
+            header = None
+        if header != ["tick", "kind", "task", "payload"]:
             raise ConfigError("trace: expected header tick,kind,task,payload")
-        events = [Event(int(r[0]), r[1], int(r[2]), json.loads(r[3])) for r in rows[1:]]
-        return cls._from_events(events, horizon)
+        columns = _bulk_columns(reader)
+        if columns is None:
+            return cls._from_events(_checked_events(text), horizon)
+        ticks, kinds, tasks, payloads = columns
+        if horizon is None:
+            horizon = max(ticks, default=0)
+        return cls(list(map(Event, ticks, kinds, tasks, payloads)), horizon,
+                   sorted(set(tasks)))
 
     @classmethod
     def from_jsonl(cls, text: str, horizon: Optional[int] = None) -> "Trace":
+        """Read ``to_jsonl`` output: one JSON object per line with an integer
+        ``tick`` and ``task``, a string ``kind`` and an object ``payload``;
+        blank lines are skipped.  Anything else is a ``ConfigError`` naming
+        the line."""
         events = []
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            d = json.loads(line)
+            try:
+                d = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError("trace: line %d: not JSON (%s)" % (n, exc))
+            if type(d) is not dict:
+                raise ConfigError("trace: line %d: expected a JSON object" % n)
+            missing = [k for k in ("tick", "kind", "task", "payload") if k not in d]
+            if missing:
+                raise ConfigError("trace: line %d: missing key %r" % (n, missing[0]))
+            if type(d["tick"]) is not int or type(d["task"]) is not int:
+                raise ConfigError("trace: line %d: tick and task must be integers" % n)
+            if type(d["kind"]) is not str:
+                raise ConfigError("trace: line %d: kind must be a string" % n)
+            if type(d["payload"]) is not dict:
+                raise ConfigError("trace: line %d: payload must be a JSON object" % n)
             events.append(Event(d["tick"], d["kind"], d["task"], d["payload"]))
         return cls._from_events(events, horizon)
 
@@ -171,6 +239,98 @@ class Trace:
         if horizon is None:
             horizon = max((e.tick for e in events), default=0)
         return cls(events, horizon, sorted({e.task for e in events}))
+
+
+def _csv_row(e: Event) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        [e.tick, e.kind, e.task, _encode_payload(e.payload)])
+    return buf.getvalue()
+
+
+def _payload_fields(payloads: List[object]) -> Optional[List[str]]:
+    """Each payload's JSON as a quoted CSV field, from one JSON call.
+
+    The payloads are encoded as one list and split back at ``},{``.  That
+    is exact when every payload is a dict and no encoded dict holds ``},{``
+    itself; otherwise the split yields more parts than payloads and the
+    result is None.  A non-empty dict's JSON holds quotes and is quoted,
+    ``{}`` is not.
+    """
+    if any(type(p) is not dict for p in payloads):
+        return None
+    parts = _encode_payload(payloads)[2:-2].replace('"', '""').split("},{")
+    if len(parts) != len(payloads):
+        return None
+    return ['"{%s}"' % p if p else "{}" for p in parts]
+
+
+def _bulk_columns(rows: Iterable[List[str]]) -> Optional[Tuple[list, list, list, list]]:
+    """The tick, kind, task and payload columns of CSV rows, ticks and tasks
+    as ints and every payload decoded by one ``json.loads``.
+
+    Returns None unless every row has four fields and integer tick and task
+    and the payloads pass the check below; ``_checked_events`` reads the rest.
+
+    The n payloads are joined by ",\\n" and decoded as one JSON array.  The
+    join must hold n - 1 newlines, so no payload holds one, and n "{", one
+    at the start of every payload, and it must decode to n objects.  Each
+    object then owns one "{", so none is nested or in a string, and object
+    i opens at payload i's start.  It closes before object i + 1 opens, and
+    what follows it in payload i can only be whitespace, since anything else
+    would be a further array element.  So each object is what ``json.loads``
+    of its payload alone reads.
+    """
+    ticks, kinds, tasks, payloads = [], [], [], []
+    try:
+        for tick, kind, task, payload in rows:
+            ticks.append(tick)
+            kinds.append(kind)
+            tasks.append(task)
+            payloads.append(payload)
+        ticks = list(map(int, ticks))
+        tasks = list(map(int, tasks))
+        n = len(payloads)
+        joined = ",\n".join(payloads)
+        if joined.count("\n") != n - 1 or joined.count("{") != n \
+                or ("\n" + joined).count("\n{") != n:
+            return None
+        values = json.loads("[%s]" % joined)
+    except (ValueError, RecursionError, csv.Error):
+        return None
+    if len(values) != n or set(map(type, values)) != {dict}:
+        return None
+    return ticks, kinds, tasks, values
+
+
+def _checked_events(text: str) -> List[Event]:
+    """Events of a CSV trace, row by row, naming the line of a malformed one."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    events = []
+    while True:
+        where = "trace: line %d: " % (reader.line_num + 1)  # where the row starts
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:
+            raise ConfigError(where + str(exc))
+        if row is None:
+            return events
+        if len(row) != 4:
+            raise ConfigError(where + "expected 4 fields tick,kind,task,payload, "
+                              "got %d" % len(row))
+        try:
+            tick, task = int(row[0]), int(row[2])
+        except ValueError:
+            raise ConfigError(where + "tick and task must be integers, got %r and %r"
+                              % (row[0], row[2]))
+        try:
+            payload = json.loads(row[3])
+        except (ValueError, RecursionError):
+            payload = None
+        if type(payload) is not dict:
+            raise ConfigError(where + "payload must be one JSON object, got %r" % row[3])
+        events.append(Event(tick, row[1], task, payload))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,44 @@ def test_analyze_rejects_trace_without_arrivals(tmp_path, capsys):
     assert err.startswith("config error: trace:") and "no arrival event" in err
 
 
+def test_malformed_trace_is_config_error(tmp_path, capsys):
+    good = GOLDEN.read_text().splitlines(keepends=True)
+    row = good[1]  # 0,arrival,1,"{""deadline"":4,""demand"":2,""job"":0}"
+    csv_cases = {
+        "short row": "0,arrival,1\n",
+        "non-integer tick": "x" + row[1:],
+        "non-integer task": row.replace(",1,", ",one,", 1),
+        "bad JSON payload": '0,arrival,1,"{""job"":"\n',
+        "payload is a list": '0,arrival,1,"[1,2]"\n',
+        "two payload objects": '0,arrival,1,"{}{}"\n',
+    }
+    for what, bad in csv_cases.items():
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(good[:3]) + bad + "".join(good[3:]))
+        for command in (["analyze", str(path)], ["render", str(path)]):
+            assert main(command) == 2, (what, command)
+            assert "trace: line 4:" in capsys.readouterr().err, (what, command)
+    assert main(["simulate", "--config", write_config(tmp_path, OVERLOAD_CONFIG),
+                 "--format", "json"]) == 0
+    events = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    jsonl_cases = {
+        "missing kind": dict(events[0], kind=None),
+        "non-integer tick": dict(events[0], tick=1.5),
+        "payload is a list": dict(events[0], payload=[1]),
+    }
+    for what, bad in jsonl_cases.items():
+        bad = {k: v for k, v in bad.items() if v is not None}
+        lines = [json.dumps(e) for e in events[:2]] + [json.dumps(bad)]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        for command in (["analyze", str(path)], ["render", str(path)]):
+            assert main(command) == 2, (what, command)
+            assert "trace: line 3:" in capsys.readouterr().err, (what, command)
+    (tmp_path / "bad.jsonl").write_text("{\"tick\": 0,\n")
+    assert main(["analyze", str(tmp_path / "bad.jsonl")]) == 2
+    assert "trace: line 1: not JSON" in capsys.readouterr().err
+
+
 DOUBLE_INTEGRATOR = {"plant": {"A": [[0.0, 1.0], [0.0, 0.0]],
                                "B": [[0.0], [1.0]]}}
 
@@ -268,6 +306,16 @@ def test_sweep_non_integer_fields_are_config_errors(tmp_path, capsys):
         doc = {"sweep": dict(base, **{field: bad})}
         assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2, field
         assert "sweep.%s: must be an integer" % field in capsys.readouterr().err
+
+
+def test_sweep_non_positive_float_fields_are_config_errors(tmp_path, capsys):
+    base = {"n_systems": 1, "mocs": ["tt_hard"], "grid": [1.0]}
+    for field in ("beta_alpha", "beta_beta", "tick_seconds"):
+        for bad in ("2", True, 0, -1.5, float("inf")):
+            doc = {"sweep": dict(base, **{field: bad})}
+            assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2, \
+                (field, bad)
+            assert "sweep.%s: must be a number > 0" % field in capsys.readouterr().err
 
 
 def test_cosim_tt_sort_matches_golden_csv(tmp_path, capsys):

@@ -202,6 +202,18 @@ def test_kalman_scalar_and_duality():
     assert spectral_radius(A - L @ C) < 1.0
 
 
+def test_kalman_failure_names_the_cause():
+    with pytest.raises(NumericalError, match=r"^kalman_gain: \(A, C\) is not detectable: "
+                       r"mode lambda = 2\.0 is unobservable$"):
+        kalman_gain([[2.0]], [[0.0]])
+    # the second state is observed, the unstable first one is not
+    with pytest.raises(NumericalError, match=r"mode lambda = 1\.5 is unobservable"):
+        kalman_gain([[1.5, 0.0], [0.0, 0.5]], [[0.0, 1.0]])
+    # detectable, but Wproc = 0 leaves the unit-circle mode unweighted
+    with pytest.raises(NumericalError, match="^kalman_gain: no stabilizing solution"):
+        kalman_gain([[1.0]], [[1.0]], Wproc=[[0.0]])
+
+
 def test_lqg_assemble_and_separation():
     rng = np.random.default_rng(7)
     A = rng.uniform(-1.0, 1.0, size=(3, 3))
