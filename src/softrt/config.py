@@ -235,6 +235,9 @@ def parse_sweep(doc: dict, seed=None) -> SweepConfig:
         if v is not None:
             kwargs[field] = v
     if "seed" in raw:
+        if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], (int, str)):
+            raise ConfigError("sweep.seed: must be an integer or a string, got %r"
+                              % (raw["seed"],))
         kwargs["seed"] = raw["seed"]
     if "grid" in raw:
         kwargs["grid"] = tuple(raw["grid"])

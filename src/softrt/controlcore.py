@@ -30,7 +30,7 @@ def _as_matrix(M, name: str) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise ConfigError("%s: expected a 2-d matrix, got shape %s" % (name, A.shape))
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ConfigError("%s: entries must be finite" % name)
     return A
 
@@ -40,6 +40,26 @@ def _square(M, name: str) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise ConfigError("%s: expected a square matrix, got shape %s" % (name, A.shape))
     return A
+
+
+def _shaped(M, name: str, shape: Tuple[int, int]) -> np.ndarray:
+    A = _as_matrix(M, name)
+    if A.shape != shape:
+        raise ConfigError("%s: expected shape %s, got %s" % (name, shape, A.shape))
+    return A
+
+
+def _check_plant(plant) -> None:
+    """Coerce a plant's A, B, C, D in place and check that their shapes agree."""
+    plant.A = _square(plant.A, "plant.A")
+    plant.B = _as_matrix(plant.B, "plant.B")
+    plant.C = _as_matrix(plant.C, "plant.C")
+    n, p, m = plant.A.shape[0], plant.B.shape[1], plant.C.shape[0]
+    if plant.B.shape[0] != n:
+        raise ConfigError("plant.B: row count must match A")
+    if plant.C.shape[1] != n:
+        raise ConfigError("plant.C: column count must match A")
+    plant.D = _shaped(plant.D, "plant.D", (m, p))  # (rows of C, columns of B)
 
 
 @dataclass
@@ -52,17 +72,7 @@ class ContinuousLti:
     D: np.ndarray
 
     def __post_init__(self):
-        self.A = _square(self.A, "plant.A")
-        self.B = _as_matrix(self.B, "plant.B")
-        self.C = _as_matrix(self.C, "plant.C")
-        self.D = _as_matrix(self.D, "plant.D")
-        n, p, m = self.A.shape[0], self.B.shape[1], self.C.shape[0]
-        if self.B.shape[0] != n:
-            raise ConfigError("plant.B: row count must match A")
-        if self.C.shape[1] != n:
-            raise ConfigError("plant.C: column count must match A")
-        if self.D.shape != (m, p):
-            raise ConfigError("plant.D: shape must be (rows of C, cols of B)")
+        _check_plant(self)
 
     @classmethod
     def from_ab(cls, A, B):
@@ -81,10 +91,7 @@ class DiscreteLti:
     sample_period: float
 
     def __post_init__(self):
-        self.A = _square(self.A, "plant.A")
-        self.B = _as_matrix(self.B, "plant.B")
-        self.C = _as_matrix(self.C, "plant.C")
-        self.D = _as_matrix(self.D, "plant.D")
+        _check_plant(self)
         if not self.sample_period > 0:
             raise ConfigError("sample_period: must be > 0")
 
@@ -143,7 +150,7 @@ class ClosedLoopModes:
             p = np.asarray(self.probabilities, dtype=float)
             if len(p) != len(self.matrices):
                 raise ConfigError("modes.probabilities: one entry per matrix")
-            if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+            if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
                 raise ConfigError("modes.probabilities: must be >= 0 and sum to 1")
             self.probabilities = [float(x) for x in p]
 
@@ -196,9 +203,8 @@ def dlqr(A, B, Qx, Ru) -> Tuple[np.ndarray, np.ndarray]:
     n, p = B.shape
     if n != A.shape[0]:
         raise ConfigError("dlqr.B: row count must match A")
-    for M, name, k in ((w.Qx, "weights.Qx", n), (w.Ru, "weights.Ru", p)):
-        if M.shape != (k, k):
-            raise ConfigError("%s: expected shape (%d, %d), got %s" % (name, k, k, M.shape))
+    _shaped(w.Qx, "weights.Qx", (n, n))
+    _shaped(w.Ru, "weights.Ru", (p, p))
     try:
         P = scipy.linalg.solve_discrete_are(A, B, w.Qx, w.Ru)
         K = np.linalg.solve(w.Ru + B.T @ P @ B, B.T @ P @ A)
@@ -238,10 +244,10 @@ def kalman_gain(A, C, Wproc=None, Wmeas=None) -> np.ndarray:
     A = _square(A, "kalman.A")
     C = _as_matrix(C, "kalman.C")
     n, m = A.shape[0], C.shape[0]
-    if Wproc is None:
-        Wproc = np.eye(n)
-    if Wmeas is None:
-        Wmeas = np.eye(m)
+    if C.shape[1] != n:
+        raise ConfigError("kalman.C: column count must match A")
+    Wproc = np.eye(n) if Wproc is None else _shaped(Wproc, "kalman.Wproc", (n, n))
+    Wmeas = np.eye(m) if Wmeas is None else _shaped(Wmeas, "kalman.Wmeas", (m, m))
     try:
         K, _ = dlqr(A.T, C.T, Wproc, Wmeas)
     except NumericalError:
@@ -261,12 +267,8 @@ def lqg_assemble(plant_d: DiscreteLti, K, L) -> ControllerLti:
     eig(A-BK) together with eig(A-LC) by separation.
     """
     A, B, C, D = plant_d.A, plant_d.B, plant_d.C, plant_d.D
-    K = _as_matrix(K, "lqg.K")
-    L = _as_matrix(L, "lqg.L")
-    if K.shape != (B.shape[1], A.shape[0]):
-        raise ConfigError("lqg.K: shape must be (inputs, states)")
-    if L.shape != (A.shape[0], C.shape[0]):
-        raise ConfigError("lqg.L: shape must be (states, outputs)")
+    K = _shaped(K, "lqg.K", (B.shape[1], A.shape[0]))  # (inputs, states)
+    L = _shaped(L, "lqg.L", (A.shape[0], C.shape[0]))  # (states, outputs)
     E = A - B @ K - L @ C + L @ D @ K
     return ControllerLti(E, L, -K)
 
@@ -305,9 +307,7 @@ def build_modes(plant_d: DiscreteLti, feedback, hold_strategy="hold") -> ClosedL
             Ao[:n, n + q:] = B
             Ao[n + q:, n + q:] = np.eye(p)
     else:
-        K = _as_matrix(feedback, "modes.K")
-        if K.shape != (p, n):
-            raise ConfigError("modes.K: shape must be (inputs, states)")
+        K = _shaped(feedback, "modes.K", (p, n))
         dim = n + p
         Ac = np.zeros((dim, dim))
         Ac[:n, :n] = A - B @ K

@@ -11,29 +11,29 @@ with the queued work.  cs (continuous stream) drops the period entirely and
 samples anew the moment the previous job ends, cancelling jobs that run
 past max_delay reservation periods.
 
-tt_maxb and cs have i.i.d. mode sequences, so second-moment stability is
-decided analytically from the Kronecker stability matrix; tt_sort carries
-backlog memory and is assessed by Monte Carlo co-simulation; stabilizes()
-holds this verdict rule.  cosimulate() runs tt_hard (as one deterministic
-trajectory), tt_maxb and cs through one switched-ensemble loop; tt_sort has
-its own loop, which also advances all trajectories at once and keeps their
-pending commands in a ring buffer.  The three stochastic mechanisms draw
-their demands from the same per-trajectory streams.  All the stochastic
-timing derives from one quantity: a job of demand c ticks served by a
-budget-Q reservation occupies ceil(c/Q) reservation periods.
+All the stochastic timing derives from one quantity: a job of demand c
+ticks served by a budget-Q reservation occupies s = ceil(c/Q) reservation
+periods.  tt_hard, tt_maxb and cs map s to a mode through one table each
+(_mode_table: mode matrices and the cuts on s that pick one).  The exact
+Kronecker verdict weights the table by the odds of each cut interval
+(tt_maxb_modes, cs_modes); cosimulate() switches through the same table
+by sampled s.  tt_sort carries backlog memory, stepped by _backlog_step in
+both its delay chain and its Monte Carlo co-simulation, which advances all
+trajectories at once with pending commands in a ring buffer.  stabilizes()
+holds the verdict rule.  The three stochastic mechanisms draw their demands
+from the same per-trajectory streams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti,
-                          _as_matrix, build_modes, c2d, second_moment_stable)
+                          _as_matrix, _shaped, build_modes, c2d, second_moment_stable)
 from .errors import ConfigError, NumericalError
 from .taskmodel import ExecTimeModel, derived_seed, max_ticks, sample_exec_times, tick_cdf
 
@@ -78,15 +78,20 @@ def service_distribution(model: ExecTimeModel, Q: int, R: int) -> List[Tuple[int
     P(s = k) = P(c <= kQ) - P(c <= (k-1)Q).
     """
     s_max = service_periods(max_ticks(model), Q, R)
-    out = []
-    prev = tick_cdf(model, 0)
-    for k in range(1, s_max + 1):
-        cur = tick_cdf(model, k * Q)
-        p = cur - prev
-        if p > 0:
-            out.append((k, p))
-        prev = cur
-    return out
+    odds = _cut_odds(model, Q, range(1, s_max + 1))
+    return [(s, p) for s, p in enumerate(odds, 1) if p > 0]
+
+
+def _cut_odds(model: ExecTimeModel, Q: int, cuts) -> list:
+    """P(#{k in cuts : k < s} = i) for i = 0..len(cuts), s = ceil(c/Q).
+
+    With ascending cuts that is P(cuts[i-1] < s <= cuts[i]), the difference
+    of tick_cdf at cuts[i] * Q and cuts[i-1] * Q (below the first cut from
+    0 ticks, above the last up to certainty).  Fractions or floats, as
+    tick_cdf gives them.
+    """
+    cdf = [0] + [tick_cdf(model, k * Q) for k in cuts] + [1]
+    return [hi - lo for lo, hi in zip(cdf, cdf[1:])]
 
 
 @dataclass
@@ -114,16 +119,28 @@ class DelayChain:
         return self.transition.shape[0]
 
 
+def _backlog_step(fin, F: int, max_delay: int):
+    """One tt_sort activation: (fire, d') for a job that finishes fin = d + s
+    periods after it is activated (backlog d, s service periods), with the
+    next activation F periods on.
+
+    d' = max(fin - F, 0), unless fin - F exceeds max_delay: then the job is
+    cancelled together with all queued work, fire is false and d' = 0.
+    Elementwise on arrays.
+    """
+    left = fin - F
+    fire = left <= max_delay
+    return fire, np.maximum(left, 0) * fire
+
+
 def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
                       d_max: int) -> DelayChain:
     """Markov chain of the activation-time backlog under buffered serving.
 
     A job activated with backlog d (reservation periods of unfinished prior
-    work) finishes d + s periods later and the next activation comes T/R
-    periods later, so d' = d + s - T/R, floored at 0.  If d' would exceed
-    d_max the job is cancelled and all queued work discarded, mapping to
-    state 0.  The steady state solves pi P = pi by least squares with the
-    normalization row appended.
+    work) moves the backlog to _backlog_step's d', with d_max as the
+    cancellation threshold.  The steady state solves pi P = pi by least
+    squares with the normalization row appended.
     """
     if T < R or T % R != 0:
         raise ConfigError("T: must be a positive multiple of R")
@@ -135,12 +152,7 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
     P = np.zeros((n, n))
     for d in range(n):
         for s, p in dist:
-            nxt = d + s - F
-            if nxt < 0:
-                nxt = 0
-            elif nxt > d_max:
-                nxt = 0  # cancellation resets the buffer
-            P[d, nxt] += float(p)
+            P[d, _backlog_step(d + s, F, d_max)[1]] += float(p)
 
     # the buffer starts empty, so the long-run occupancy lives on the states
     # reachable from 0; restricting first keeps reducible chains (e.g. s = F
@@ -171,6 +183,31 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
 # mode builders
 
 
+def _mode_table(plant, K, moc: MocKind, Q: int, R: int, T: Optional[int],
+                tick_seconds: float) -> Tuple[List[str], List[int], Callable]:
+    """(labels, cuts, matrix) of an i.i.d. mechanism: a job of s service
+    periods runs mode i = #{k in cuts : k < s}, labels[i], with transition
+    matrix(i) over (x, u_held).  Matrices are built on demand, so a caller
+    pays only for the modes it uses.
+    """
+    _check_reservation(moc, Q, R, T)
+    if moc.kind == "tt_hard":
+        act_delay = T if moc.act_delay is None else moc.act_delay
+        return ["tt"], [], lambda i: _tt_matrix(plant, K, T, act_delay, tick_seconds)
+    if moc.kind == "tt_maxb":
+        plant_d = plant if isinstance(plant, DiscreteLti) else c2d(plant, T * tick_seconds)
+        return ["closed", "open"], [T // R], build_modes(plant_d, K).matrices.__getitem__
+    D = moc.max_delay
+
+    def matrix(i):
+        if i == D:
+            return build_modes(c2d(plant, D * R * tick_seconds), K).matrices[1]
+        ticks = (i + 1) * R  # the held command drives the plant, then -K x latches
+        return _tt_matrix(plant, K, ticks, ticks, tick_seconds)
+
+    return ["s=%d" % s for s in range(1, D + 1)] + ["cancel"], list(range(1, D + 1)), matrix
+
+
 def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,
                   T: int) -> ClosedLoopModes:
     """Two-mode switched loop: fresh command vs job cancelled, command held.
@@ -178,69 +215,34 @@ def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,
     The drop probability is the chance a job's service does not fit in the
     task period: mu = P(ceil(c/Q) R > T) = P(c > Q * (T // R)).
     """
-    from .analysis import dropout_probability
-
-    mu = float(dropout_probability(model, Q, R, T))
-    modes = build_modes(plant_d, K, hold_strategy="hold")
-    return modes.with_probabilities([1.0 - mu, mu])
+    labels, cuts, matrix = _mode_table(plant_d, K, MocKind("tt_maxb"), Q, R, T, 1.0)
+    return ClosedLoopModes(labels, [matrix(0), matrix(1)],
+                           [float(p) for p in _cut_odds(model, Q, cuts)])
 
 
 def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
              max_delay: int, tick_seconds: float = 1.0) -> ClosedLoopModes:
     """Variable-interval modes for the continuous stream discipline.
 
-    A job taking s reservation periods spans s*R ticks during which the
-    previous command is held; at its end the command computed from the
-    sample taken at its start is latched.  Over the augmented state
-    (x, u_held):
+    A job taking s <= max_delay reservation periods holds the previous
+    command for s*R ticks, then latches the command computed from the sample
+    taken at its start: the tt_hard_modes matrix over s*R ticks, all of them
+    delay.  A longer job is cancelled and never latches: build_modes' open
+    mode over D*R ticks, D = max_delay.  Over (x, u_held), with (A_t, B_t)
+    the plant discretized over t ticks:
 
-        A_s = [[A_sR, B_sR], [-K, 0]]            s = 1..max_delay
-        A_cancel = [[A_DR, B_DR], [0, I]]        D = max_delay
+        A_s = [[A_sR, B_sR], [-K, 0]]     A_cancel = [[A_DR, B_DR], [0, I]]
 
-    where (A_sR, B_sR) discretize the plant over s*R ticks.  Cancelled jobs
-    never latch.  Service lengths are i.i.d. across jobs (each job starts
-    fresh), so the Kronecker stability matrix applies directly.  Modes with
-    zero probability are omitted.
+    Service lengths are i.i.d. across jobs (each job starts fresh), so the
+    Kronecker stability matrix applies directly.  Modes with zero
+    probability are omitted.
     """
-    if max_delay < 1:
-        raise ConfigError("max_delay: must be >= 1")
-    dist = dict(service_distribution(model, Q, R))
-    mu_drop = sum((p for s, p in dist.items() if s > max_delay),
-                  Fraction(0) if all(isinstance(v, Fraction) for v in dist.values()) else 0.0)
-
-    labels, mats, probs = [], [], []
-    for s in range(1, max_delay + 1):
-        p_s = dist.get(s, 0)
-        if p_s <= 0:
-            continue
-        labels.append("s=%d" % s)
-        mats.append(_cs_matrix(plant, K, s * R * tick_seconds))
-        probs.append(float(p_s))
-    if mu_drop > 0:
-        labels.append("cancel")
-        mats.append(_cs_matrix(plant, K, max_delay * R * tick_seconds, cancel=True))
-        probs.append(float(mu_drop))
-    if abs(sum(probs) - 1.0) > 1e-12:
-        raise NumericalError("cs_modes: probabilities sum to %r, expected 1" % sum(probs))
-    return ClosedLoopModes(labels, mats, probs)
-
-
-def _cs_matrix(plant: ContinuousLti, K, seconds: float, cancel: bool = False) -> np.ndarray:
-    """cs mode over (x, u_held) for a job spanning `seconds`: the held command
-    drives the plant, then -K x(start) is latched, or kept held on cancel."""
-    K = _as_matrix(K, "cs.K")
-    n, p = plant.A.shape[0], plant.B.shape[1]
-    if K.shape != (p, n):
-        raise ConfigError("cs.K: shape must be (inputs, states)")
-    d = c2d(plant, seconds)
-    M = np.zeros((n + p, n + p))
-    M[:n, :n] = d.A
-    M[:n, n:] = d.B
-    if cancel:
-        M[n:, n:] = np.eye(p)
-    else:
-        M[n:, :n] = -K
-    return M
+    labels, cuts, matrix = _mode_table(plant, K, MocKind("cs", max_delay), Q, R, None,
+                                       tick_seconds)
+    odds = _cut_odds(model, Q, cuts)
+    keep = [i for i, p in enumerate(odds) if p > 0]
+    return ClosedLoopModes([labels[i] for i in keep], [matrix(i) for i in keep],
+                           [float(odds[i]) for i in keep])
 
 
 def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
@@ -255,10 +257,15 @@ def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
     act_delay = 0 recovers the idealized no-latency closed mode, act_delay
     = T the fully latched one.
     """
+    return ClosedLoopModes(["tt"], [_tt_matrix(plant, K, T, act_delay, tick_seconds)], [1.0])
+
+
+def _tt_matrix(plant: ContinuousLti, K, T: int, act_delay: int,
+               tick_seconds: float) -> np.ndarray:
     if not 0 <= act_delay <= T:
         raise ConfigError("act_delay: need 0 <= act_delay <= T")
-    K = _as_matrix(K, "tt.K")
     n, p = plant.A.shape[0], plant.B.shape[1]
+    K = _shaped(K, "tt.K", (p, n))
     if act_delay == 0:
         A_del, B_del = np.eye(n), np.zeros((n, p))
     else:
@@ -274,7 +281,7 @@ def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
     M[:n, :n] = A_rest @ A_del - B_rest @ K
     M[:n, n:] = A_rest @ B_del
     M[n:, :n] = -K
-    return ClosedLoopModes(["tt"], [M], [1.0])
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -366,24 +373,14 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
     if moc.kind == "tt_sort":
         return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, tick_seconds,
                               horizon, n_traj, seed)
-    if moc.kind == "tt_hard":
-        act_delay = T if moc.act_delay is None else moc.act_delay
-        mats = tt_hard_modes(plant, K, T, act_delay, tick_seconds).matrices
-        mode_idx = np.zeros((1, horizon), dtype=np.int8)
-    elif moc.kind == "tt_maxb":
-        plant_d = plant if isinstance(plant, DiscreteLti) else c2d(plant, T * tick_seconds)
-        mats = build_modes(plant_d, K, hold_strategy="hold").matrices
-        demands = _traj_demands(model, horizon, n_traj, seed)
-        mode_idx = (demands > Q * (T // R)).astype(np.int8)  # 0 closed, 1 open
-    else:  # cs: service lengths s = 1..D, cancel bucketed at index D
-        D = moc.max_delay
-        mats = [_cs_matrix(plant, K, s * R * tick_seconds) for s in range(1, D + 1)]
-        mats.append(_cs_matrix(plant, K, D * R * tick_seconds, cancel=True))
-        demands = _traj_demands(model, horizon, n_traj, seed)
-        mode_idx = np.minimum(-(-demands // Q), D + 1).astype(np.int64) - 1
-    est = _ensemble_switched(mats, mode_idx)
+    labels, cuts, matrix = _mode_table(plant, K, moc, Q, R, T, tick_seconds)
+    if cuts:
+        mode_idx = np.searchsorted(cuts, -(-_traj_demands(model, horizon, n_traj, seed) // Q))
+    else:  # tt_hard
+        mode_idx = np.zeros((1, horizon), dtype=np.intp)
+    est = _ensemble_switched([matrix(i) for i in range(len(labels))], mode_idx)
     return CoSimResult(est, n_traj, _verdict(est),
-                       mode_sequence=None if moc.kind == "tt_hard" else mode_idx[0])
+                       mode_sequence=mode_idx[0] if cuts else None)
 
 
 def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
@@ -394,7 +391,7 @@ def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
     and backlog.  Every F = T // R steps each trajectory activates a job of
     s service periods; it latches -K x at offset backlog + s, or, if the
     backlog would then exceed max_delay, is cancelled together with all its
-    pending commands.  Pending commands sit in a ring buffer of
+    pending commands (_backlog_step).  Pending commands sit in a ring buffer of
     L = F + max_delay + 1 slots indexed by due step mod L: due offsets lie
     in 1..F + max_delay and grow strictly from one job to the next, so no
     two pending commands share a slot.
@@ -430,12 +427,11 @@ def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
                 j = m // F
                 delays[j] = backlog[0]
                 fin = backlog + S[:, j]
-                fire = fin - F <= max_delay
-                has &= fire  # a cancellation discards every pending command
                 due = (m + fin) % L
+                fire, backlog = _backlog_step(fin, F, max_delay)
+                has &= fire  # a cancellation discards every pending command
                 pending[due, rows] = negK @ X
                 has[due, rows] = fire
-                backlog = np.maximum(fin - F, 0) * fire
             X = A_R @ X + B_R @ U
             est[m + 1] = np.vdot(X, X) + np.vdot(U, U)
     est /= n_traj

@@ -175,12 +175,8 @@ class Trace:
             for e, field in zip(events, fields)])
 
     def to_jsonl(self) -> str:
-        lines = []
-        for e in self.events:
-            lines.append(json.dumps(
-                {"tick": e.tick, "kind": e.kind, "task": e.task, "payload": e.payload},
-                sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        return "\n".join(_encode_payload({"tick": e.tick, "kind": e.kind, "task": e.task,
+                                          "payload": e.payload}) for e in self.events) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, horizon: Optional[int] = None) -> "Trace":

@@ -318,6 +318,18 @@ def test_sweep_non_positive_float_fields_are_config_errors(tmp_path, capsys):
             assert "sweep.%s: must be a number > 0" % field in capsys.readouterr().err
 
 
+def test_sweep_seed_must_be_an_integer_or_a_string(tmp_path, capsys):
+    base = {"n_systems": 1, "mocs": ["tt_hard"], "grid": [1.0]}
+    for good in (3, "batch-a"):
+        doc = {"sweep": dict(base, seed=good)}
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0, good
+    capsys.readouterr()
+    for bad in ([1, 2], {"a": 1}, 1.5, True, None):
+        doc = {"sweep": dict(base, seed=bad)}
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2, bad
+        assert "sweep.seed: must be an integer or a string" in capsys.readouterr().err
+
+
 def test_cosim_tt_sort_matches_golden_csv(tmp_path, capsys):
     # the sweep's co-simulation shape: horizon 200, 30 trajectories
     doc = json.loads(json.dumps(COSIM_SORT))

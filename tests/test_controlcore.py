@@ -58,6 +58,18 @@ def rk4_hold(A, B, T, steps=4000):
     return X[:, :n], X[:, n:]
 
 
+def test_plant_shapes_must_agree():
+    ok = dict(A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
+    for field, bad, msg in (("B", [[1.0], [2.0]], r"plant\.B: row count"),
+                            ("C", [[1.0, 2.0]], r"plant\.C: column count"),
+                            ("D", [[0.0, 0.0]], r"plant\.D: expected shape \(1, 1\)")):
+        args = dict(ok, **{field: bad})
+        with pytest.raises(ConfigError, match=msg):
+            ContinuousLti(**args)
+        with pytest.raises(ConfigError, match=msg):
+            DiscreteLti(**args, sample_period=1.0)
+
+
 def test_matexp_basics():
     assert np.allclose(matexp(np.zeros((3, 3))), np.eye(3))
     D = np.diag([1.0, -0.5, 0.0])
@@ -212,6 +224,15 @@ def test_kalman_failure_names_the_cause():
     # detectable, but Wproc = 0 leaves the unit-circle mode unweighted
     with pytest.raises(NumericalError, match="^kalman_gain: no stabilizing solution"):
         kalman_gain([[1.0]], [[1.0]], Wproc=[[0.0]])
+
+
+def test_kalman_shape_errors_name_its_fields():
+    with pytest.raises(ConfigError, match=r"^kalman\.C: column count must match A"):
+        kalman_gain([[1.0]], [[1.0, 2.0]])
+    with pytest.raises(ConfigError, match=r"^kalman\.Wproc: expected shape \(1, 1\)"):
+        kalman_gain([[1.0]], [[1.0]], Wproc=np.eye(2))
+    with pytest.raises(ConfigError, match=r"^kalman\.Wmeas: expected shape \(1, 1\)"):
+        kalman_gain([[1.0]], [[1.0]], Wmeas=np.eye(2))
 
 
 def test_lqg_assemble_and_separation():

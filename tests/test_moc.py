@@ -204,6 +204,8 @@ def test_tt_hard_modes_zero_delay_is_ideal_loop():
                        [[d.A[0, 0], d.B[0, 0]], [-0.4, 0.0]])
     with pytest.raises(ConfigError):
         tt_hard_modes(plant, K, T=3, act_delay=4)
+    with pytest.raises(ConfigError, match=r"tt\.K: expected shape \(1, 1\)"):
+        tt_hard_modes(plant, [[0.4, 0.1]], T=3, act_delay=1)
 
 
 def test_verdict_thresholds():

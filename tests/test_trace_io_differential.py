@@ -1,11 +1,11 @@
 """Differential test: the single-pass trace path against the reference copy.
 
-``Trace.to_csv`` must write the reference bytes for every trace, the CSV
-and JSONL readers must give the reference events and horizon, and
-``softrt analyze`` must print the reference report, for simulated traces
-of every scheduler and miss policy (with and without a collect filter),
-for hand-built traces whose kinds and payloads need CSV quoting or hold
-nested values and floats, and for the empty trace.  Payload texts that
+``Trace.to_csv`` and ``Trace.to_jsonl`` must write the reference bytes for
+every trace, the CSV and JSONL readers must give the reference events and
+horizon, and ``softrt analyze`` must print the reference report, for
+simulated traces of every scheduler and miss policy (with and without a
+collect filter), for hand-built traces whose kinds and payloads need CSV
+quoting or hold nested values and floats, and for the empty trace.  Payload texts that
 decode only when joined into one JSON array must still be rejected.
 """
 
@@ -73,6 +73,7 @@ def _read_like_oracle(read, reference, text, horizon):
 def _check_io(trace):
     text = trace.to_csv()
     assert text == oracle.to_csv(trace)
+    assert trace.to_jsonl() == oracle.to_jsonl(trace)
     int_fields = all(type(e.tick) is int and type(e.task) is int for e in trace.events)
     for horizon in (None, trace.horizon):
         _read_like_oracle(Trace.from_csv, oracle.from_csv, text, horizon)

@@ -1,7 +1,8 @@
-"""Reference trace I/O and analysis: the CSV/JSONL readers and writer, the
+"""Reference trace I/O and analysis: the CSV/JSONL readers and writers, the
 job-record builder and the per-task metrics softrt shipped before the trace
-path was made single-pass, kept verbatim as the oracle for the differential
-test in test_trace_io_differential.py.
+path was made single-pass (to_jsonl: before it reused one JSON encoder),
+kept verbatim as the oracle for the differential test in
+test_trace_io_differential.py.
 
 Each function takes the trace (or the text) it used to be a method or
 argument of.  Only the output types (Event, Trace, JobRecord, CheckResult)
@@ -60,6 +61,15 @@ def to_csv(self) -> str:
         w.writerow([e.tick, e.kind, e.task,
                     json.dumps(e.payload, sort_keys=True, separators=(",", ":"))])
     return buf.getvalue()
+
+
+def to_jsonl(self) -> str:
+    lines = []
+    for e in self.events:
+        lines.append(json.dumps(
+            {"tick": e.tick, "kind": e.kind, "task": e.task, "payload": e.payload},
+            sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
 
 
 def from_csv(text: str, horizon: Optional[int] = None) -> Trace:
