@@ -20,12 +20,10 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-systems", type=int, default=60)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n-traj", type=int, default=30)
     ap.add_argument("--out", help="CSV path (default stdout)")
     args = ap.parse_args(argv)
 
-    cfg = SweepConfig(n_systems=args.n_systems, seed=args.seed,
-                      n_traj=args.n_traj)
+    cfg = SweepConfig(n_systems=args.n_systems, seed=args.seed)
     t0 = time.monotonic()
     rows = bandwidth_sweep(cfg)
     text = sweep_to_csv(rows)

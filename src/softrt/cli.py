@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="bandwidth vs stabilized-fraction table")
     p.add_argument("--config")
-    common(p, seed=True)
+    p.add_argument("--seed", type=int, help="overrides sweep.seed (default 0)")
+    common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("render", help="ASCII or SVG schedule timeline")

@@ -36,6 +36,20 @@ def load_config(path: str) -> dict:
     return doc
 
 
+def _json(value, path: str, kind=dict):
+    """value, if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise ConfigError("%s: expected a JSON %s"
+                          % (path, "object" if kind is dict else "array"))
+    return value
+
+
+def _task_id(key: str, path: str) -> int:
+    if not (key.isascii() and key.isdigit()):
+        raise ConfigError("%s[%s]: key must be a task id" % (path, key))
+    return int(key)
+
+
 def _get(d: dict, key: str, path: str, required=True, default=None):
     if key not in d:
         if required:
@@ -62,9 +76,7 @@ def _positive(d: dict, key: str, path: str, default=None):
 
 
 def parse_exec_model(d, path: str):
-    if not isinstance(d, dict):
-        raise ConfigError("%s: expected an object with a 'kind' field" % path)
-    kind = _get(d, "kind", path)
+    kind = _get(_json(d, path), "kind", path)
     if kind == "deterministic":
         return Deterministic(_get(d, "ticks", path))
     if kind == "uniform":
@@ -82,10 +94,8 @@ def parse_exec_model(d, path: str):
 
 
 def parse_task(d, path: str) -> TaskSpec:
-    if not isinstance(d, dict):
-        raise ConfigError("%s: expected an object" % path)
     kwargs = dict(
-        id=_get(d, "id", path),
+        id=_get(_json(d, path), "id", path),
         wcet=_get(d, "wcet", path),
         rel_deadline=_get(d, "rel_deadline", path),
         period=_get(d, "period", path),
@@ -97,7 +107,7 @@ def parse_task(d, path: str) -> TaskSpec:
     if "enforce_wcet" in d:
         kwargs["enforce_wcet"] = bool(d["enforce_wcet"])
     if "activation" in d:
-        a = d["activation"]
+        a = _json(d["activation"], path + ".activation")
         gap = a.get("gap_model")
         kwargs["activation"] = Activation(
             a.get("kind", "periodic"),
@@ -113,18 +123,12 @@ def parse_tasks(doc: dict) -> List[TaskSpec]:
 
 
 def parse_reservations(doc: dict) -> Dict[int, ReservationSpec]:
-    raw = _get(doc, "reservations", "config")
-    if not isinstance(raw, dict):
-        raise ConfigError("reservations: expected an object keyed by task id")
+    raw = _json(_get(doc, "reservations", "config"), "reservations")
     out = {}
     for key, r in raw.items():
         path = "reservations[%s]" % key
-        try:
-            tid = int(key)
-        except ValueError:
-            raise ConfigError("%s: key must be a task id" % path)
-        out[tid] = ReservationSpec(
-            budget=_get(r, "budget", path),
+        out[_task_id(key, "reservations")] = ReservationSpec(
+            budget=_get(_json(r, path), "budget", path),
             period=_get(r, "period", path),
             variant=r.get("variant", "soft_postpone"),
             reclaiming=r.get("reclaiming", "none"))
@@ -132,29 +136,31 @@ def parse_reservations(doc: dict) -> Dict[int, ReservationSpec]:
 
 
 def parse_scheduler(doc: dict) -> SchedulerConfig:
-    raw = _get(doc, "scheduler", "config")
+    raw = _json(_get(doc, "scheduler", "config"), "scheduler")
     kind = _get(raw, "kind", "scheduler")
     kwargs = dict(kind=kind, horizon=_get(raw, "horizon", "scheduler"))
     if kind == "fixed_priority":
-        prio = _get(raw, "priorities", "scheduler")
-        kwargs["priorities"] = {int(k): v for k, v in prio.items()}
+        prio = _json(_get(raw, "priorities", "scheduler"), "scheduler.priorities")
+        kwargs["priorities"] = {_task_id(k, "scheduler.priorities"): v
+                                for k, v in prio.items()}
     if kind == "cbs_edf":
         kwargs["reservations"] = parse_reservations(doc)
     if "miss_detection" in raw:
         kwargs["miss_detection"] = raw["miss_detection"]
     if "collect" in raw:
-        kwargs["collect"] = frozenset(raw["collect"])
+        kwargs["collect"] = frozenset(_json(raw["collect"], "scheduler.collect", list))
     return SchedulerConfig(**kwargs)
 
 
 def parse_constraints(doc: dict) -> Dict[int, MissConstraint]:
-    raw = doc.get("constraints", {})
     out = {}
-    for key, c in raw.items():
+    for key, c in _json(doc.get("constraints", {}), "constraints").items():
         path = "constraints[%s]" % key
-        out[int(key)] = MissConstraint(
-            m=_get(c, "m", path), n=_get(c, "n", path),
-            conjunction=tuple(tuple(p) for p in c.get("conjunction", [])))
+        conj = _json(_json(c, path).get("conjunction", []), path + ".conjunction", list)
+        out[_task_id(key, "constraints")] = MissConstraint(
+            m=_int(c, "m", path), n=_int(c, "n", path),
+            conjunction=tuple(tuple(_json(p, "%s.conjunction[%d]" % (path, i), list))
+                              for i, p in enumerate(conj)))
     return out
 
 
@@ -166,7 +172,7 @@ def _matrix(raw, path: str) -> np.ndarray:
 
 
 def parse_plant(doc: dict) -> ContinuousLti:
-    raw = _get(doc, "plant", "config")
+    raw = _json(_get(doc, "plant", "config"), "plant")
     A = _matrix(_get(raw, "A", "plant"), "plant.A")
     B = _matrix(_get(raw, "B", "plant"), "plant.B")
     if "C" in raw or "D" in raw:
@@ -179,21 +185,21 @@ def parse_plant(doc: dict) -> ContinuousLti:
 
 def parse_control(doc: dict) -> dict:
     """Controller synthesis settings: period, weights, feedback structure."""
-    raw = doc.get("control", {})
+    raw = _json(doc.get("control", {}), "control")
     out = {
         "sample_seconds": _positive(raw, "sample_seconds", "control"),  # None: caller picks
         "feedback": raw.get("feedback", "lqr"),
     }
     if out["feedback"] not in ("lqr", "lqg"):
         raise ConfigError("control.feedback: must be lqr or lqg")
-    w = raw.get("weights", {})
+    w = _json(raw.get("weights", {}), "control.weights")
     out["Qx"] = _matrix(w["Qx"], "control.weights.Qx") if "Qx" in w else None
     out["Ru"] = _matrix(w["Ru"], "control.weights.Ru") if "Ru" in w else None
     return out
 
 
 def parse_moc(doc: dict) -> dict:
-    raw = _get(doc, "moc", "config")
+    raw = _json(_get(doc, "moc", "config"), "moc")
     if "d_max" in raw:
         raise ConfigError("moc.d_max: not a moc field; the backlog bound is "
                           "moc.max_delay")
@@ -213,7 +219,7 @@ def parse_moc(doc: dict) -> dict:
 
 
 def parse_chain(doc: dict) -> dict:
-    raw = _get(doc, "chain", "config")
+    raw = _json(_get(doc, "chain", "config"), "chain")
     return {
         "exec_model": parse_exec_model(_get(raw, "exec_model", "chain"),
                                        "chain.exec_model"),
@@ -225,9 +231,11 @@ def parse_chain(doc: dict) -> dict:
 
 
 def parse_sweep(doc: dict, seed=None) -> SweepConfig:
-    raw = doc.get("sweep", {})
+    raw = _json(doc.get("sweep", {}), "sweep")
+    for field in sorted({"horizon", "n_traj"} & set(raw)):
+        raise ConfigError("sweep.%s: not a sweep field; verdicts are exact" % field)
     kwargs = {}
-    for field in ("n_systems", "state_dim", "R", "T", "max_delay", "horizon", "n_traj"):
+    for field in ("n_systems", "state_dim", "R", "T", "max_delay"):
         if field in raw:
             kwargs[field] = _int(raw, field, "sweep")
     for field in ("beta_alpha", "beta_beta", "tick_seconds"):

@@ -18,10 +18,10 @@ periods.  tt_hard, tt_maxb and cs map s to a mode through one table each
 Kronecker verdict weights the table by the odds of each cut interval
 (tt_maxb_modes, cs_modes); cosimulate() switches through the same table
 by sampled s.  tt_sort carries backlog memory, stepped by _backlog_step in
-both its delay chain and its Monte Carlo co-simulation, which advances all
-trajectories at once with pending commands in a ring buffer.  stabilizes()
-holds the verdict rule.  The three stochastic mechanisms draw their demands
-from the same per-trajectory streams.
+its delay chain, second-moment operator and co-simulation (all trajectories
+at once, pending commands in a ring buffer).  stabilizes() holds the exact
+verdict rule; cosimulate(), its oracle, draws the stochastic mechanisms'
+demands from the same per-trajectory streams.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dpotrf
 
 from .controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti,
                           _as_matrix, _shaped, build_modes, c2d, second_moment_stable)
@@ -133,6 +134,15 @@ def _backlog_step(fin, F: int, max_delay: int):
     return fire, np.maximum(left, 0) * fire
 
 
+def _reachable_backlogs(dist, F: int, max_delay: int) -> List[int]:
+    """Backlogs _backlog_step reaches from 0 under dist's (s, P(s)), ascending."""
+    s, reach, size = np.array([s for s, _ in dist]), {0}, 0
+    while len(reach) > size:
+        size = len(reach)
+        reach |= set(_backlog_step(np.add.outer(list(reach), s), F, max_delay)[1].flat)
+    return sorted(map(int, reach))
+
+
 def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
                       d_max: int) -> DelayChain:
     """Markov chain of the activation-time backlog under buffered serving.
@@ -157,14 +167,7 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
     # the buffer starts empty, so the long-run occupancy lives on the states
     # reachable from 0; restricting first keeps reducible chains (e.g. s = F
     # always, an identity transition) from picking up spurious fixed points
-    reach, frontier = {0}, [0]
-    while frontier:
-        d = frontier.pop()
-        for nxt in np.nonzero(P[d] > 0)[0]:
-            if int(nxt) not in reach:
-                reach.add(int(nxt))
-                frontier.append(int(nxt))
-    idx = sorted(reach)
+    idx = _reachable_backlogs(dist, F, d_max)
     Pr = P[np.ix_(idx, idx)]
     m = len(idx)
     A = np.vstack([Pr.T - np.eye(m), np.ones((1, m))])
@@ -438,15 +441,55 @@ def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
     return CoSimResult(est, n_traj, _verdict(est), delay_sequence=delays)
 
 
+def _tt_sort_operator(plant, K, max_delay, model, Q, R, T,
+                      tick_seconds) -> Tuple[np.ndarray, List[int]]:
+    """tt_sort's second-moment operator at activations (Costa, Fragoso &
+    Marques 2005, ch. 3) and the side of each V_d = E[z z^T; backlog d], d
+    over _reachable_backlogs.  z = (x, w_0..w_d) holds the next d periods'
+    inputs, w_d held beyond; a job firing at fin = d + s sets w_r = -K x for
+    r >= fin, a cancel holds w_0; x advances F = T // R periods: z' = M z,
+    V'_d' = sum p(s) M V_d M^T."""
+    F, dR = T // R, c2d(plant, R * tick_seconds)
+    n, p = dR.B.shape
+    K = _shaped(K, "tt.K", (p, n))
+    dist = service_distribution(model, Q, R)
+    backlogs = _reachable_backlogs(dist, F, max_delay)
+    sides = [n + (d + 1) * p for d in backlogs]
+    starts = np.cumsum([0] + [m * m for m in sides])
+    at = {d: slice(starts[i], starts[i + 1]) for i, d in enumerate(backlogs)}
+    op = np.zeros((starts[-1], starts[-1]), order="F")  # LAPACK's order
+    for d, side in zip(backlogs, sides):
+        odds = {}  # by the offset fin at which -K x latches, 0 for a cancel
+        for s, prob in dist:
+            fin = (d + s) * _backlog_step(d + s, F, max_delay)[0]
+            odds[fin] = odds.get(fin, 0.0) + float(prob)
+        w = np.eye(side)[n:].reshape(d + 1, p, side)  # w_j as rows over z
+        for fin, prob in odds.items():
+            d_next = int(_backlog_step(fin, F, max_delay)[1])
+            sched = w[np.minimum(np.arange(F + d_next + 1), d if fin else 0)]
+            if fin:
+                sched[fin:] = -K @ np.eye(n, side)
+            x = np.eye(n, side)
+            for u in sched[:F]:
+                x = dR.A @ x + dR.B @ u
+            M = np.vstack([x, *sched[F:]])
+            op[at[d_next], at[d]] += np.einsum("ik,jl->ijkl", prob * M, M).reshape(
+                len(M) ** 2, side ** 2)  # prob * kron(M, M)
+    return op, sides
+
+
 def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: int,
-               R: int, T: int, *, tick_seconds: float = 1.0, horizon: int = 300,
-               n_traj: int = 100, seed=0) -> bool:
+               R: int, T: int, *, tick_seconds: float = 1.0) -> bool:
     """Whether a (Q, R) reservation keeps the loop under moc second-moment stable.
 
-    tt_hard: the hard schedulability condition Q * (T // R) >= max_ticks;
-    tt_maxb and cs: the exact Kronecker test; tt_sort: a co-simulation
-    verdict of "stable" (the only use of horizon, n_traj and seed).
+    tt_hard: Q * (T // R) >= max_ticks; tt_maxb and cs: the exact Kronecker
+    test; tt_sort: rho(op) < 1 for op = _tt_sort_operator, which holds iff
+    V = op(V) + I has a solution V >= I.  One solve and a Cholesky of each
+    V_d - I/2 decide it; the I/2 margin keeps rounding from passing the tiny
+    negative eigenvalue V has when rho is far above 1.
     """
+    if isinstance(plant, DiscreteLti) and moc.kind != "tt_hard":
+        raise ConfigError("plant: continuous model required for %s" % moc.kind)
     _check_reservation(moc, Q, R, T)
     if moc.kind == "tt_hard":
         return Q * (T // R) >= max_ticks(model)
@@ -456,6 +499,10 @@ def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: i
     if moc.kind == "cs":
         return second_moment_stable(
             cs_modes(plant, K, model, Q, R, moc.max_delay, tick_seconds))
-    res = cosimulate(plant, K, moc, model, Q, R, T, tick_seconds=tick_seconds,
-                     horizon=horizon, n_traj=n_traj, seed=seed)
-    return res.verdict == "stable"
+    op, sides = _tt_sort_operator(plant, K, moc.max_delay, model, Q, R, T, tick_seconds)
+    eye = np.concatenate([np.eye(m).ravel() for m in sides])
+    np.subtract(np.eye(len(op)), op, out=op)  # I - op, in place
+    *_, V, singular = dgesv(op, eye, overwrite_a=True)  # info > 0, not a warning
+    blocks = np.split(V, np.cumsum([m * m for m in sides]))
+    return bool(not singular and np.isfinite(V).all() and not any(
+        dpotrf(b.reshape(m, m) - np.eye(m) / 2)[1] for b, m in zip(blocks, sides)))

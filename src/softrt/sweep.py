@@ -4,11 +4,9 @@ For every sampled plant an LQR controller is synthesized at the nominal
 sampling period, then each bandwidth fraction b on the grid funds a
 reservation of budget b*R per period R and every model of computation is
 asked whether the resulting switched loop is second-moment stable.
-The verdict rule lives in moc.stabilizes: tt_maxb and cs are decided
-analytically from the Kronecker stability matrix; tt_sort by
-co-simulation; tt_hard by the hard schedulability condition (the budget
-must cover the worst-case demand every task period, which with
-worst-case utilization 1 happens only at b = 1).
+The verdict rule lives in moc.stabilizes and is exact, so the seed only
+draws the plants.  tt_hard needs the budget to cover the worst-case demand
+every task period, which with worst-case utilization 1 holds only at b = 1.
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ class SweepConfig:
     mocs: Tuple[str, ...] = MOC_KINDS
     max_delay: int = 6  # cancellation threshold, reservation periods
     tick_seconds: float = 0.01
-    horizon: int = 200  # co-simulation steps per trajectory
-    n_traj: int = 30
 
     def __post_init__(self):
         if self.n_systems < 1 or self.state_dim < 1:
@@ -114,9 +110,7 @@ def bandwidth_sweep(config: SweepConfig) -> List[dict]:
             Q = int(round(b * config.R))
             for moc in mocs:
                 if stabilizes(plant, K, moc, model, Q, config.R, config.T,
-                              tick_seconds=config.tick_seconds,
-                              horizon=config.horizon, n_traj=config.n_traj,
-                              seed=derived_seed(config.seed, "cell", i, moc.kind, Q)):
+                              tick_seconds=config.tick_seconds):
                     counts[(b, moc.kind)] += 1
 
     rows = []

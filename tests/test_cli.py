@@ -285,8 +285,7 @@ def test_non_numeric_seconds_are_config_errors(tmp_path, capsys):
 
 def test_sweep_cli(tmp_path, capsys):
     doc = {"sweep": {"n_systems": 2, "grid": [0.5, 1.0],
-                     "mocs": ["tt_hard", "tt_maxb"], "R": 10, "T": 10,
-                     "horizon": 60, "n_traj": 4}}
+                     "mocs": ["tt_hard", "tt_maxb"], "R": 10, "T": 10}}
     cfg = write_config(tmp_path, doc)
     assert main(["sweep", "--config", cfg]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -297,15 +296,19 @@ def test_sweep_cli(tmp_path, capsys):
 
 
 def test_sweep_non_integer_fields_are_config_errors(tmp_path, capsys):
-    base = {"n_systems": 1, "mocs": ["tt_sort"], "grid": [0.5, 1.0],
-            "horizon": 40, "n_traj": 2}
+    base = {"n_systems": 1, "mocs": ["tt_sort"], "grid": [0.5, 1.0]}
     assert main(["sweep", "--config", write_config(tmp_path, {"sweep": base})]) == 0
     capsys.readouterr()
-    for field, bad in (("horizon", 40.5), ("n_systems", "1"), ("state_dim", 2.0),
-                       ("R", True), ("T", 20.0), ("max_delay", "6"), ("n_traj", 2.5)):
+    for field, bad in (("n_systems", "1"), ("state_dim", 2.0),
+                       ("R", True), ("T", 20.0), ("max_delay", "6")):
         doc = {"sweep": dict(base, **{field: bad})}
         assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2, field
         assert "sweep.%s: must be an integer" % field in capsys.readouterr().err
+    # the Monte Carlo sizes are gone: every sweep verdict is exact
+    for field, value in (("horizon", 40.5), ("n_traj", 2.5)):
+        doc = {"sweep": dict(base, **{field: value})}
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2, field
+        assert "sweep.%s: not a sweep field" % field in capsys.readouterr().err
 
 
 def test_sweep_non_positive_float_fields_are_config_errors(tmp_path, capsys):
@@ -328,6 +331,49 @@ def test_sweep_seed_must_be_an_integer_or_a_string(tmp_path, capsys):
         doc = {"sweep": dict(base, seed=bad)}
         assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2, bad
         assert "sweep.seed: must be an integer or a string" in capsys.readouterr().err
+
+
+def test_sweep_reads_the_configured_seed(tmp_path, capsys):
+    # four tt_maxb plants at three bandwidths: the three seeds give three tables
+    base = {"n_systems": 4, "mocs": ["tt_maxb"], "grid": [0.1, 0.2, 0.3]}
+    out = {}
+    for seed in (0, 1, "other"):
+        cfg = write_config(tmp_path, {"sweep": dict(base, seed=seed)})
+        assert main(["sweep", "--config", cfg]) == 0
+        out[seed] = capsys.readouterr().out
+    assert len(set(out.values())) == 3
+    # --seed overrides the configured seed
+    assert main(["sweep", "--config", cfg, "--seed", "1"]) == 0
+    assert capsys.readouterr().out == out[1]
+
+
+def test_config_sections_of_the_wrong_json_type_are_config_errors(tmp_path, capsys):
+    task = {"id": 1, "wcet": 1, "rel_deadline": 4, "period": 4}
+    simulate = {"tasks": [task], "scheduler": {"kind": "edf", "horizon": 8}}
+    cbs = dict(simulate, scheduler={"kind": "cbs_edf", "horizon": 8})
+    fp = dict(simulate, scheduler={"kind": "fixed_priority", "horizon": 8})
+    plant = {"plant": {"A": [[0.5]], "B": [[1.0]]}}
+    cases = [
+        (["simulate"], dict(simulate, tasks=[dict(task, activation="sporadic")]),
+         "tasks[0].activation"),
+        (["simulate"], dict(cbs, reservations={"1": 5}), "reservations[1]"),
+        (["simulate"], dict(fp, scheduler=dict(fp["scheduler"], priorities={"x": 1})),
+         "scheduler.priorities[x]"),
+        (["simulate"], dict(simulate, scheduler=dict(simulate["scheduler"], collect=5)),
+         "scheduler.collect"),
+        (["analyze", str(GOLDEN)], {"constraints": {"one": {"m": 1, "n": 2}}},
+         "constraints[one]"),
+        (["analyze", str(GOLDEN)], {"constraints": [1]}, "constraints"),
+        (["analyze", str(GOLDEN)],
+         {"constraints": {"1": {"m": 1, "n": 2, "conjunction": [3]}}},
+         "constraints[1].conjunction[0]"),
+        (["control-synth"], dict(plant, control=[1]), "control"),
+        (["sweep"], {"sweep": [1]}, "sweep"),
+        (["control-synth"], dict(plant, control={"weights": [1]}), "control.weights"),
+    ]
+    for cmd, doc, field in cases:
+        assert main(cmd + ["--config", write_config(tmp_path, doc)]) == 2, field
+        assert "config error: %s:" % field in capsys.readouterr().err, field
 
 
 def test_cosim_tt_sort_matches_golden_csv(tmp_path, capsys):

@@ -300,7 +300,7 @@ def test_stabilizes_rule_per_mechanism():
     plant = scalar_plant(a=0.2)
     K = lqr_gain(plant, 1.0)
     model = Empirical((2, 2, 2, 1))
-    kw = dict(tick_seconds=0.5, horizon=200, n_traj=20, seed=1)
+    kw = dict(tick_seconds=0.5)
     for moc in (MocKind("tt_hard"), MocKind("tt_maxb"),
                 MocKind("tt_sort", max_delay=1), MocKind("cs", max_delay=1)):
         assert not stabilizes(plant, K, moc, model, 1, 2, 2, **kw), moc.kind

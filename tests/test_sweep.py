@@ -63,7 +63,7 @@ def test_sweep_config_exec_model():
 
 
 SMALL = dict(n_systems=3, state_dim=2, seed=0, grid=(0.5, 1.0), R=10, T=10,
-             max_delay=3, tick_seconds=0.02, horizon=80, n_traj=6)
+             max_delay=3, tick_seconds=0.02)
 
 
 def test_small_sweep_shape_and_determinism():

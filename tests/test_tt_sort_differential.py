@@ -48,14 +48,16 @@ def _case(n, plant_seed, scale, gain, R, F, Q, tick, max_delay, model, horizon,
 
 
 def _sweep_cell(system, Q):
-    """One cell of the default sweep (seed 0), as bandwidth_sweep runs it."""
+    """One cell of the default sweep (seed 0), co-simulated as bandwidth_sweep
+    judged tt_sort before its verdict became exact: horizon 200, 30
+    trajectories, one derived seed per cell."""
     cfg = SweepConfig()
     plant = random_system(cfg.state_dim, derived_seed(cfg.seed, "sys", system))
     d = c2d(plant, cfg.T * cfg.tick_seconds)
     K, _ = dlqr(d.A, d.B, np.eye(cfg.state_dim), np.eye(1))
     return dict(plant=plant, K=K, max_delay=cfg.max_delay, model=cfg.exec_model,
                 Q=Q, R=cfg.R, T=cfg.T, tick_seconds=cfg.tick_seconds,
-                horizon=cfg.horizon, n_traj=cfg.n_traj,
+                horizon=200, n_traj=30,
                 seed=derived_seed(cfg.seed, "cell", system, "tt_sort", Q))
 
 
