@@ -14,7 +14,7 @@ from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti,
                           stability_matrix)
 from .moc import (CoSimResult, DelayChain, MocKind, build_delay_chain,
                   cosimulate, cs_modes, service_periods, stabilizes,
-                  tt_maxb_modes)
+                  tt_maxb_modes, verdicts)
 from .sweep import SweepConfig, bandwidth_sweep, random_system
 from .render import render_trace
 

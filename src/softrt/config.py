@@ -148,7 +148,12 @@ def parse_scheduler(doc: dict) -> SchedulerConfig:
     if "miss_detection" in raw:
         kwargs["miss_detection"] = raw["miss_detection"]
     if "collect" in raw:
-        kwargs["collect"] = frozenset(_json(raw["collect"], "scheduler.collect", list))
+        kinds = _json(raw["collect"], "scheduler.collect", list)
+        for i, kind in enumerate(kinds):
+            if not isinstance(kind, str):
+                raise ConfigError("scheduler.collect[%d]: expected an event kind "
+                                  "string, got %r" % (i, kind))
+        kwargs["collect"] = frozenset(kinds)
     return SchedulerConfig(**kwargs)
 
 
@@ -159,9 +164,17 @@ def parse_constraints(doc: dict) -> Dict[int, MissConstraint]:
         conj = _json(_json(c, path).get("conjunction", []), path + ".conjunction", list)
         out[_task_id(key, "constraints")] = MissConstraint(
             m=_int(c, "m", path), n=_int(c, "n", path),
-            conjunction=tuple(tuple(_json(p, "%s.conjunction[%d]" % (path, i), list))
+            conjunction=tuple(_pair(p, "%s.conjunction[%d]" % (path, i))
                               for i, p in enumerate(conj)))
     return out
+
+
+def _pair(raw, path: str) -> Tuple[int, int]:
+    """raw, if it is a JSON array of two integers."""
+    pair = _json(raw, path, list)
+    if len(pair) != 2 or any(isinstance(v, bool) or not isinstance(v, int) for v in pair):
+        raise ConfigError("%s: expected an [m, n] pair of integers, got %r" % (path, pair))
+    return tuple(pair)
 
 
 def _matrix(raw, path: str) -> np.ndarray:

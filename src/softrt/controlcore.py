@@ -129,6 +129,16 @@ class CostWeights:
             raise ConfigError("weights.Ru: must be positive definite")
 
 
+def _mode_probabilities(probs, count: int) -> List[float]:
+    """probs as floats, checked to be one per mode, >= 0 and summing to 1."""
+    p = np.asarray(probs, dtype=float)
+    if len(p) != count:
+        raise ConfigError("modes.probabilities: one entry per matrix")
+    if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
+        raise ConfigError("modes.probabilities: must be >= 0 and sum to 1")
+    return [float(x) for x in p]
+
+
 @dataclass
 class ClosedLoopModes:
     """Switched transition matrices over a common augmented state."""
@@ -147,12 +157,7 @@ class ClosedLoopModes:
         if len(self.labels) != len(self.matrices):
             raise ConfigError("modes.labels: one label per matrix")
         if self.probabilities is not None:
-            p = np.asarray(self.probabilities, dtype=float)
-            if len(p) != len(self.matrices):
-                raise ConfigError("modes.probabilities: one entry per matrix")
-            if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
-                raise ConfigError("modes.probabilities: must be >= 0 and sum to 1")
-            self.probabilities = [float(x) for x in p]
+            self.probabilities = _mode_probabilities(self.probabilities, len(self.matrices))
 
     @property
     def augmented_dim(self) -> int:
@@ -371,6 +376,11 @@ def spectral_radius(M) -> float:
         return gelfand_radius(A)
 
 
-def second_moment_stable(modes: ClosedLoopModes, margin=1e-9) -> bool:
+# a second-moment operator counts as contracting when its spectral radius is
+# below 1 - STABILITY_MARGIN, so rounding cannot decide a radius of exactly 1
+STABILITY_MARGIN = 1e-9
+
+
+def second_moment_stable(modes: ClosedLoopModes, margin=STABILITY_MARGIN) -> bool:
     """True iff the mode-switched second moment contracts: rho(Atilde) < 1 - margin."""
     return spectral_radius(stability_matrix(modes)) < 1.0 - margin

@@ -19,22 +19,28 @@ Kronecker verdict weights the table by the odds of each cut interval
 (tt_maxb_modes, cs_modes); cosimulate() switches through the same table
 by sampled s.  tt_sort carries backlog memory, stepped by _backlog_step in
 its delay chain, second-moment operator and co-simulation (all trajectories
-at once, pending commands in a ring buffer).  stabilizes() holds the exact
-verdict rule; cosimulate(), its oracle, draws the stochastic mechanisms'
-demands from the same per-trajectory streams.
+at once, pending commands in a ring buffer).  verdicts() holds the exact
+verdict rule for a whole grid of budgets: the mode table, its Kronecker
+products and tt_sort's operator blocks do not depend on Q, so they are
+built once per plant and each budget only weights them by its odds;
+stabilizes() is its one-budget call.  cosimulate(), the verdicts' oracle,
+draws the stochastic mechanisms' demands from the same per-trajectory
+streams.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
-from .controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti,
-                          _as_matrix, _shaped, build_modes, c2d, second_moment_stable)
+from .controlcore import (STABILITY_MARGIN, ClosedLoopModes, ContinuousLti, DiscreteLti,
+                          _as_matrix, _mode_probabilities, _shaped, build_modes, c2d,
+                          spectral_radius)
 from .errors import ConfigError, NumericalError
 from .taskmodel import ExecTimeModel, derived_seed, max_ticks, sample_exec_times, tick_cdf
 
@@ -186,22 +192,24 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
 # mode builders
 
 
-def _mode_table(plant, K, moc: MocKind, Q: int, R: int, T: Optional[int],
+def _mode_table(plant, K, moc: MocKind, R: int, T: Optional[int],
                 tick_seconds: float) -> Tuple[List[str], List[int], Callable]:
     """(labels, cuts, matrix) of an i.i.d. mechanism: a job of s service
     periods runs mode i = #{k in cuts : k < s}, labels[i], with transition
-    matrix(i) over (x, u_held).  Matrices are built on demand, so a caller
-    pays only for the modes it uses.
+    matrix(i) over (x, u_held).  None of it depends on the budget Q.
+    Matrices are built on first use and kept, so a caller pays once for
+    each mode it uses.  The caller checks the reservation.
     """
-    _check_reservation(moc, Q, R, T)
     if moc.kind == "tt_hard":
         act_delay = T if moc.act_delay is None else moc.act_delay
-        return ["tt"], [], lambda i: _tt_matrix(plant, K, T, act_delay, tick_seconds)
+        return ["tt"], [], functools.cache(
+            lambda i: _tt_matrix(plant, K, T, act_delay, tick_seconds))
     if moc.kind == "tt_maxb":
         plant_d = plant if isinstance(plant, DiscreteLti) else c2d(plant, T * tick_seconds)
         return ["closed", "open"], [T // R], build_modes(plant_d, K).matrices.__getitem__
     D = moc.max_delay
 
+    @functools.cache
     def matrix(i):
         if i == D:
             return build_modes(c2d(plant, D * R * tick_seconds), K).matrices[1]
@@ -218,7 +226,9 @@ def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,
     The drop probability is the chance a job's service does not fit in the
     task period: mu = P(ceil(c/Q) R > T) = P(c > Q * (T // R)).
     """
-    labels, cuts, matrix = _mode_table(plant_d, K, MocKind("tt_maxb"), Q, R, T, 1.0)
+    moc = MocKind("tt_maxb")
+    _check_reservation(moc, Q, R, T)
+    labels, cuts, matrix = _mode_table(plant_d, K, moc, R, T, 1.0)
     return ClosedLoopModes(labels, [matrix(0), matrix(1)],
                            [float(p) for p in _cut_odds(model, Q, cuts)])
 
@@ -240,8 +250,9 @@ def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
     Kronecker stability matrix applies directly.  Modes with zero
     probability are omitted.
     """
-    labels, cuts, matrix = _mode_table(plant, K, MocKind("cs", max_delay), Q, R, None,
-                                       tick_seconds)
+    moc = MocKind("cs", max_delay)
+    _check_reservation(moc, Q, R, None)
+    labels, cuts, matrix = _mode_table(plant, K, moc, R, None, tick_seconds)
     odds = _cut_odds(model, Q, cuts)
     keep = [i for i, p in enumerate(odds) if p > 0]
     return ClosedLoopModes([labels[i] for i in keep], [matrix(i) for i in keep],
@@ -376,7 +387,7 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
     if moc.kind == "tt_sort":
         return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, tick_seconds,
                               horizon, n_traj, seed)
-    labels, cuts, matrix = _mode_table(plant, K, moc, Q, R, T, tick_seconds)
+    labels, cuts, matrix = _mode_table(plant, K, moc, R, T, tick_seconds)
     if cuts:
         mode_idx = np.searchsorted(cuts, -(-_traj_demands(model, horizon, n_traj, seed) // Q))
     else:  # tt_hard
@@ -441,68 +452,139 @@ def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
     return CoSimResult(est, n_traj, _verdict(est), delay_sequence=delays)
 
 
-def _tt_sort_operator(plant, K, max_delay, model, Q, R, T,
-                      tick_seconds) -> Tuple[np.ndarray, List[int]]:
+@functools.cache
+def _tril(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(m), read-only: the lower triangle, row by row."""
+    rows, cols = np.tril_indices(m)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _half_kron(M: np.ndarray) -> np.ndarray:
+    """The map V -> M V M^T on symmetric V, on lower triangles: row (i, j)
+    and column (k, l), i >= j and k >= l in _tril order, hold the
+    coefficient of V_kl in (M V M^T)_ij, that is M_ik M_jl + M_il M_jk
+    (the second term only for k != l, where V_kl also stands for V_lk)."""
+    ri, rj = _tril(M.shape[0])
+    ck, cl = _tril(M.shape[1])
+    ri, rj = ri[:, None], rj[:, None]
+    H = M[ri, ck] * M[rj, cl]
+    off = ck != cl
+    H[:, off] += M[ri, cl[off]] * M[rj, ck[off]]
+    return H
+
+
+def _tt_sort_operator(plant, K, max_delay, R, T, tick_seconds) -> Callable:
     """tt_sort's second-moment operator at activations (Costa, Fragoso &
-    Marques 2005, ch. 3) and the side of each V_d = E[z z^T; backlog d], d
-    over _reachable_backlogs.  z = (x, w_0..w_d) holds the next d periods'
-    inputs, w_d held beyond; a job firing at fin = d + s sets w_r = -K x for
-    r >= fin, a cancel holds w_0; x advances F = T // R periods: z' = M z,
-    V'_d' = sum p(s) M V_d M^T."""
+    Marques 2005, ch. 3), as a function operator(dist) of the service
+    distribution dist = [(s, P(s))] returning (op, sides).
+
+    The jump state is the backlog d, over _reachable_backlogs.  z = (x,
+    w_0..w_d) holds the next d periods' inputs, w_d held beyond; a job
+    firing at fin = d + s sets w_r = -K x for r >= fin, a cancel (fin = 0
+    below) holds w_0; x advances F = T // R periods: z' = M z, V'_d' =
+    sum p(s) M V_d M^T.  Each V_d = E[z z^T; backlog d] is symmetric of side
+    sides[i], so op acts on the lower triangles (_half_kron), stacked by d.
+    M depends on (d, fin) alone, not on dist: its block is built on first
+    use and kept, so each further dist only sums blocks by odds.
+    """
     F, dR = T // R, c2d(plant, R * tick_seconds)
     n, p = dR.B.shape
     K = _shaped(K, "tt.K", (p, n))
-    dist = service_distribution(model, Q, R)
-    backlogs = _reachable_backlogs(dist, F, max_delay)
-    sides = [n + (d + 1) * p for d in backlogs]
-    starts = np.cumsum([0] + [m * m for m in sides])
-    at = {d: slice(starts[i], starts[i + 1]) for i, d in enumerate(backlogs)}
-    op = np.zeros((starts[-1], starts[-1]), order="F")  # LAPACK's order
-    for d, side in zip(backlogs, sides):
-        odds = {}  # by the offset fin at which -K x latches, 0 for a cancel
-        for s, prob in dist:
-            fin = (d + s) * _backlog_step(d + s, F, max_delay)[0]
-            odds[fin] = odds.get(fin, 0.0) + float(prob)
+
+    @functools.cache
+    def block(d, fin):
+        side = n + (d + 1) * p
+        d_next = int(_backlog_step(fin, F, max_delay)[1])
         w = np.eye(side)[n:].reshape(d + 1, p, side)  # w_j as rows over z
-        for fin, prob in odds.items():
-            d_next = int(_backlog_step(fin, F, max_delay)[1])
-            sched = w[np.minimum(np.arange(F + d_next + 1), d if fin else 0)]
-            if fin:
-                sched[fin:] = -K @ np.eye(n, side)
-            x = np.eye(n, side)
-            for u in sched[:F]:
-                x = dR.A @ x + dR.B @ u
-            M = np.vstack([x, *sched[F:]])
-            op[at[d_next], at[d]] += np.einsum("ik,jl->ijkl", prob * M, M).reshape(
-                len(M) ** 2, side ** 2)  # prob * kron(M, M)
-    return op, sides
+        sched = w[np.minimum(np.arange(F + d_next + 1), d if fin else 0)]
+        if fin:
+            sched[fin:] = -K @ np.eye(n, side)
+        x = np.eye(n, side)
+        for u in sched[:F]:
+            x = dR.A @ x + dR.B @ u
+        return d_next, _half_kron(np.vstack([x, *sched[F:]]))
+
+    def operator(dist):
+        s = np.array([s for s, _ in dist])
+        prob = np.array([float(q) for _, q in dist])
+        backlogs = _reachable_backlogs(dist, F, max_delay)
+        sides = [n + (d + 1) * p for d in backlogs]
+        starts = np.cumsum([0] + [m * (m + 1) // 2 for m in sides])
+        at = {d: slice(starts[i], starts[i + 1]) for i, d in enumerate(backlogs)}
+        op = np.zeros((starts[-1], starts[-1]), order="F")  # LAPACK's order
+        for d in backlogs:
+            fin = (d + s) * _backlog_step(d + s, F, max_delay)[0]
+            odds = np.bincount(fin, weights=prob)  # by the offset -K x latches at
+            for f in np.flatnonzero(odds):
+                d_next, H = block(d, int(f))
+                op[at[d_next], at[d]] += odds[f] * H
+        return op, sides
+
+    return operator
+
+
+def _tt_sort_stable(op: np.ndarray, sides: List[int]) -> bool:
+    """rho(op) < 1 - STABILITY_MARGIN for _tt_sort_operator's (op, sides),
+    overwriting op.  With c = 1 - STABILITY_MARGIN that holds iff
+    (c I - op) V = I has a solution V >= I, namely V = sum op^k(I) / c^(k+1).
+    One solve and a Cholesky of each V_d - I/2 decide it; the I/2 margin
+    keeps rounding from passing the tiny negative eigenvalue V has when rho
+    is far above 1.
+    """
+    tri = [_tril(m) for m in sides]
+    eye = np.concatenate([np.eye(m)[t] for m, t in zip(sides, tri)])
+    np.subtract((1.0 - STABILITY_MARGIN) * np.eye(len(op)), op, out=op)
+    *_, V, singular = dgesv(op, eye, overwrite_a=True)  # info > 0, not a warning
+    if singular or not np.isfinite(V).all():
+        return False
+    for v, m, t in zip(np.split(V, np.cumsum([len(t[0]) for t in tri])), sides, tri):
+        B = np.zeros((m, m))
+        B[t] = v
+        B.flat[::m + 1] -= 0.5
+        if dpotrf(B, lower=1)[1]:
+            return False
+    return True
+
+
+def verdicts(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel,
+             budgets: Sequence[int], R: int, T: int, *,
+             tick_seconds: float = 1.0) -> List[bool]:
+    """Whether a (Q, R) reservation keeps the loop under moc second-moment
+    stable, for each budget Q in budgets.
+
+    tt_hard: Q * (T // R) >= max_ticks.  tt_maxb and cs: the exact Kronecker
+    test, rho(sum_i p_i kron(A_i, A_i)) < 1 - STABILITY_MARGIN over the
+    _mode_table modes with odds p_i > 0.  tt_sort: the same bound on its
+    backlog operator (_tt_sort_stable).  Everything that depends on the
+    plant and not on Q -- the mode matrices and their Kronecker products,
+    tt_sort's operator blocks -- is built once per call; each budget only
+    weights it by its own odds.
+    """
+    if isinstance(plant, DiscreteLti) and moc.kind != "tt_hard":
+        raise ConfigError("plant: continuous model required for %s" % moc.kind)
+    for Q in budgets:
+        _check_reservation(moc, Q, R, T)
+    if moc.kind == "tt_hard":
+        return [Q * (T // R) >= max_ticks(model) for Q in budgets]
+    if moc.kind == "tt_sort":
+        operator = _tt_sort_operator(plant, K, moc.max_delay, R, T, tick_seconds)
+        # an overflowing operator gives a non-finite V, which _tt_sort_stable rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [_tt_sort_stable(*operator(service_distribution(model, Q, R)))
+                    for Q in budgets]
+    labels, cuts, matrix = _mode_table(plant, K, moc, R, T, tick_seconds)
+    kron = functools.cache(lambda i: np.kron(matrix(i), matrix(i)))
+    out = []
+    for Q in budgets:
+        odds = _mode_probabilities(_cut_odds(model, Q, cuts), len(labels))
+        op = sum(p * kron(i) for i, p in enumerate(odds) if p > 0)
+        out.append(spectral_radius(op) < 1.0 - STABILITY_MARGIN)
+    return out
 
 
 def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: int,
                R: int, T: int, *, tick_seconds: float = 1.0) -> bool:
-    """Whether a (Q, R) reservation keeps the loop under moc second-moment stable.
-
-    tt_hard: Q * (T // R) >= max_ticks; tt_maxb and cs: the exact Kronecker
-    test; tt_sort: rho(op) < 1 for op = _tt_sort_operator, which holds iff
-    V = op(V) + I has a solution V >= I.  One solve and a Cholesky of each
-    V_d - I/2 decide it; the I/2 margin keeps rounding from passing the tiny
-    negative eigenvalue V has when rho is far above 1.
-    """
-    if isinstance(plant, DiscreteLti) and moc.kind != "tt_hard":
-        raise ConfigError("plant: continuous model required for %s" % moc.kind)
-    _check_reservation(moc, Q, R, T)
-    if moc.kind == "tt_hard":
-        return Q * (T // R) >= max_ticks(model)
-    if moc.kind == "tt_maxb":
-        return second_moment_stable(
-            tt_maxb_modes(c2d(plant, T * tick_seconds), K, model, Q, R, T))
-    if moc.kind == "cs":
-        return second_moment_stable(
-            cs_modes(plant, K, model, Q, R, moc.max_delay, tick_seconds))
-    op, sides = _tt_sort_operator(plant, K, moc.max_delay, model, Q, R, T, tick_seconds)
-    eye = np.concatenate([np.eye(m).ravel() for m in sides])
-    np.subtract(np.eye(len(op)), op, out=op)  # I - op, in place
-    *_, V, singular = dgesv(op, eye, overwrite_a=True)  # info > 0, not a warning
-    blocks = np.split(V, np.cumsum([m * m for m in sides]))
-    return bool(not singular and np.isfinite(V).all() and not any(
-        dpotrf(b.reshape(m, m) - np.eye(m) / 2)[1] for b, m in zip(blocks, sides)))
+    """Whether a (Q, R) reservation keeps the loop under moc second-moment
+    stable: verdicts for the one budget Q."""
+    return verdicts(plant, K, moc, model, [Q], R, T, tick_seconds=tick_seconds)[0]

@@ -4,9 +4,11 @@ For every sampled plant an LQR controller is synthesized at the nominal
 sampling period, then each bandwidth fraction b on the grid funds a
 reservation of budget b*R per period R and every model of computation is
 asked whether the resulting switched loop is second-moment stable.
-The verdict rule lives in moc.stabilizes and is exact, so the seed only
-draws the plants.  tt_hard needs the budget to cover the worst-case demand
-every task period, which with worst-case utilization 1 holds only at b = 1.
+The verdict rule lives in moc.verdicts and is exact, so the seed only
+draws the plants; one call per (plant, mechanism) decides the whole grid,
+sharing the work that does not depend on the budget.  tt_hard needs the
+budget to cover the worst-case demand every task period, which with
+worst-case utilization 1 holds only at b = 1.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .controlcore import ContinuousLti, c2d, dlqr
 from .errors import ConfigError, NumericalError
-from .moc import BUFFERED_KINDS, MOC_KINDS, MocKind, stabilizes
+from .moc import BUFFERED_KINDS, MOC_KINDS, MocKind, verdicts
 from .taskmodel import Beta, derived_seed
 
 log = logging.getLogger(__name__)
@@ -97,6 +99,7 @@ def bandwidth_sweep(config: SweepConfig) -> List[dict]:
     mocs = [MocKind(m, config.max_delay if m in BUFFERED_KINDS else None)
             for m in config.mocs]
 
+    budgets = [int(round(b * config.R)) for b in config.grid]
     counts = {(b, m): 0 for b in config.grid for m in config.mocs}
     for i in range(config.n_systems):
         plant = random_system(config.state_dim, derived_seed(config.seed, "sys", i))
@@ -106,12 +109,10 @@ def bandwidth_sweep(config: SweepConfig) -> List[dict]:
         except NumericalError as exc:
             log.warning("system %d: synthesis failed, counted unstabilized (%s)", i, exc)
             continue
-        for b in config.grid:
-            Q = int(round(b * config.R))
-            for moc in mocs:
-                if stabilizes(plant, K, moc, model, Q, config.R, config.T,
-                              tick_seconds=config.tick_seconds):
-                    counts[(b, moc.kind)] += 1
+        for moc in mocs:
+            for b, ok in zip(config.grid, verdicts(plant, K, moc, model, budgets, config.R,
+                                                   config.T, tick_seconds=config.tick_seconds)):
+                counts[(b, moc.kind)] += ok
 
     rows = []
     for b in config.grid:

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from softrt.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "edf_overload_trace.csv"
@@ -374,6 +376,22 @@ def test_config_sections_of_the_wrong_json_type_are_config_errors(tmp_path, caps
     for cmd, doc, field in cases:
         assert main(cmd + ["--config", write_config(tmp_path, doc)]) == 2, field
         assert "config error: %s:" % field in capsys.readouterr().err, field
+
+
+@pytest.mark.parametrize("cmd, doc, field", [
+    (["analyze", str(GOLDEN)],
+     {"constraints": {"1": {"m": 1, "n": 2, "conjunction": [[1, 2, 3]]}}},
+     "constraints[1].conjunction[0]"),
+    (["analyze", str(GOLDEN)],
+     {"constraints": {"1": {"m": 1, "n": 2, "conjunction": [["a", 2]]}}},
+     "constraints[1].conjunction[0]"),
+    (["simulate"], {"tasks": [{"id": 1, "wcet": 1, "rel_deadline": 4, "period": 4}],
+                    "scheduler": {"kind": "edf", "horizon": 8, "collect": [[1]]}},
+     "scheduler.collect[0]"),
+], ids=["conjunction-triple", "conjunction-string", "collect-array"])
+def test_malformed_array_entries_are_config_errors(tmp_path, capsys, cmd, doc, field):
+    assert main(cmd + ["--config", write_config(tmp_path, doc)]) == 2
+    assert "config error: %s:" % field in capsys.readouterr().err
 
 
 def test_cosim_tt_sort_matches_golden_csv(tmp_path, capsys):

@@ -5,6 +5,9 @@ import pathlib
 import numpy as np
 import pytest
 
+import softrt.moc
+import softrt.sweep
+from softrt.controlcore import c2d
 from softrt.errors import ConfigError
 from softrt.sweep import SweepConfig, bandwidth_sweep, random_system, sweep_to_csv
 from softrt.taskmodel import max_ticks
@@ -109,3 +112,19 @@ def test_sweep_matches_golden_table():
     # only a documented correctness fix may regenerate the golden file
     cfg = SweepConfig(n_systems=8, seed=0, grid=(0.1, 0.3, 0.4, 0.7, 1.0))
     assert sweep_to_csv(bandwidth_sweep(cfg)) == GOLDEN.read_text()
+
+
+def test_sweep_discretises_each_plant_a_bounded_number_of_times(monkeypatch):
+    # one c2d for synthesis, then per plant, however many budgets the grid
+    # holds: one for tt_maxb, at most max_delay + 1 = 7 for cs (one per
+    # mode), one for tt_sort
+    calls = []
+
+    def counted(plant, T):
+        calls.append(T)
+        return c2d(plant, T)
+
+    monkeypatch.setattr(softrt.moc, "c2d", counted)
+    monkeypatch.setattr(softrt.sweep, "c2d", counted)
+    bandwidth_sweep(SweepConfig(n_systems=2))
+    assert 0 < len(calls) <= 10 * 2

@@ -19,7 +19,8 @@ from softrt.errors import ConfigError, NumericalError
 from softrt.controlcore import (ClosedLoopModes, ContinuousLti, c2d, dlqr,
                                 second_moment_stable, spectral_radius,
                                 stability_matrix)
-from softrt.moc import MocKind, _tt_matrix, _tt_sort_operator, cosimulate, stabilizes
+from softrt.moc import (MocKind, _tt_matrix, _tt_sort_operator, cosimulate,
+                        service_distribution, stabilizes)
 from softrt.sweep import SweepConfig, random_system
 from softrt.taskmodel import Empirical, derived_seed
 
@@ -63,16 +64,22 @@ def _enumerated_moments(plant, K, max_delay, values, Q, R, T, tick, n_act):
     return out
 
 
+def _operator(c, model, Q):
+    return _tt_sort_operator(c["plant"], c["K"], c["max_delay"], c["R"], c["T"],
+                             c["tick"])(service_distribution(model, Q, c["R"]))
+
+
 def _operator_moments(op, sides, n, n_act):
     """E|x|^2 at activations 0..n_act by iterating the operator from the
-    same start: backlog 0, z = (e1, 0)."""
+    same start: backlog 0, z = (e1, 0).  op acts on the lower triangles of
+    the V_d, stacked, each in np.tril_indices order: (i, i) at i (i + 3) / 2."""
     v = np.zeros(len(op))
     v[0] = 1.0  # the (x_1, x_1) entry of V_0
-    starts = np.cumsum([0] + [m * m for m in sides])
+    starts = np.cumsum([0] + [m * (m + 1) // 2 for m in sides])
+    x_diagonal = [lo + i * (i + 3) // 2 for lo in starts[:-1] for i in range(n)]
     out = []
     for _ in range(n_act + 1):
-        out.append(sum(np.trace(v[lo:hi].reshape(m, m)[:n, :n])
-                       for lo, hi, m in zip(starts, starts[1:], sides)))
+        out.append(v[x_diagonal].sum())
         v = op @ v
     return np.array(out)
 
@@ -97,8 +104,7 @@ def enumerable(draw):
 @given(enumerable())
 def test_operator_iterates_match_path_enumeration(c):
     model = Empirical(c["values"])
-    op, sides = _tt_sort_operator(c["plant"], c["K"], c["max_delay"], model, c["Q"],
-                                  c["R"], c["T"], c["tick"])
+    op, sides = _operator(c, model, c["Q"])
     got = _operator_moments(op, sides, c["K"].shape[1], c["n_act"])
     want = _enumerated_moments(c["plant"], c["K"], c["max_delay"], c["values"], c["Q"],
                                c["R"], c["T"], c["tick"], c["n_act"])
@@ -131,8 +137,11 @@ def _verdict(c):
 
 
 def _rho(c):
-    op, _ = _tt_sort_operator(c["plant"], c["K"], c["moc"].max_delay, c["model"], c["Q"],
-                              c["R"], c["T"], c["tick_seconds"])
+    # the map on symmetric V_d has the spectral radius of the full operator:
+    # that of a positive map is an eigenvalue with a symmetric eigenvector
+    op, _ = _tt_sort_operator(c["plant"], c["K"], c["moc"].max_delay, c["R"], c["T"],
+                              c["tick_seconds"])(
+        service_distribution(c["model"], c["Q"], c["R"]))
     return spectral_radius(op)
 
 
@@ -181,6 +190,19 @@ def test_every_job_cancelled_is_not_stable_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not _verdict(c)
+
+
+def test_operator_eigenvalue_one_is_not_stable():
+    # from backlog 0 a 4-period job queues its command and leaves backlog 3;
+    # the next job, and any 7-period one, would end past max_delay and is
+    # cancelled with the queued command, so nothing ever latches and the
+    # held input stays put: rho = 1 exactly, which rounding used to call
+    # stable before the solve kept the 1e-9 margin
+    c = dict(plant=ContinuousLti.from_ab([[-1.0]], [[1.0]]), K=np.array([[0.5]]),
+             moc=MocKind("tt_sort", 4), model=Empirical((4, 4, 7)), Q=1, R=1, T=1,
+             tick_seconds=0.5)
+    assert _rho(c) == pytest.approx(1.0, abs=1e-12)
+    assert not _verdict(c)
 
 
 @pytest.mark.parametrize("system", [15, 34])

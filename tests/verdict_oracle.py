@@ -1,0 +1,91 @@
+"""Reference stochastic verdicts: moc.stabilizes and moc._tt_sort_operator
+as softrt shipped them before verdicts were split into per-plant blocks and
+per-budget sums, kept verbatim as the oracle for test_verdict_differential.py.
+
+Each call rebuilds everything for its one budget: tt_maxb and cs through
+the public mode builders and second_moment_stable, tt_sort through the
+full-square operator (every entry of each V_d, not its lower triangle)
+solved as (I - op)V = I, without the 1e-9 margin.  Only the mode builders,
+the backlog recursion and the discretisation come from the package.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+import numpy as np
+from scipy.linalg.lapack import dgesv, dpotrf
+
+from softrt.controlcore import (ContinuousLti, DiscreteLti, _shaped, c2d,
+                                second_moment_stable)
+from softrt.errors import ConfigError
+from softrt.moc import (MocKind, _backlog_step, _check_reservation, _reachable_backlogs,
+                        cs_modes, service_distribution, tt_maxb_modes)
+from softrt.taskmodel import ExecTimeModel, max_ticks
+
+
+def _tt_sort_operator(plant, K, max_delay, model, Q, R, T,
+                      tick_seconds) -> Tuple[np.ndarray, List[int]]:
+    """tt_sort's second-moment operator at activations (Costa, Fragoso &
+    Marques 2005, ch. 3) and the side of each V_d = E[z z^T; backlog d], d
+    over _reachable_backlogs.  z = (x, w_0..w_d) holds the next d periods'
+    inputs, w_d held beyond; a job firing at fin = d + s sets w_r = -K x for
+    r >= fin, a cancel holds w_0; x advances F = T // R periods: z' = M z,
+    V'_d' = sum p(s) M V_d M^T."""
+    F, dR = T // R, c2d(plant, R * tick_seconds)
+    n, p = dR.B.shape
+    K = _shaped(K, "tt.K", (p, n))
+    dist = service_distribution(model, Q, R)
+    backlogs = _reachable_backlogs(dist, F, max_delay)
+    sides = [n + (d + 1) * p for d in backlogs]
+    starts = np.cumsum([0] + [m * m for m in sides])
+    at = {d: slice(starts[i], starts[i + 1]) for i, d in enumerate(backlogs)}
+    op = np.zeros((starts[-1], starts[-1]), order="F")  # LAPACK's order
+    for d, side in zip(backlogs, sides):
+        odds = {}  # by the offset fin at which -K x latches, 0 for a cancel
+        for s, prob in dist:
+            fin = (d + s) * _backlog_step(d + s, F, max_delay)[0]
+            odds[fin] = odds.get(fin, 0.0) + float(prob)
+        w = np.eye(side)[n:].reshape(d + 1, p, side)  # w_j as rows over z
+        for fin, prob in odds.items():
+            d_next = int(_backlog_step(fin, F, max_delay)[1])
+            sched = w[np.minimum(np.arange(F + d_next + 1), d if fin else 0)]
+            if fin:
+                sched[fin:] = -K @ np.eye(n, side)
+            x = np.eye(n, side)
+            for u in sched[:F]:
+                x = dR.A @ x + dR.B @ u
+            M = np.vstack([x, *sched[F:]])
+            op[at[d_next], at[d]] += np.einsum("ik,jl->ijkl", prob * M, M).reshape(
+                len(M) ** 2, side ** 2)  # prob * kron(M, M)
+    return op, sides
+
+
+def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: int,
+               R: int, T: int, *, tick_seconds: float = 1.0) -> bool:
+    """Whether a (Q, R) reservation keeps the loop under moc second-moment stable.
+
+    tt_hard: Q * (T // R) >= max_ticks; tt_maxb and cs: the exact Kronecker
+    test; tt_sort: rho(op) < 1 for op = _tt_sort_operator, which holds iff
+    V = op(V) + I has a solution V >= I.  One solve and a Cholesky of each
+    V_d - I/2 decide it; the I/2 margin keeps rounding from passing the tiny
+    negative eigenvalue V has when rho is far above 1.
+    """
+    if isinstance(plant, DiscreteLti) and moc.kind != "tt_hard":
+        raise ConfigError("plant: continuous model required for %s" % moc.kind)
+    _check_reservation(moc, Q, R, T)
+    if moc.kind == "tt_hard":
+        return Q * (T // R) >= max_ticks(model)
+    if moc.kind == "tt_maxb":
+        return second_moment_stable(
+            tt_maxb_modes(c2d(plant, T * tick_seconds), K, model, Q, R, T))
+    if moc.kind == "cs":
+        return second_moment_stable(
+            cs_modes(plant, K, model, Q, R, moc.max_delay, tick_seconds))
+    op, sides = _tt_sort_operator(plant, K, moc.max_delay, model, Q, R, T, tick_seconds)
+    eye = np.concatenate([np.eye(m).ravel() for m in sides])
+    np.subtract(np.eye(len(op)), op, out=op)  # I - op, in place
+    *_, V, singular = dgesv(op, eye, overwrite_a=True)  # info > 0, not a warning
+    blocks = np.split(V, np.cumsum([m * m for m in sides]))
+    return bool(not singular and np.isfinite(V).all() and not any(
+        dpotrf(b.reshape(m, m) - np.eye(m) / 2)[1] for b, m in zip(blocks, sides)))
