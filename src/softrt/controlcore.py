@@ -2,8 +2,10 @@
 
 Matrices are dense float64 numpy arrays throughout.  The exponential, the
 eigenvalue solver and the Riccati equation are delegated to scipy/LAPACK; the
-mode construction and the second-moment test are implemented here because
-their exact forms are what the rest of the package is built around.
+mode construction and the mean-square test are implemented here because
+their exact forms are what the rest of the package is built around.  Every
+stochastic verdict is one operator on lower triangles (_half_kron) and one
+solve (_mean_square_stable); eigenvalues of stability_matrix only report rho.
 
 State conventions for the switched closed loop: with static feedback
 u = -Kx the augmented state is (x, u_held); with a dynamic controller
@@ -15,13 +17,15 @@ the controller state untouched.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgesv, dpotrf
 
 from .errors import ConfigError, NumericalError
 
@@ -129,16 +133,6 @@ class CostWeights:
             raise ConfigError("weights.Ru: must be positive definite")
 
 
-def _mode_probabilities(probs, count: int) -> List[float]:
-    """probs as floats, checked to be one per mode, >= 0 and summing to 1."""
-    p = np.asarray(probs, dtype=float)
-    if len(p) != count:
-        raise ConfigError("modes.probabilities: one entry per matrix")
-    if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
-        raise ConfigError("modes.probabilities: must be >= 0 and sum to 1")
-    return [float(x) for x in p]
-
-
 @dataclass
 class ClosedLoopModes:
     """Switched transition matrices over a common augmented state."""
@@ -157,7 +151,12 @@ class ClosedLoopModes:
         if len(self.labels) != len(self.matrices):
             raise ConfigError("modes.labels: one label per matrix")
         if self.probabilities is not None:
-            self.probabilities = _mode_probabilities(self.probabilities, len(self.matrices))
+            p = np.asarray(self.probabilities, dtype=float)
+            if len(p) != len(self.matrices):
+                raise ConfigError("modes.probabilities: one entry per matrix")
+            if not np.isfinite(p).all() or (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
+                raise ConfigError("modes.probabilities: must be finite, >= 0 and sum to 1")
+            self.probabilities = [float(x) for x in p]
 
     @property
     def augmented_dim(self) -> int:
@@ -381,6 +380,60 @@ def spectral_radius(M) -> float:
 STABILITY_MARGIN = 1e-9
 
 
-def second_moment_stable(modes: ClosedLoopModes, margin=STABILITY_MARGIN) -> bool:
-    """True iff the mode-switched second moment contracts: rho(Atilde) < 1 - margin."""
-    return spectral_radius(stability_matrix(modes)) < 1.0 - margin
+@functools.cache
+def _tril(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(m), read-only: the lower triangle, row by row."""
+    rows, cols = np.tril_indices(m)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _half_kron(M: np.ndarray) -> np.ndarray:
+    """The map V -> M V M^T on symmetric V, on lower triangles: row (i, j)
+    and column (k, l), i >= j and k >= l in _tril order, hold the
+    coefficient of V_kl in (M V M^T)_ij, that is M_ik M_jl + M_il M_jk
+    (the second term only for k != l, where V_kl also stands for V_lk)."""
+    ri, rj = _tril(M.shape[0])
+    ck, cl = _tril(M.shape[1])
+    ri, rj = ri[:, None], rj[:, None]
+    H = M[ri, ck] * M[rj, cl]
+    off = ck != cl
+    H[:, off] += M[ri, cl[off]] * M[rj, ck[off]]
+    return H
+
+
+def _mean_square_stable(op: np.ndarray, sides: List[int]) -> bool:
+    """rho(op) < 1 - STABILITY_MARGIN, for op acting on the stacked lower
+    triangles (_half_kron) of symmetric V_d of the given sides; overwrites
+    op.  With c = 1 - STABILITY_MARGIN that holds iff (c I - op) V = I has a
+    solution V >= I, V = sum op^k(I) / c^(k+1) (Costa, Fragoso & Marques
+    2005, ch. 3): one solve and a Cholesky of each V_d - I/2, whose margin
+    keeps rounding from passing the tiny negative eigenvalue V has when rho
+    is far above 1.  Non-finite V is not stable; callers ignore overflow.
+    """
+    if not len(op):  # no state, nothing to grow
+        return True
+    tri = [_tril(m) for m in sides]
+    eye = np.concatenate([np.eye(m)[t] for m, t in zip(sides, tri)])
+    np.subtract((1.0 - STABILITY_MARGIN) * np.eye(len(op)), op, out=op)
+    *_, V, singular = dgesv(op, eye, overwrite_a=True)  # info > 0, not a warning
+    if singular or not np.isfinite(V).all():
+        return False
+    for v, m, t in zip(np.split(V, np.cumsum([len(t[0]) for t in tri])), sides, tri):
+        B = np.zeros((m, m))
+        B[t] = v
+        B.flat[::m + 1] -= 0.5
+        if dpotrf(B, lower=1)[1]:
+            return False
+    return True
+
+
+def second_moment_stable(modes: ClosedLoopModes) -> bool:
+    """True iff the mode-switched second moment contracts: rho(sum_i p_i
+    A_i kron A_i) < 1 - STABILITY_MARGIN, by _mean_square_stable."""
+    if modes.probabilities is None:
+        raise ConfigError("modes.probabilities: must be filled for stability analysis")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is not stable
+        op = sum(p * _half_kron(M) for p, M in zip(modes.probabilities, modes.matrices)
+                 if p > 0)
+        return _mean_square_stable(np.asfortranarray(op), [modes.augmented_dim])

@@ -14,18 +14,16 @@ past max_delay reservation periods.
 All the stochastic timing derives from one quantity: a job of demand c
 ticks served by a budget-Q reservation occupies s = ceil(c/Q) reservation
 periods.  tt_hard, tt_maxb and cs map s to a mode through one table each
-(_mode_table: mode matrices and the cuts on s that pick one).  The exact
-Kronecker verdict weights the table by the odds of each cut interval
-(tt_maxb_modes, cs_modes); cosimulate() switches through the same table
-by sampled s.  tt_sort carries backlog memory, stepped by _backlog_step in
-its delay chain, second-moment operator and co-simulation (all trajectories
-at once, pending commands in a ring buffer).  verdicts() holds the exact
-verdict rule for a whole grid of budgets: the mode table, its Kronecker
-products and tt_sort's operator blocks do not depend on Q, so they are
-built once per plant and each budget only weights them by its odds;
-stabilizes() is its one-budget call.  cosimulate(), the verdicts' oracle,
-draws the stochastic mechanisms' demands from the same per-trajectory
-streams.
+(_mode_table: mode matrices and the cuts on s that pick one), weighted by
+the odds of each cut interval in tt_maxb_modes and cs_modes and switched
+by sampled s in cosimulate().  tt_sort carries backlog memory, stepped by
+_backlog_step in its delay chain, second-moment operator and co-simulation
+(all trajectories at once, pending commands in a ring buffer).  verdicts()
+decides a whole grid of budgets by one mean-square test: _operator builds
+each mechanism's jump-system operator from blocks that do not depend on Q,
+and one solve decides each budget; stabilizes() is its one-budget call.
+cosimulate(), the verdicts' oracle, draws the stochastic mechanisms'
+demands from the same per-trajectory streams.
 """
 
 from __future__ import annotations
@@ -36,11 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dpotrf
 
-from .controlcore import (STABILITY_MARGIN, ClosedLoopModes, ContinuousLti, DiscreteLti,
-                          _as_matrix, _mode_probabilities, _shaped, build_modes, c2d,
-                          spectral_radius)
+from .controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti, _as_matrix,
+                          _half_kron, _mean_square_stable, _shaped, build_modes, c2d)
 from .errors import ConfigError, NumericalError
 from .taskmodel import ExecTimeModel, derived_seed, max_ticks, sample_exec_times, tick_cdf
 
@@ -84,9 +80,14 @@ def service_distribution(model: ExecTimeModel, Q: int, R: int) -> List[Tuple[int
     Exact fractions for discrete models, floats for continuous ones.
     P(s = k) = P(c <= kQ) - P(c <= (k-1)Q).
     """
+    return list(_service_distribution(model, Q, R))
+
+
+@functools.lru_cache(maxsize=1024)  # every plant of a sweep reads the same odds
+def _service_distribution(model: ExecTimeModel, Q: int, R: int) -> tuple:
     s_max = service_periods(max_ticks(model), Q, R)
     odds = _cut_odds(model, Q, range(1, s_max + 1))
-    return [(s, p) for s, p in enumerate(odds, 1) if p > 0]
+    return tuple((s, p) for s, p in enumerate(odds, 1) if p > 0)
 
 
 def _cut_odds(model: ExecTimeModel, Q: int, cuts) -> list:
@@ -117,6 +118,8 @@ class DelayChain:
         pi = np.asarray(self.steady, dtype=float)
         if pi.shape != (P.shape[0],):
             raise ConfigError("chain.steady: length must match transition")
+        if not np.isfinite(pi).all():
+            raise ConfigError("chain.steady: entries must be finite")
         if np.max(np.abs(pi @ P - pi)) > 1e-10 or abs(pi.sum() - 1.0) > 1e-10:
             raise ConfigError("chain.steady: not a fixed point")
         self.transition, self.steady = P, pi
@@ -246,9 +249,7 @@ def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
 
         A_s = [[A_sR, B_sR], [-K, 0]]     A_cancel = [[A_DR, B_DR], [0, I]]
 
-    Service lengths are i.i.d. across jobs (each job starts fresh), so the
-    Kronecker stability matrix applies directly.  Modes with zero
-    probability are omitted.
+    Jobs start fresh (i.i.d. service); zero-probability modes are omitted.
     """
     moc = MocKind("cs", max_delay)
     _check_reservation(moc, Q, R, None)
@@ -452,99 +453,60 @@ def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
     return CoSimResult(est, n_traj, _verdict(est), delay_sequence=delays)
 
 
-@functools.cache
-def _tril(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """np.tril_indices(m), read-only: the lower triangle, row by row."""
-    rows, cols = np.tril_indices(m)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _half_kron(M: np.ndarray) -> np.ndarray:
-    """The map V -> M V M^T on symmetric V, on lower triangles: row (i, j)
-    and column (k, l), i >= j and k >= l in _tril order, hold the
-    coefficient of V_kl in (M V M^T)_ij, that is M_ik M_jl + M_il M_jk
-    (the second term only for k != l, where V_kl also stands for V_lk)."""
-    ri, rj = _tril(M.shape[0])
-    ck, cl = _tril(M.shape[1])
-    ri, rj = ri[:, None], rj[:, None]
-    H = M[ri, ck] * M[rj, cl]
-    off = ck != cl
-    H[:, off] += M[ri, cl[off]] * M[rj, ck[off]]
-    return H
-
-
-def _tt_sort_operator(plant, K, max_delay, R, T, tick_seconds) -> Callable:
-    """tt_sort's second-moment operator at activations (Costa, Fragoso &
-    Marques 2005, ch. 3), as a function operator(dist) of the service
-    distribution dist = [(s, P(s))] returning (op, sides).
-
-    The jump state is the backlog d, over _reachable_backlogs.  z = (x,
-    w_0..w_d) holds the next d periods' inputs, w_d held beyond; a job
-    firing at fin = d + s sets w_r = -K x for r >= fin, a cancel (fin = 0
-    below) holds w_0; x advances F = T // R periods: z' = M z, V'_d' =
-    sum p(s) M V_d M^T.  Each V_d = E[z z^T; backlog d] is symmetric of side
-    sides[i], so op acts on the lower triangles (_half_kron), stacked by d.
-    M depends on (d, fin) alone, not on dist: its block is built on first
-    use and kept, so each further dist only sums blocks by odds.
+def _operator(plant, K, moc: MocKind, R: int, T: int, tick_seconds: float) -> Callable:
+    """The loop's second-moment operator under a stochastic moc, a Markov
+    jump linear system at activations (Costa, Fragoso & Marques 2005, ch.
+    3): operator(dist) -> (op, sides) for dist = [(s, P(s))].  In state d,
+    z = (x, w_0..w_d); a job of s periods maps z' = M z into state d', so
+    V'_d' = sum p(s) M V_d M^T, V_d = E[z z^T; state d] on its lower
+    triangle (_half_kron), stacked by d.  Only the jump rule is per kind.
+    tt_maxb and cs: one state, w_0 = u_held, M is _mode_table's mode
+    searchsorted(cuts, s).  tt_sort: d is the backlog (_reachable_backlogs),
+    w_j the input j periods on, w_d held beyond; a job firing at fin = d + s
+    sets w_r = -K x for r >= fin, a cancel (fin = 0) holds w_0, and x
+    advances F = T // R periods.  M depends on (d, key of s) alone, so its
+    block is built on first use and kept: a further dist only sums blocks.
     """
-    F, dR = T // R, c2d(plant, R * tick_seconds)
-    n, p = dR.B.shape
-    K = _shaped(K, "tt.K", (p, n))
+    n, p = plant.A.shape[0], plant.B.shape[1]
+    if moc.kind != "tt_sort":
+        _, cuts, matrix = _mode_table(plant, K, moc, R, T, tick_seconds)
+        states, key = lambda dist: [0], lambda d, s: np.searchsorted(cuts, s)
+        block = functools.cache(lambda d, i: (0, _half_kron(matrix(i))))
+    else:
+        F, D, dR = T // R, moc.max_delay, c2d(plant, R * tick_seconds)
+        K = _shaped(K, "tt.K", (p, n))
+        states = lambda dist: _reachable_backlogs(dist, F, D)
+        key = lambda d, s: (d + s) * _backlog_step(d + s, F, D)[0]  # latch offset
 
-    @functools.cache
-    def block(d, fin):
-        side = n + (d + 1) * p
-        d_next = int(_backlog_step(fin, F, max_delay)[1])
-        w = np.eye(side)[n:].reshape(d + 1, p, side)  # w_j as rows over z
-        sched = w[np.minimum(np.arange(F + d_next + 1), d if fin else 0)]
-        if fin:
-            sched[fin:] = -K @ np.eye(n, side)
-        x = np.eye(n, side)
-        for u in sched[:F]:
-            x = dR.A @ x + dR.B @ u
-        return d_next, _half_kron(np.vstack([x, *sched[F:]]))
+        @functools.cache
+        def block(d, fin):
+            side = n + (d + 1) * p
+            d_next = int(_backlog_step(fin, F, D)[1])
+            w = np.eye(side)[n:].reshape(d + 1, p, side)  # w_j as rows over z
+            sched = w[np.minimum(np.arange(F + d_next + 1), d if fin else 0)]
+            if fin:
+                sched[fin:] = -K @ np.eye(n, side)
+            x = np.eye(n, side)
+            for u in sched[:F]:
+                x = dR.A @ x + dR.B @ u
+            return d_next, _half_kron(np.vstack([x, *sched[F:]]))
 
     def operator(dist):
         s = np.array([s for s, _ in dist])
         prob = np.array([float(q) for _, q in dist])
-        backlogs = _reachable_backlogs(dist, F, max_delay)
-        sides = [n + (d + 1) * p for d in backlogs]
+        jumps = states(dist)
+        sides = [n + (d + 1) * p for d in jumps]
         starts = np.cumsum([0] + [m * (m + 1) // 2 for m in sides])
-        at = {d: slice(starts[i], starts[i + 1]) for i, d in enumerate(backlogs)}
+        at = {d: slice(starts[i], starts[i + 1]) for i, d in enumerate(jumps)}
         op = np.zeros((starts[-1], starts[-1]), order="F")  # LAPACK's order
-        for d in backlogs:
-            fin = (d + s) * _backlog_step(d + s, F, max_delay)[0]
-            odds = np.bincount(fin, weights=prob)  # by the offset -K x latches at
-            for f in np.flatnonzero(odds):
-                d_next, H = block(d, int(f))
-                op[at[d_next], at[d]] += odds[f] * H
+        for d in jumps:
+            odds = np.bincount(key(d, s), weights=prob)
+            for k in np.flatnonzero(odds):
+                d_next, H = block(d, int(k))
+                op[at[d_next], at[d]] += odds[k] * H
         return op, sides
 
     return operator
-
-
-def _tt_sort_stable(op: np.ndarray, sides: List[int]) -> bool:
-    """rho(op) < 1 - STABILITY_MARGIN for _tt_sort_operator's (op, sides),
-    overwriting op.  With c = 1 - STABILITY_MARGIN that holds iff
-    (c I - op) V = I has a solution V >= I, namely V = sum op^k(I) / c^(k+1).
-    One solve and a Cholesky of each V_d - I/2 decide it; the I/2 margin
-    keeps rounding from passing the tiny negative eigenvalue V has when rho
-    is far above 1.
-    """
-    tri = [_tril(m) for m in sides]
-    eye = np.concatenate([np.eye(m)[t] for m, t in zip(sides, tri)])
-    np.subtract((1.0 - STABILITY_MARGIN) * np.eye(len(op)), op, out=op)
-    *_, V, singular = dgesv(op, eye, overwrite_a=True)  # info > 0, not a warning
-    if singular or not np.isfinite(V).all():
-        return False
-    for v, m, t in zip(np.split(V, np.cumsum([len(t[0]) for t in tri])), sides, tri):
-        B = np.zeros((m, m))
-        B[t] = v
-        B.flat[::m + 1] -= 0.5
-        if dpotrf(B, lower=1)[1]:
-            return False
-    return True
 
 
 def verdicts(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel,
@@ -553,13 +515,9 @@ def verdicts(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel,
     """Whether a (Q, R) reservation keeps the loop under moc second-moment
     stable, for each budget Q in budgets.
 
-    tt_hard: Q * (T // R) >= max_ticks.  tt_maxb and cs: the exact Kronecker
-    test, rho(sum_i p_i kron(A_i, A_i)) < 1 - STABILITY_MARGIN over the
-    _mode_table modes with odds p_i > 0.  tt_sort: the same bound on its
-    backlog operator (_tt_sort_stable).  Everything that depends on the
-    plant and not on Q -- the mode matrices and their Kronecker products,
-    tt_sort's operator blocks -- is built once per call; each budget only
-    weights it by its own odds.
+    tt_hard: Q * (T // R) >= max_ticks.  tt_maxb, cs and tt_sort:
+    _mean_square_stable on _operator's operator, whose blocks are built
+    once per call; each budget only weights them by its own odds.
     """
     if isinstance(plant, DiscreteLti) and moc.kind != "tt_hard":
         raise ConfigError("plant: continuous model required for %s" % moc.kind)
@@ -567,20 +525,10 @@ def verdicts(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel,
         _check_reservation(moc, Q, R, T)
     if moc.kind == "tt_hard":
         return [Q * (T // R) >= max_ticks(model) for Q in budgets]
-    if moc.kind == "tt_sort":
-        operator = _tt_sort_operator(plant, K, moc.max_delay, R, T, tick_seconds)
-        # an overflowing operator gives a non-finite V, which _tt_sort_stable rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            return [_tt_sort_stable(*operator(service_distribution(model, Q, R)))
-                    for Q in budgets]
-    labels, cuts, matrix = _mode_table(plant, K, moc, R, T, tick_seconds)
-    kron = functools.cache(lambda i: np.kron(matrix(i), matrix(i)))
-    out = []
-    for Q in budgets:
-        odds = _mode_probabilities(_cut_odds(model, Q, cuts), len(labels))
-        op = sum(p * kron(i) for i, p in enumerate(odds) if p > 0)
-        out.append(spectral_radius(op) < 1.0 - STABILITY_MARGIN)
-    return out
+    operator = _operator(plant, K, moc, R, T, tick_seconds)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is not stable
+        return [_mean_square_stable(*operator(_service_distribution(model, Q, R)))
+                for Q in budgets]
 
 
 def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: int,

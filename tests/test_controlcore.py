@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from softrt.controlcore import (
     ClosedLoopModes,
@@ -348,6 +351,79 @@ def test_stability_matrix_requires_probabilities():
         modes.with_probabilities([0.5, 0.5])
     with pytest.raises(ConfigError):
         modes.with_probabilities([0.7])
+
+
+def test_non_finite_probabilities_are_config_errors():
+    # NaN fails every comparison, so a check written as "reject if p < 0 or
+    # the sum is off" would let it through
+    with pytest.raises(ConfigError, match="modes.probabilities"):
+        ClosedLoopModes(["a"], [[[5.0]]], [math.nan])
+    modes = ClosedLoopModes(["a", "b"], [np.eye(1), np.eye(1)])
+    with pytest.raises(ConfigError, match="modes.probabilities"):
+        modes.with_probabilities([math.nan, 0.0])
+
+
+@st.composite
+def mode_sets(draw):
+    """Modes with probabilities: random matrices of dimension 1-6 (1-4 modes,
+    scaled so that rho lands on both sides of 1), or build_modes of a random
+    plant under its LQR gain or LQG controller, either hold strategy."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dim, count = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        scale = draw(st.sampled_from((0.5, 0.9, 1.0, 1.1, 1.5))) / math.sqrt(dim / 3)
+        modes = ClosedLoopModes([str(i) for i in range(count)],
+                                [scale * g.uniform(-1.0, 1.0, (dim, dim))
+                                 for _ in range(count)])
+    else:
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        A = draw(st.sampled_from((0.6, 1.2, 2.0))) * g.uniform(-1.0, 1.0, (n, n))
+        B, C = g.uniform(-1.0, 1.0, (n, 1)), g.uniform(-1.0, 1.0, (m, n))
+        plant = DiscreteLti(A, B, C, np.zeros((m, 1)), 1.0)
+        try:
+            K, _ = dlqr(A, B, np.eye(n), np.eye(1))
+            feedback = lqg_assemble(plant, K, kalman_gain(A, C)) if draw(st.booleans()) else K
+        except NumericalError:
+            assume(False)
+        modes = build_modes(plant, feedback, draw(st.sampled_from(("hold", "zero"))))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(modes.matrices),
+                            max_size=len(modes.matrices)).filter(any))
+    return modes.with_probabilities([w / sum(weights) for w in weights])
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode_sets())
+def test_second_moment_stable_matches_eigenvalue_rule(modes):
+    # the mean-square solve against the eigenvalues of the full Kronecker
+    # sum, away from the boundary where either may round either way
+    rho = spectral_radius(stability_matrix(modes))
+    if abs(rho - 1.0) >= 1e-6:
+        assert second_moment_stable(modes) == (rho < 1.0 - 1e-9)
+
+
+def test_second_moment_stable_eigenvalue_one_is_not_stable():
+    # rho = 1 exactly: only the margin keeps rounding from deciding it
+    for dim in (1, 4):
+        assert not second_moment_stable(ClosedLoopModes(["id"], [np.eye(dim)], [1.0]))
+    # a job that never finishes leaves the held input in place
+    always_open = build_modes(DiscreteLti([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0),
+                              [[0.4]]).with_probabilities([0.0, 1.0])
+    assert spectral_radius(stability_matrix(always_open)) == 1.0
+    assert not second_moment_stable(always_open)
+
+
+def test_second_moment_stable_without_state_is_stable():
+    # nothing can grow, as spectral_radius reads an empty matrix as 0
+    assert second_moment_stable(ClosedLoopModes(["none"], [np.zeros((0, 0))], [1.0]))
+
+
+def test_second_moment_stable_overflow_is_not_stable_and_silent():
+    # the products overflow to inf, and inf - inf to nan
+    big = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    modes = ClosedLoopModes(["big", "small"], [big, 0.5 * np.eye(2)], [0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not second_moment_stable(modes)
 
 
 def test_spectral_radius_known_values():

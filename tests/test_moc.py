@@ -148,6 +148,12 @@ def test_delay_chain_validation():
         DelayChain(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.9, 0.1]))
 
 
+def test_delay_chain_rejects_non_finite_steady_state():
+    # NaN fails every comparison, so the fixed-point check alone passes it
+    with pytest.raises(ConfigError, match="chain.steady"):
+        DelayChain(np.eye(2), [math.nan, math.nan])
+
+
 def test_tt_maxb_modes_probabilities():
     plant_d = DiscreteLti([[0.9]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     modes = tt_maxb_modes(plant_d, [[0.3]], Empirical((1, 2, 3)), Q=1, R=1, T=2)

@@ -7,10 +7,11 @@ import pytest
 
 import softrt.moc
 import softrt.sweep
-from softrt.controlcore import c2d
+from softrt.controlcore import build_modes, c2d, dlqr, second_moment_stable
 from softrt.errors import ConfigError
+from softrt.moc import MocKind
 from softrt.sweep import SweepConfig, bandwidth_sweep, random_system, sweep_to_csv
-from softrt.taskmodel import max_ticks
+from softrt.taskmodel import derived_seed, max_ticks, tick_cdf
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sweep_small.csv"
 
@@ -128,3 +129,39 @@ def test_sweep_discretises_each_plant_a_bounded_number_of_times(monkeypatch):
     monkeypatch.setattr(softrt.sweep, "c2d", counted)
     bandwidth_sweep(SweepConfig(n_systems=2))
     assert 0 < len(calls) <= 10 * 2
+
+
+def test_stochastic_verdicts_need_no_eigenvalues(monkeypatch):
+    # one mean-square solve decides tt_maxb, cs, tt_sort and
+    # second_moment_stable; eigenvalues only report rho (and check dlqr)
+    cfg = SweepConfig()
+    plant = random_system(cfg.state_dim, derived_seed(cfg.seed, "sys", 0))
+    d = c2d(plant, cfg.T * cfg.tick_seconds)
+    K, _ = dlqr(d.A, d.B, np.eye(cfg.state_dim), np.eye(1))
+
+    def no_eigvals(*args, **kwargs):
+        raise AssertionError("an eigenvalue solve decided a verdict")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    budgets = [int(round(b * cfg.R)) for b in cfg.grid]
+    for moc in (MocKind("tt_maxb"), MocKind("cs", cfg.max_delay),
+                MocKind("tt_sort", cfg.max_delay)):
+        got = softrt.moc.verdicts(plant, K, moc, cfg.exec_model, budgets, cfg.R, cfg.T,
+                                  tick_seconds=cfg.tick_seconds)
+        assert len(got) == len(budgets) and got[-1]
+    assert second_moment_stable(build_modes(d, K).with_probabilities([0.9, 0.1]))
+
+
+def test_sweep_reads_each_budgets_service_odds_once(monkeypatch):
+    # the odds depend on (model, Q, R) alone, so however many plants the
+    # sweep holds, each default budget Q costs s_max = ceil(20 / Q) calls
+    calls = []
+
+    def counted(model, m):
+        calls.append(m)
+        return tick_cdf(model, m)
+
+    monkeypatch.setattr(softrt.moc, "tick_cdf", counted)
+    softrt.moc._service_distribution.cache_clear()
+    bandwidth_sweep(SweepConfig(n_systems=3))
+    assert 0 < len(calls) <= sum(-(-20 // Q) for Q in range(1, 11))  # 61

@@ -2,10 +2,12 @@
 of each stochastic verdict once per plant, against the one-budget code in
 verdict_oracle.py.
 
-tt_maxb and cs sum the same Kronecker products in the same order, so their
-verdicts must be identical.  tt_sort solves on the lower triangles of the
-V_d with the 1e-9 margin, so its verdict may differ only where the
-operator's spectral radius is within 1e-6 of 1.  And every entry of a
+tt_maxb and cs are decided by the mean-square solve on the lower triangles
+here and by the eigenvalues of the full Kronecker sum there, both with the
+1e-9 margin; their verdicts must be identical.  tt_sort solves on the lower
+triangles of the V_d with the 1e-9 margin and the oracle without it, so its
+verdict may differ only where the operator's spectral radius is within 1e-6
+of 1.  And every entry of a
 many-budget call must equal the one-budget stabilizes call.
 """
 

@@ -3,9 +3,11 @@ as softrt shipped them before verdicts were split into per-plant blocks and
 per-budget sums, kept verbatim as the oracle for test_verdict_differential.py.
 
 Each call rebuilds everything for its one budget: tt_maxb and cs through
-the public mode builders and second_moment_stable, tt_sort through the
-full-square operator (every entry of each V_d, not its lower triangle)
-solved as (I - op)V = I, without the 1e-9 margin.  Only the mode builders,
+the public mode builders and the eigenvalue rule rho(stability_matrix) <
+1 - 1e-9, written out here so that it does not share the package's
+mean-square solve; tt_sort through the full-square operator (every entry of
+each V_d, not its lower triangle) solved as (I - op)V = I, without the 1e-9
+margin.  Only the mode builders, the Kronecker sum, the eigenvalue solver,
 the backlog recursion and the discretisation come from the package.
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
 from softrt.controlcore import (ContinuousLti, DiscreteLti, _shaped, c2d,
-                                second_moment_stable)
+                                spectral_radius, stability_matrix)
 from softrt.errors import ConfigError
 from softrt.moc import (MocKind, _backlog_step, _check_reservation, _reachable_backlogs,
                         cs_modes, service_distribution, tt_maxb_modes)
@@ -61,12 +63,16 @@ def _tt_sort_operator(plant, K, max_delay, model, Q, R, T,
     return op, sides
 
 
+def second_moment_stable(modes) -> bool:
+    return spectral_radius(stability_matrix(modes)) < 1 - 1e-9
+
+
 def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: int,
                R: int, T: int, *, tick_seconds: float = 1.0) -> bool:
     """Whether a (Q, R) reservation keeps the loop under moc second-moment stable.
 
     tt_hard: Q * (T // R) >= max_ticks; tt_maxb and cs: the exact Kronecker
-    test; tt_sort: rho(op) < 1 for op = _tt_sort_operator, which holds iff
+    test, by eigenvalues; tt_sort: rho(op) < 1 for op = _tt_sort_operator, which holds iff
     V = op(V) + I has a solution V >= I.  One solve and a Cholesky of each
     V_d - I/2 decide it; the I/2 margin keeps rounding from passing the tiny
     negative eigenvalue V has when rho is far above 1.
