@@ -8,6 +8,7 @@ path, e.g. "tasks[1].period: must be >= 1".
 
 from __future__ import annotations
 
+import contextlib
 import json
 from typing import Dict, List, Optional, Tuple
 
@@ -75,21 +76,34 @@ def _positive(d: dict, key: str, path: str, default=None):
     return v
 
 
+@contextlib.contextmanager
+def _at(path: str, name: str):
+    """Re-raise a model's "name.field: ..." error as "path.field: ...";
+    errors that already carry their path pass unchanged."""
+    try:
+        yield
+    except ConfigError as exc:
+        if not str(exc).startswith(name + "."):
+            raise
+        raise ConfigError(path + str(exc)[len(name):]) from None
+
+
 def parse_exec_model(d, path: str):
     kind = _get(_json(d, path), "kind", path)
-    if kind == "deterministic":
-        return Deterministic(_get(d, "ticks", path))
-    if kind == "uniform":
-        return Uniform(_get(d, "lo", path), _get(d, "hi", path))
-    if kind == "beta":
-        return Beta(_get(d, "alpha", path), _get(d, "beta", path),
-                    _get(d, "lo", path), _get(d, "hi", path))
-    if kind == "empirical":
-        return Empirical(tuple(_get(d, "values", path)))
-    if kind == "scripted":
-        fb = _get(d, "fallback", path)
-        return Scripted(tuple(_get(d, "values", path)),
-                        parse_exec_model(fb, path + ".fallback"))
+    values = lambda: tuple(_json(_get(d, "values", path), path + ".values", list))
+    with _at(path, "exec_model"):
+        if kind == "deterministic":
+            return Deterministic(_get(d, "ticks", path))
+        if kind == "uniform":
+            return Uniform(_get(d, "lo", path), _get(d, "hi", path))
+        if kind == "beta":
+            return Beta(_get(d, "alpha", path), _get(d, "beta", path),
+                        _get(d, "lo", path), _get(d, "hi", path))
+        if kind == "empirical":
+            return Empirical(values())
+        if kind == "scripted":
+            fb = _get(d, "fallback", path)
+            return Scripted(values(), parse_exec_model(fb, path + ".fallback"))
     raise ConfigError("%s.kind: unknown execution-time model %r" % (path, kind))
 
 
@@ -109,10 +123,12 @@ def parse_task(d, path: str) -> TaskSpec:
     if "activation" in d:
         a = _json(d["activation"], path + ".activation")
         gap = a.get("gap_model")
-        kwargs["activation"] = Activation(
-            a.get("kind", "periodic"),
-            parse_exec_model(gap, path + ".activation.gap_model") if gap else None)
-    return TaskSpec(**kwargs)
+        with _at(path + ".activation", "activation"):
+            kwargs["activation"] = Activation(
+                a.get("kind", "periodic"),
+                parse_exec_model(gap, path + ".activation.gap_model") if gap else None)
+    with _at(path, "task"):
+        return TaskSpec(**kwargs)
 
 
 def parse_tasks(doc: dict) -> List[TaskSpec]:
@@ -127,11 +143,12 @@ def parse_reservations(doc: dict) -> Dict[int, ReservationSpec]:
     out = {}
     for key, r in raw.items():
         path = "reservations[%s]" % key
-        out[_task_id(key, "reservations")] = ReservationSpec(
-            budget=_get(_json(r, path), "budget", path),
-            period=_get(r, "period", path),
-            variant=r.get("variant", "soft_postpone"),
-            reclaiming=r.get("reclaiming", "none"))
+        with _at(path, "reservation"):
+            out[_task_id(key, "reservations")] = ReservationSpec(
+                budget=_get(_json(r, path), "budget", path),
+                period=_get(r, "period", path),
+                variant=r.get("variant", "soft_postpone"),
+                reclaiming=r.get("reclaiming", "none"))
     return out
 
 

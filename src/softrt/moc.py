@@ -17,8 +17,10 @@ periods.  tt_hard, tt_maxb and cs map s to a mode through one table each
 (_mode_table: mode matrices and the cuts on s that pick one), weighted by
 the odds of each cut interval in tt_maxb_modes and cs_modes and switched
 by sampled s in cosimulate().  tt_sort carries backlog memory, stepped by
-_backlog_step in its delay chain, second-moment operator and co-simulation
-(all trajectories at once, pending commands in a ring buffer).  verdicts()
+_backlog_step in its delay chain; its operator and co-simulation share one
+latch rule, _latch_sources, and one state: x and the coming periods' inputs.
+That period-granular backlog never drains at T = R but by cancelling, so its
+verdicts can be non-monotone in Q there: not the engine's curve.  verdicts()
 decides a whole grid of budgets by one mean-square test: _operator builds
 each mechanism's jump-system operator from blocks that do not depend on Q,
 and one solve decides each budget; stabilizes() is its one-budget call.
@@ -143,6 +145,18 @@ def _backlog_step(fin, F: int, max_delay: int):
     return fire, np.maximum(left, 0) * fire
 
 
+def _latch_sources(d, fin, F: int, max_delay: int):
+    """tt_sort's latch rule, elementwise: (d', src) for a job activated at
+    backlog d that finishes fin = d + s periods on.  src[..., r], r = 0..F +
+    max_delay, is the input of period r on: j for w_j (the input due j
+    periods on, w_d held beyond) or -1 for the job's -K x.  A firing job
+    keeps w_min(r, d) until fin; a cancel (fin > F + max_delay) holds w_0."""
+    fire, d_next = _backlog_step(fin, F, max_delay)
+    d, fin = (np.asarray(a)[..., None] for a in (d * fire, fin))
+    r = np.arange(F + max_delay + 1)
+    return d_next, np.where(r < fin, np.minimum(r, d), -1)  # cancel: d 0, fin past r
+
+
 def _reachable_backlogs(dist, F: int, max_delay: int) -> List[int]:
     """Backlogs _backlog_step reaches from 0 under dist's (s, P(s)), ascending."""
     s, reach, size = np.array([s for s, _ in dist]), {0}, 0
@@ -210,14 +224,15 @@ def _mode_table(plant, K, moc: MocKind, R: int, T: Optional[int],
     if moc.kind == "tt_maxb":
         plant_d = plant if isinstance(plant, DiscreteLti) else c2d(plant, T * tick_seconds)
         return ["closed", "open"], [T // R], build_modes(plant_d, K).matrices.__getitem__
-    D = moc.max_delay
+    D, n, p = moc.max_delay, plant.A.shape[0], plant.B.shape[1]
+    K = _shaped(K, "cs.K", (p, n))
+    disc = functools.cache(lambda s: c2d(plant, s * R * tick_seconds))  # one per interval
 
     @functools.cache
-    def matrix(i):
-        if i == D:
-            return build_modes(c2d(plant, D * R * tick_seconds), K).matrices[1]
-        ticks = (i + 1) * R  # the held command drives the plant, then -K x latches
-        return _tt_matrix(plant, K, ticks, ticks, tick_seconds)
+    def matrix(i):  # the held command drives the plant, then -K x latches
+        d = disc(min(i + 1, D))  # or, cancelled after D periods, stays held
+        low = [-K, np.zeros((p, p))] if i < D else [np.zeros((p, n)), np.eye(p)]
+        return np.block([[d.A, d.B], low])
 
     return ["s=%d" % s for s in range(1, D + 1)] + ["cancel"], list(range(1, D + 1)), matrix
 
@@ -384,6 +399,10 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
     if horizon < 4:
         raise ConfigError("horizon: must be >= 4")
     _check_reservation(moc, Q, R, T)
+    if isinstance(plant, DiscreteLti) and not math.isclose(
+            plant.sample_period, T * tick_seconds, rel_tol=1e-9):
+        raise ConfigError("plant.sample_period: %r s, but tt_maxb samples every "
+                          "T * tick_seconds = %r s" % (plant.sample_period, T * tick_seconds))
 
     if moc.kind == "tt_sort":
         return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, tick_seconds,
@@ -402,52 +421,39 @@ def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
                    n_traj, seed) -> CoSimResult:
     """Buffered activations with backlog memory, stepped per reservation period.
 
-    All trajectories advance together, each with its state x, held input u
-    and backlog.  Every F = T // R steps each trajectory activates a job of
-    s service periods; it latches -K x at offset backlog + s, or, if the
-    backlog would then exceed max_delay, is cancelled together with all its
-    pending commands (_backlog_step).  Pending commands sit in a ring buffer of
-    L = F + max_delay + 1 slots indexed by due step mod L: due offsets lie
-    in 1..F + max_delay and grow strictly from one job to the next, so no
-    two pending commands share a slot.
-
-    x and u are kept as stacks of column vectors, X (n_traj, n, 1) and U
-    (n_traj, p, 1), so A_R @ X computes A_R @ x for every trajectory bit for
-    bit as a per-trajectory loop would; only the sum over trajectories in
-    the estimates runs in another order.
+    All trajectories advance together, each in _operator's state: x, the
+    backlog and the inputs W = w_0..w_max_delay of the coming periods.  Each
+    activation (every F = T // R steps) looks up _latch_sources, tabled for
+    every (backlog, fin), to schedule the next F + max_delay + 1 inputs.
+    X (n_traj, n, 1) and U (n_traj, p, 1) are stacks of column vectors, U a
+    copy (a view moves last bits), so A @ X is bit for bit a per-trajectory
+    loop's A @ x; only the sum over trajectories runs in another order.
     """
-    F = T // R
-    L = F + max_delay + 1
-    dR = c2d(plant, R * tick_seconds)
-    A_R, B_R = dR.A, dR.B
+    F, dR = T // R, c2d(plant, R * tick_seconds)
     negK = -np.asarray(K, dtype=float)
-    n, p = A_R.shape[0], B_R.shape[1]
+    n, p = dR.B.shape
     S = -(-_traj_demands(model, horizon // F + 2, n_traj, seed) // Q)
+    grid = np.indices((max_delay + 1, max_delay + S.max() + 1))  # every (d, fin)
+    after, sources = _latch_sources(*grid, F, max_delay)
     rows = np.arange(n_traj)
     X = np.zeros((n_traj, n, 1))
     X[:, 0] = 1.0
-    U = np.zeros((n_traj, p, 1))
-    pending = np.zeros((L, n_traj, p, 1))
-    has = np.zeros((L, n_traj), dtype=bool)
+    W = np.zeros((max_delay + 2, n_traj, p, 1))  # w_0..w_max_delay, then -K x
     backlog = np.zeros(n_traj, dtype=np.int64)
     delays = np.empty(-(-horizon // F), dtype=np.int64)
     est = np.empty(horizon + 1)
     est[0] = n_traj
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(horizon):
-            slot = m % L
-            np.copyto(U, pending[slot], where=has[slot][:, None, None])
-            has[slot] = False
             if m % F == 0:
-                j = m // F
-                delays[j] = backlog[0]
-                fin = backlog + S[:, j]
-                due = (m + fin) % L
-                fire, backlog = _backlog_step(fin, F, max_delay)
-                has &= fire  # a cancellation discards every pending command
-                pending[due, rows] = negK @ X
-                has[due, rows] = fire
-            X = A_R @ X + B_R @ U
+                delays[m // F] = backlog[0]
+                fin = backlog + S[:, m // F]
+                W[-1] = negK @ X
+                sched = W[sources[backlog, fin].T, rows]
+                backlog = after[backlog, fin]
+                W[:-1] = sched[F:]
+            U = sched[m % F].copy()
+            X = dR.A @ X + dR.B @ U
             est[m + 1] = np.vdot(X, X) + np.vdot(U, U)
     est /= n_traj
     return CoSimResult(est, n_traj, _verdict(est), delay_sequence=delays)
@@ -462,9 +468,9 @@ def _operator(plant, K, moc: MocKind, R: int, T: int, tick_seconds: float) -> Ca
     triangle (_half_kron), stacked by d.  Only the jump rule is per kind.
     tt_maxb and cs: one state, w_0 = u_held, M is _mode_table's mode
     searchsorted(cuts, s).  tt_sort: d is the backlog (_reachable_backlogs),
-    w_j the input j periods on, w_d held beyond; a job firing at fin = d + s
-    sets w_r = -K x for r >= fin, a cancel (fin = 0) holds w_0, and x
-    advances F = T // R periods.  M depends on (d, key of s) alone, so its
+    w_j the input j periods on, w_d held beyond; _latch_sources schedules
+    the coming periods' inputs, x advances F = T // R periods and w' is the
+    schedule from period F on.  M depends on (d, key of s) alone, so its
     block is built on first use and kept: a further dist only sums blocks.
     """
     n, p = plant.A.shape[0], plant.B.shape[1]
@@ -476,20 +482,18 @@ def _operator(plant, K, moc: MocKind, R: int, T: int, tick_seconds: float) -> Ca
         F, D, dR = T // R, moc.max_delay, c2d(plant, R * tick_seconds)
         K = _shaped(K, "tt.K", (p, n))
         states = lambda dist: _reachable_backlogs(dist, F, D)
-        key = lambda d, s: (d + s) * _backlog_step(d + s, F, D)[0]  # latch offset
+        key = lambda d, s: np.minimum(d + s, F + D + 1)  # every cancel alike
 
         @functools.cache
         def block(d, fin):
+            d_next, src = _latch_sources(d, fin, F, D)
             side = n + (d + 1) * p
-            d_next = int(_backlog_step(fin, F, D)[1])
             w = np.eye(side)[n:].reshape(d + 1, p, side)  # w_j as rows over z
-            sched = w[np.minimum(np.arange(F + d_next + 1), d if fin else 0)]
-            if fin:
-                sched[fin:] = -K @ np.eye(n, side)
+            sched = np.concatenate([w, [-K @ np.eye(n, side)]])[src[:F + d_next + 1]]
             x = np.eye(n, side)
             for u in sched[:F]:
                 x = dR.A @ x + dR.B @ u
-            return d_next, _half_kron(np.vstack([x, *sched[F:]]))
+            return int(d_next), _half_kron(np.vstack([x, *sched[F:]]))
 
     def operator(dist):
         s = np.array([s for s, _ in dist])

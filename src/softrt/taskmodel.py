@@ -10,6 +10,7 @@ samplers produce.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,12 +59,22 @@ class Deterministic:
             raise ConfigError("exec_model.ticks: must be a positive integer")
 
 
+def _finite(model, *names) -> None:
+    """Reject fields that are not finite real numbers (booleans and strings too):
+    an infinite shape parameter never leaves random.betavariate."""
+    for name in names:
+        v = getattr(model, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ConfigError("exec_model.%s: must be a finite number, got %r" % (name, v))
+
+
 @dataclass(frozen=True)
 class Uniform:
     lo: float
     hi: float
 
     def __post_init__(self):
+        _finite(self, "lo", "hi")
         if not self.hi > self.lo:
             raise ConfigError("exec_model.hi: must be > lo")
         if self.lo < 0:
@@ -78,6 +89,7 @@ class Beta:
     hi: float
 
     def __post_init__(self):
+        _finite(self, "alpha", "beta", "lo", "hi")
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("exec_model.alpha/beta: shape parameters must be > 0")
         if not self.hi > self.lo:

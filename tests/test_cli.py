@@ -447,6 +447,42 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "fallback" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, field", [
+    ('{"kind": "uniform", "lo": 0, "hi": 1e400}', "hi"),
+    ('{"kind": "beta", "alpha": "2", "beta": 0.5, "lo": 0, "hi": 4}', "alpha"),
+    ('{"kind": "uniform", "lo": "0", "hi": 4}', "lo"),
+    ('{"kind": "empirical", "values": 3}', "values"),
+], ids=["uniform-inf-hi", "beta-str-alpha", "uniform-str-lo", "empirical-scalar"])
+def test_bad_exec_model_parameters_are_config_errors(tmp_path, capsys, model, field):
+    # written by hand: JSON 1e400 parses to inf
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"tasks": [{"id": 1, "wcet": 4, "rel_deadline": 4, "period": 4, '
+                   '"exec_model": %s}], "scheduler": {"kind": "edf", "horizon": 8}}'
+                   % model)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "config error: tasks[0].exec_model.%s:" % field in capsys.readouterr().err
+
+
+def test_value_errors_name_their_json_path(tmp_path, capsys):
+    tasks = OVERLOAD_CONFIG["tasks"]
+    cbs = {"tasks": tasks, "scheduler": {"kind": "cbs_edf", "horizon": 8},
+           "reservations": {str(t["id"]): {"budget": 1, "period": 4} for t in tasks}}
+    cases = [
+        (dict(OVERLOAD_CONFIG, tasks=[tasks[1], dict(tasks[2], period=0)]),
+         "tasks[1].period: must be a positive integer"),
+        (dict(OVERLOAD_CONFIG, tasks=[dict(tasks[1], exec_model={
+            "kind": "uniform", "lo": 3, "hi": 2})]), "tasks[0].exec_model.hi: must be > lo"),
+        (dict(OVERLOAD_CONFIG, tasks=[dict(tasks[1], activation={"kind": "bursty"})]),
+         "tasks[0].activation.kind: must be"),
+        (dict(cbs, reservations=dict(cbs["reservations"], **{"2": {"budget": 0,
+                                                                   "period": 4}})),
+         "reservations[2].budget: must be a positive integer"),
+    ]
+    for doc, want in cases:
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 2, want
+        assert "config error: %s" % want in capsys.readouterr().err, want
+
+
 def test_numerical_error_exit_code(tmp_path, capsys):
     doc = {"plant": {"A": [[1.0]], "B": [[0.0]]},
            "control": {"sample_seconds": 1.0}}

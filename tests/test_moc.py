@@ -197,6 +197,20 @@ def test_cs_single_period_shares_drop_odds_with_tt_maxb():
     assert not np.allclose(cs.matrices[0], maxb.matrices[0])
 
 
+def test_cs_modes_discretise_each_interval_once(monkeypatch):
+    # s = 1..3 served and s = 4 cancelled after max_delay = 3 periods: the
+    # cancel mode reuses the s = 3 discretisation
+    import softrt.moc as moc
+
+    seconds = []
+    real = moc.c2d
+    monkeypatch.setattr(moc, "c2d", lambda plant, T: seconds.append(T) or real(plant, T))
+    modes = cs_modes(scalar_plant(), [[0.4]], Empirical((1, 2, 3, 4)), Q=1, R=2,
+                     max_delay=3, tick_seconds=0.5)
+    assert modes.labels == ["s=1", "s=2", "s=3", "cancel"]
+    assert seconds == [1.0, 2.0, 3.0]
+
+
 def test_tt_hard_modes_zero_delay_is_ideal_loop():
     plant = scalar_plant()
     K = [[0.4]]
@@ -286,6 +300,20 @@ def test_cosim_validation():
                    (MocKind("cs", max_delay=2), 3)):
         with pytest.raises(ConfigError, match="Q"):
             cosimulate(plant, [[0.4]], moc, Deterministic(1), Q=Q, R=2, T=2)
+
+
+def test_cosim_discrete_plant_must_sample_at_the_task_period():
+    # a plant discretised at 5 s would be run as if each 0.02 s period
+    # were 5 s long
+    plant = ContinuousLti.from_ab([[0.2, 1.0], [0.0, -0.5]], [[0.0], [1.0]])
+    K = lqr_gain(plant, 0.02)
+    kw = dict(Q=1, R=1, T=2, tick_seconds=0.01, horizon=40, n_traj=2)
+    model = Empirical((1, 2, 3))
+    with pytest.raises(ConfigError, match="plant.sample_period"):
+        cosimulate(c2d(plant, 5.0), K, MocKind("tt_maxb"), model, **kw)
+    same = cosimulate(c2d(plant, 0.02), K, MocKind("tt_maxb"), model, **kw)
+    assert np.array_equal(same.estimates,
+                          cosimulate(plant, K, MocKind("tt_maxb"), model, **kw).estimates)
 
 
 def test_cosim_analytic_agreement_smoke():

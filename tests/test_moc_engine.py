@@ -18,12 +18,15 @@ documented, conservative model the delay chain (criterion 10) pins.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softrt.moc import _backlog_step, service_periods
+from softrt.controlcore import c2d, dlqr
+from softrt.moc import MocKind, _backlog_step, service_periods, verdicts
+from softrt.sweep import SweepConfig, random_system
 from softrt.simcore import SchedulerConfig, simulate
-from softrt.taskmodel import Deterministic, ReservationSpec, Scripted, TaskSpec
+from softrt.taskmodel import Deterministic, ReservationSpec, Scripted, TaskSpec, derived_seed
 
 
 def _run(demands, Q, R, T, policy, horizon):
@@ -87,3 +90,28 @@ def test_tt_sort_recursion_is_conservative_on_leftover_budget():
     assert [job.completion for job in jobs[:2]] == [5, 6]
     assert engine[:2] == [2, 2]
     assert _sort_latches(demands, Q, R, T) == [2, 3, 4, 5]
+
+
+def test_tt_sort_backlog_never_drains_at_one_period_per_task_period():
+    # F = 1: every job occupies s >= 1 periods, so d' = d + s - 1 >= d; only
+    # a cancellation lowers the backlog
+    for max_delay in range(1, 7):
+        for d in range(max_delay + 1):
+            for s in range(1, max_delay + 4):
+                fire, d_next = _backlog_step(d + s, 1, max_delay)
+                assert d_next >= d if fire else d_next == 0, (max_delay, d, s)
+
+
+def test_tt_sort_verdicts_are_not_monotone_in_the_budget_at_one_period():
+    # seed-0 sweep plants at R = T = 20: stable at Q = 18 and 20, not at 19,
+    # the period-granular model's cycle of cancellations that the engine,
+    # which latches every such job within two periods, never makes
+    cfg = SweepConfig(R=20, T=20)
+    budgets = list(range(1, 21))
+    for system in (5, 25, 49):
+        plant = random_system(cfg.state_dim, derived_seed(cfg.seed, "sys", system))
+        d = c2d(plant, cfg.T * cfg.tick_seconds)
+        K, _ = dlqr(d.A, d.B, np.eye(cfg.state_dim), np.eye(1))
+        ok = verdicts(plant, K, MocKind("tt_sort", cfg.max_delay), cfg.exec_model,
+                      budgets, cfg.R, cfg.T, tick_seconds=cfg.tick_seconds)
+        assert [Q for Q, v in zip(budgets, ok) if v] == list(range(7, 19)) + [20], system

@@ -57,6 +57,20 @@ def test_model_validation():
         Scripted((2,), fallback=Scripted((1,), fallback=Deterministic(1)))
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: Beta(float("inf"), 0.5, 0.0, 10.0), "alpha"),  # betavariate never returns
+    (lambda: Uniform(0.0, float("inf")), "hi"),  # the sampler and max_ticks overflow
+    (lambda: Beta(0.5, 0.5, 0.0, float("nan")), "hi"),
+    (lambda: Beta("2", 0.5, 0.0, 10.0), "alpha"),
+    (lambda: Uniform("0", 1.0), "lo"),
+    (lambda: Uniform(True, 2.0), "lo"),
+], ids=["beta-inf-alpha", "uniform-inf-hi", "beta-nan-hi", "beta-str-alpha",
+        "uniform-str-lo", "uniform-bool-lo"])
+def test_continuous_models_need_finite_real_parameters(make, field):
+    with pytest.raises(ConfigError, match=r"exec_model\.%s: must be a finite number" % field):
+        make()
+
+
 def test_scripted_plays_values_then_fallback():
     m = Scripted((3, 1, 2), fallback=Deterministic(7))
     rng = derived_rng(0)
