@@ -15,13 +15,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .analysis import MissConstraint
-from .controlcore import ContinuousLti, CostWeights
+from .controlcore import ContinuousLti
 from .errors import ConfigError
 from .moc import MocKind
 from .simcore import SchedulerConfig
 from .sweep import SweepConfig
 from .taskmodel import (Activation, Beta, Deterministic, Empirical,
-                        ReservationSpec, Scripted, TaskSpec, Uniform)
+                        ReservationSpec, Scripted, TaskSpec, Uniform, _is_int)
 
 
 def load_config(path: str) -> dict:
@@ -62,7 +62,7 @@ def _get(d: dict, key: str, path: str, required=True, default=None):
 def _int(d: dict, key: str, path: str, required=True, default=None):
     """_get for an integer field; JSON strings, floats and booleans are rejected."""
     v = _get(d, key, path, required, default)
-    if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+    if v is not None and not _is_int(v):
         raise ConfigError("%s.%s: must be an integer, got %r" % (path, key, v))
     return v
 
@@ -119,7 +119,7 @@ def parse_task(d, path: str) -> TaskSpec:
     if "miss_policy" in d:
         kwargs["miss_policy"] = d["miss_policy"]
     if "enforce_wcet" in d:
-        kwargs["enforce_wcet"] = bool(d["enforce_wcet"])
+        kwargs["enforce_wcet"] = d["enforce_wcet"]
     if "activation" in d:
         a = _json(d["activation"], path + ".activation")
         gap = a.get("gap_model")
@@ -189,7 +189,7 @@ def parse_constraints(doc: dict) -> Dict[int, MissConstraint]:
 def _pair(raw, path: str) -> Tuple[int, int]:
     """raw, if it is a JSON array of two integers."""
     pair = _json(raw, path, list)
-    if len(pair) != 2 or any(isinstance(v, bool) or not isinstance(v, int) for v in pair):
+    if len(pair) != 2 or not all(map(_is_int, pair)):
         raise ConfigError("%s: expected an [m, n] pair of integers, got %r" % (path, pair))
     return tuple(pair)
 
@@ -273,17 +273,17 @@ def parse_sweep(doc: dict, seed=None) -> SweepConfig:
         if v is not None:
             kwargs[field] = v
     if "seed" in raw:
-        if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], (int, str)):
+        if not (_is_int(raw["seed"]) or isinstance(raw["seed"], str)):
             raise ConfigError("sweep.seed: must be an integer or a string, got %r"
                               % (raw["seed"],))
         kwargs["seed"] = raw["seed"]
     if "grid" in raw:
-        kwargs["grid"] = tuple(raw["grid"])
+        kwargs["grid"] = tuple(_json(raw["grid"], "sweep.grid", list))
+        for i, b in enumerate(kwargs["grid"]):
+            if type(b) not in (int, float):
+                raise ConfigError("sweep.grid[%d]: must be a number, got %r" % (i, b))
     if "mocs" in raw:
-        kwargs["mocs"] = tuple(raw["mocs"])
+        kwargs["mocs"] = tuple(_json(raw["mocs"], "sweep.mocs", list))
     if seed is not None:
         kwargs["seed"] = seed
-    try:
-        return SweepConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError("sweep: %s" % exc)
+    return SweepConfig(**kwargs)

@@ -13,19 +13,22 @@ past max_delay reservation periods.
 
 All the stochastic timing derives from one quantity: a job of demand c
 ticks served by a budget-Q reservation occupies s = ceil(c/Q) reservation
-periods.  tt_hard, tt_maxb and cs map s to a mode through one table each
-(_mode_table: mode matrices and the cuts on s that pick one), weighted by
-the odds of each cut interval in tt_maxb_modes and cs_modes and switched
-by sampled s in cosimulate().  tt_sort carries backlog memory, stepped by
-_backlog_step in its delay chain; its operator and co-simulation share one
-latch rule, _latch_sources, and one state: x and the coming periods' inputs.
-That period-granular backlog never drains at T = R but by cancelling, so its
-verdicts can be non-monotone in Q there: not the engine's curve.  verdicts()
-decides a whole grid of budgets by one mean-square test: _operator builds
-each mechanism's jump-system operator from blocks that do not depend on Q,
-and one solve decides each budget; stabilizes() is its one-budget call.
-cosimulate(), the verdicts' oracle, draws the stochastic mechanisms'
-demands from the same per-trajectory streams.
+periods.  tt_hard, tt_maxb and cs differ only in when a job's command
+takes effect, so each maps s through one table (_mode_table) of cuts on s
+and rows (held, span): hold the previous command for held ticks, then latch
+-K x(sample) for the rest of span, or never (no span: dropped or cancelled).
+The rows are weighted by the odds of each cut interval in tt_maxb_modes
+and cs_modes and switched by sampled s in cosimulate().  tt_sort carries
+backlog memory, stepped by _backlog_step in its delay chain; its operator
+and co-simulation share one latch rule, _latch_sources, and one state: x
+and the coming periods' inputs.  That period-granular backlog never drains
+at T = R but by cancelling, so its verdicts can be non-monotone in Q there:
+not the engine's curve.  verdicts() decides a whole grid of budgets by one
+mean-square test: _operator builds each mechanism's jump-system operator
+from blocks that do not depend on Q, and one solve decides each budget;
+stabilizes() is its one-budget call.  cosimulate(), the verdicts' oracle,
+draws the stochastic mechanisms' demands from the same per-trajectory
+streams.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti, _as_matrix,
-                          _half_kron, _mean_square_stable, _shaped, build_modes, c2d)
+                          _half_kron, _mean_square_stable, _shaped, c2d)
 from .errors import ConfigError, NumericalError
 from .taskmodel import ExecTimeModel, derived_seed, max_ticks, sample_exec_times, tick_cdf
 
@@ -209,32 +212,57 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
 # mode builders
 
 
-def _mode_table(plant, K, moc: MocKind, R: int, T: Optional[int],
+def _mode_table(plant, K, moc: MocKind, R: Optional[int], T: Optional[int],
                 tick_seconds: float) -> Tuple[List[str], List[int], Callable]:
     """(labels, cuts, matrix) of an i.i.d. mechanism: a job of s service
     periods runs mode i = #{k in cuts : k < s}, labels[i], with transition
-    matrix(i) over (x, u_held).  None of it depends on the budget Q.
-    Matrices are built on first use and kept, so a caller pays once for
+    matrix(i) over (x, u_held), the rule of its row (label, held, span) by
+    _tt_matrix.  None of it depends on the budget Q.  disc discretises each
+    interval once (a DiscreteLti plant stands for its own interval T), and
+    matrices are built on first use and kept, so a caller pays once for
     each mode it uses.  The caller checks the reservation.
     """
     if moc.kind == "tt_hard":
-        act_delay = T if moc.act_delay is None else moc.act_delay
-        return ["tt"], [], functools.cache(
-            lambda i: _tt_matrix(plant, K, T, act_delay, tick_seconds))
-    if moc.kind == "tt_maxb":
-        plant_d = plant if isinstance(plant, DiscreteLti) else c2d(plant, T * tick_seconds)
-        return ["closed", "open"], [T // R], build_modes(plant_d, K).matrices.__getitem__
-    D, n, p = moc.max_delay, plant.A.shape[0], plant.B.shape[1]
-    K = _shaped(K, "cs.K", (p, n))
-    disc = functools.cache(lambda s: c2d(plant, s * R * tick_seconds))  # one per interval
+        held = T if moc.act_delay is None else moc.act_delay
+        if held > T:
+            raise ConfigError("act_delay: need 0 <= act_delay <= T")
+        rows, cuts = [("tt", held, T)], []
+    elif moc.kind == "tt_maxb":
+        rows, cuts = [("closed", 0, T), ("open", T, None)], [T // R]
+    else:  # cs: s = 1..D latch at the job's end, a cancel after D periods never
+        D, cuts = moc.max_delay, list(range(1, moc.max_delay + 1))
+        rows = [("s=%d" % s, s * R, s * R) for s in cuts] + [("cancel", D * R, None)]
+    n, p = plant.A.shape[0], plant.B.shape[1]
+    K = _shaped(K, "tt.K", (p, n))
 
     @functools.cache
-    def matrix(i):  # the held command drives the plant, then -K x latches
-        d = disc(min(i + 1, D))  # or, cancelled after D periods, stays held
-        low = [-K, np.zeros((p, p))] if i < D else [np.zeros((p, n)), np.eye(p)]
-        return np.block([[d.A, d.B], low])
+    def disc(ticks):
+        if ticks == 0:
+            return np.eye(n), np.zeros((n, p))
+        if isinstance(plant, DiscreteLti) and ticks != T:
+            raise ConfigError("plant: continuous model required for %s" % moc.kind)
+        d = plant if isinstance(plant, DiscreteLti) else c2d(plant, ticks * tick_seconds)
+        return d.A, d.B
 
-    return ["s=%d" % s for s in range(1, D + 1)] + ["cancel"], list(range(1, D + 1)), matrix
+    matrix = functools.cache(lambda i: _tt_matrix(disc, K, *rows[i][1:]))
+    return [row[0] for row in rows], cuts, matrix
+
+
+def _tt_matrix(disc: Callable, K: np.ndarray, held: int, span: Optional[int]) -> np.ndarray:
+    """One _mode_table row over (x, u_held); with (A_t, B_t) = disc(t), h = held
+    and r = span - held, it is [[A_r A_h - B_r K, A_r B_h], [-K, 0]], and
+    [[A_h, B_h], [0, I]] for span None."""
+    A_h, B_h = disc(held)
+    A_r, B_r = disc(0 if span is None else span - held)
+    n, p = B_h.shape
+    M = np.zeros((n + p, n + p))
+    M[:n, :n], M[:n, n:] = A_r @ A_h, A_r @ B_h
+    if span is None:
+        M[n:, n:] = np.eye(p)
+    else:
+        M[:n, :n] -= B_r @ K
+        M[n:, :n] = -K
+    return M
 
 
 def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,
@@ -256,15 +284,11 @@ def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
     """Variable-interval modes for the continuous stream discipline.
 
     A job taking s <= max_delay reservation periods holds the previous
-    command for s*R ticks, then latches the command computed from the sample
-    taken at its start: the tt_hard_modes matrix over s*R ticks, all of them
-    delay.  A longer job is cancelled and never latches: build_modes' open
-    mode over D*R ticks, D = max_delay.  Over (x, u_held), with (A_t, B_t)
-    the plant discretized over t ticks:
-
-        A_s = [[A_sR, B_sR], [-K, 0]]     A_cancel = [[A_DR, B_DR], [0, I]]
-
-    Jobs start fresh (i.i.d. service); zero-probability modes are omitted.
+    command for its s*R ticks, then latches the one from its start sample:
+    the row (s*R, s*R), [[A_sR, B_sR], [-K, 0]].  A longer job is cancelled
+    after D = max_delay periods and never latches: the row (D*R, no span),
+    [[A_DR, B_DR], [0, I]].  Jobs start fresh (i.i.d. service);
+    zero-probability modes are omitted.
     """
     moc = MocKind("cs", max_delay)
     _check_reservation(moc, Q, R, None)
@@ -279,39 +303,14 @@ def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
                   tick_seconds: float = 1.0) -> ClosedLoopModes:
     """Single deterministic mode: sample at kT, actuate at kT + act_delay.
 
-    Over (x, u_held): the old command drives the first act_delay ticks, the
-    fresh command u = -K x(kT) the rest:
-
-        A = [[A_rest A_del - B_rest K, A_rest B_del], [-K, 0]]
-
-    act_delay = 0 recovers the idealized no-latency closed mode, act_delay
-    = T the fully latched one.
+    The row (act_delay, T): the old command drives the first act_delay
+    ticks, the fresh command u = -K x(kT) the rest.  act_delay = 0 recovers
+    the idealized no-latency closed mode, act_delay = T the fully latched
+    one.
     """
-    return ClosedLoopModes(["tt"], [_tt_matrix(plant, K, T, act_delay, tick_seconds)], [1.0])
-
-
-def _tt_matrix(plant: ContinuousLti, K, T: int, act_delay: int,
-               tick_seconds: float) -> np.ndarray:
-    if not 0 <= act_delay <= T:
-        raise ConfigError("act_delay: need 0 <= act_delay <= T")
-    n, p = plant.A.shape[0], plant.B.shape[1]
-    K = _shaped(K, "tt.K", (p, n))
-    if act_delay == 0:
-        A_del, B_del = np.eye(n), np.zeros((n, p))
-    else:
-        d = c2d(plant, act_delay * tick_seconds)
-        A_del, B_del = d.A, d.B
-    rest = T - act_delay
-    if rest == 0:
-        A_rest, B_rest = np.eye(n), np.zeros((n, p))
-    else:
-        d = c2d(plant, rest * tick_seconds)
-        A_rest, B_rest = d.A, d.B
-    M = np.zeros((n + p, n + p))
-    M[:n, :n] = A_rest @ A_del - B_rest @ K
-    M[:n, n:] = A_rest @ B_del
-    M[n:, :n] = -K
-    return M
+    labels, _, matrix = _mode_table(plant, K, MocKind("tt_hard", act_delay=act_delay), None, T,
+                                    tick_seconds)
+    return ClosedLoopModes(labels, [matrix(0)], [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigError
-from .taskmodel import JobRecord, ReservationSpec, TaskSpec
+from .taskmodel import JobRecord, ReservationSpec, TaskSpec, _is_int
 
 log = logging.getLogger(__name__)
 
@@ -422,10 +422,14 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.kind not in ("edf", "fixed_priority", "cbs_edf"):
             raise ConfigError("scheduler.kind: must be edf, fixed_priority or cbs_edf")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
+        if not _is_int(self.horizon) or self.horizon < 1:
             raise ConfigError("scheduler.horizon: must be a positive integer")
         if self.kind == "fixed_priority" and not self.priorities:
             raise ConfigError("scheduler.priorities: required for fixed_priority")
+        for tid, prio in (self.priorities or {}).items():
+            if not _is_int(prio):
+                raise ConfigError("scheduler.priorities[%s]: must be an integer, got %r"
+                                  % (tid, prio))
         if self.kind == "cbs_edf" and not self.reservations:
             raise ConfigError("scheduler.reservations: required for cbs_edf")
         if self.miss_detection not in ("deadline", "completion"):

@@ -29,6 +29,12 @@ def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
+def _is_int(v) -> bool:
+    """Whether v is an integer and not a boolean (bool subclasses int, so a
+    JSON true would pass plain isinstance(v, int))."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def derived_rng(*parts) -> random.Random:
     """Stream-independent RNG keyed by the given parts.
 
@@ -55,7 +61,7 @@ class Deterministic:
     ticks: int
 
     def __post_init__(self):
-        if not isinstance(self.ticks, int) or self.ticks < 1:
+        if not _is_int(self.ticks) or self.ticks < 1:
             raise ConfigError("exec_model.ticks: must be a positive integer")
 
 
@@ -68,6 +74,17 @@ def _finite(model, *names) -> None:
             raise ConfigError("exec_model.%s: must be a finite number, got %r" % (name, v))
 
 
+def _span(model) -> None:
+    """Check 0 <= lo < hi < 2**53: from 2**53 on, floats no longer represent
+    every tick, and the two samplers' roundings part ways."""
+    if not model.hi > model.lo:
+        raise ConfigError("exec_model.hi: must be > lo")
+    if model.lo < 0:
+        raise ConfigError("exec_model.lo: must be >= 0")
+    if model.hi >= 2 ** 53:
+        raise ConfigError("exec_model.hi: must be < 2**53 ticks, got %r" % (model.hi,))
+
+
 @dataclass(frozen=True)
 class Uniform:
     lo: float
@@ -75,10 +92,7 @@ class Uniform:
 
     def __post_init__(self):
         _finite(self, "lo", "hi")
-        if not self.hi > self.lo:
-            raise ConfigError("exec_model.hi: must be > lo")
-        if self.lo < 0:
-            raise ConfigError("exec_model.lo: must be >= 0")
+        _span(self)
 
 
 @dataclass(frozen=True)
@@ -92,10 +106,7 @@ class Beta:
         _finite(self, "alpha", "beta", "lo", "hi")
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("exec_model.alpha/beta: shape parameters must be > 0")
-        if not self.hi > self.lo:
-            raise ConfigError("exec_model.hi: must be > lo")
-        if self.lo < 0:
-            raise ConfigError("exec_model.lo: must be >= 0")
+        _span(self)
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,7 @@ class Empirical:
         if not vals:
             raise ConfigError("exec_model.values: empirical list must be non-empty")
         for v in vals:
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigError("exec_model.values: entries must be positive integers")
         object.__setattr__(self, "values", vals)
 
@@ -122,7 +133,7 @@ class Scripted:
     def __post_init__(self):
         vals = tuple(self.values)
         for v in vals:
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigError("exec_model.values: entries must be positive integers")
         if self.fallback is None or isinstance(self.fallback, Scripted):
             raise ConfigError("exec_model.fallback: required and must not be "
@@ -241,14 +252,17 @@ class TaskSpec:
     enforce_wcet: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or self.id < 0:
+        if not _is_int(self.id) or self.id < 0:
             raise ConfigError("task.id: must be a non-negative integer")
         for name in ("wcet", "rel_deadline", "period"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigError("task.%s: must be a positive integer (ticks)" % name)
         if self.miss_policy not in MISS_POLICIES:
             raise ConfigError("task.miss_policy: must be one of %s" % (MISS_POLICIES,))
+        if not isinstance(self.enforce_wcet, bool):
+            raise ConfigError("task.enforce_wcet: must be a boolean, got %r"
+                              % (self.enforce_wcet,))
         if self.exec_model is None:
             object.__setattr__(self, "exec_model", Deterministic(self.wcet))
 
@@ -281,9 +295,9 @@ class ReservationSpec:
     reclaiming: str = "none"
 
     def __post_init__(self):
-        if not isinstance(self.budget, int) or self.budget < 1:
+        if not _is_int(self.budget) or self.budget < 1:
             raise ConfigError("reservation.budget: must be a positive integer (ticks)")
-        if not isinstance(self.period, int) or self.period < self.budget:
+        if not _is_int(self.period) or self.period < self.budget:
             raise ConfigError("reservation.period: must be an integer >= budget")
         if self.variant not in VARIANTS:
             raise ConfigError("reservation.variant: must be one of %s" % (VARIANTS,))

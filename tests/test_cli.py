@@ -483,6 +483,47 @@ def test_value_errors_name_their_json_path(tmp_path, capsys):
         assert "config error: %s" % want in capsys.readouterr().err, want
 
 
+def _simulate_doc(task=None, scheduler=None, reservations=None):
+    """A two-task simulate config with one task or scheduler field changed."""
+    tasks = [dict(OVERLOAD_CONFIG["tasks"][0], **(task or {})), OVERLOAD_CONFIG["tasks"][1]]
+    doc = {"tasks": tasks, "scheduler": dict({"kind": "edf", "horizon": 8}, **(scheduler or {}))}
+    if reservations is not None:
+        doc["reservations"] = reservations
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_simulate_doc(task={"id": True}), "tasks[0].id"),
+    (_simulate_doc(scheduler={"kind": "cbs_edf"},
+                   reservations={"2": {"budget": 1, "period": 4},
+                                 "1": {"budget": True, "period": 4}}),
+     "reservations[1].budget"),
+    (_simulate_doc(scheduler={"horizon": True}), "scheduler.horizon"),
+    (_simulate_doc(task={"exec_model": {"kind": "empirical", "values": [1, True]}}),
+     "tasks[0].exec_model.values"),
+    (_simulate_doc(scheduler={"kind": "fixed_priority", "priorities": {"1": "a", "2": 3}}),
+     "scheduler.priorities[1]"),
+    (_simulate_doc(task={"enforce_wcet": "false"}), "tasks[0].enforce_wcet"),
+], ids=["bool-id", "bool-budget", "bool-horizon", "bool-value", "str-priority",
+        "str-enforce-wcet"])
+def test_mistyped_simulate_fields_are_config_errors(tmp_path, capsys, doc, field):
+    # a JSON true is no integer and "false" is no boolean; each names its field
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error: %s:" % field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep, field", [
+    ({"grid": 5}, "sweep.grid"),
+    ({"grid": ["a"]}, "sweep.grid[0]"),
+    ({"grid": [0.5, True]}, "sweep.grid[1]"),
+    ({"mocs": "cs"}, "sweep.mocs"),
+], ids=["grid-scalar", "grid-string", "grid-bool", "mocs-string"])
+def test_mistyped_sweep_lists_are_config_errors(tmp_path, capsys, sweep, field):
+    doc = {"sweep": dict({"n_systems": 1}, **sweep)}
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error: %s:" % field in capsys.readouterr().err
+
+
 def test_numerical_error_exit_code(tmp_path, capsys):
     doc = {"plant": {"A": [[1.0]], "B": [[0.0]]},
            "control": {"sample_seconds": 1.0}}

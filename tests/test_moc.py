@@ -211,6 +211,31 @@ def test_cs_modes_discretise_each_interval_once(monkeypatch):
     assert seconds == [1.0, 2.0, 3.0]
 
 
+def test_tt_hard_modes_discretise_each_interval_once(monkeypatch):
+    # act_delay = T - act_delay: the held and the latched stretch share one c2d
+    import softrt.moc as moc
+
+    seconds = []
+    real = moc.c2d
+    monkeypatch.setattr(moc, "c2d", lambda plant, T: seconds.append(T) or real(plant, T))
+    plant, K = scalar_plant(), [[0.4]]
+    half = tt_hard_modes(plant, K, T=4, act_delay=2, tick_seconds=0.5)
+    assert seconds == [1.0]
+    d = real(plant, 1.0)
+    assert np.allclose(half.matrices[0], [[d.A[0, 0] ** 2 - 0.4 * d.B[0, 0],
+                                           d.A[0, 0] * d.B[0, 0]], [-0.4, 0.0]])
+
+
+def test_mode_tables_take_a_discrete_plant_only_over_its_own_interval():
+    plant_d = DiscreteLti([[0.5]], [[1.0]], [[1.0]], [[0.0]], 2.0)
+    for act_delay in (0, 2):  # the plant's interval T, or none
+        assert tt_hard_modes(plant_d, [[0.1]], T=2, act_delay=act_delay).matrices
+    with pytest.raises(ConfigError, match="plant: continuous model required for tt_hard"):
+        tt_hard_modes(plant_d, [[0.1]], T=2, act_delay=1)
+    with pytest.raises(ConfigError, match="plant: continuous model required for cs"):
+        cs_modes(plant_d, [[0.1]], Empirical((1, 2)), Q=1, R=1, max_delay=2)
+
+
 def test_tt_hard_modes_zero_delay_is_ideal_loop():
     plant = scalar_plant()
     K = [[0.4]]

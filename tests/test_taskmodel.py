@@ -71,6 +71,43 @@ def test_continuous_models_need_finite_real_parameters(make, field):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda hi: Uniform(0.0, hi),
+    lambda hi: Beta(0.5, 0.5, 0.0, hi),
+], ids=["uniform", "beta"])
+@pytest.mark.parametrize("hi", [2.0 ** 53, 1e300])
+def test_continuous_models_need_hi_below_2_to_53(make, hi):
+    # from 2**53 on floats skip ticks, and the bulk sampler's int64 overflows
+    # where the per-job one returns a 300-digit integer
+    with pytest.raises(ConfigError, match=r"exec_model\.hi: must be < 2\*\*53"):
+        make(hi)
+
+
+def test_bulk_sampler_stays_in_range_just_below_2_to_53():
+    model = Uniform(0, 2 ** 53 - 1)
+    draws = sample_exec_times(model, 100, 0)  # a RuntimeWarning would be an error
+    assert draws.min() >= 1 and draws.max() <= max_ticks(model)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Deterministic(True), "exec_model.ticks"),
+    (lambda: Empirical((1, True)), "exec_model.values"),
+    (lambda: Scripted((True,), fallback=Deterministic(1)), "exec_model.values"),
+    (lambda: TaskSpec(id=True, wcet=1, rel_deadline=4, period=4), "task.id"),
+    (lambda: TaskSpec(id=1, wcet=True, rel_deadline=4, period=4), "task.wcet"),
+    (lambda: ReservationSpec(budget=True, period=4), "reservation.budget"),
+    (lambda: ReservationSpec(budget=1, period=True), "reservation.period"),
+], ids=["ticks", "empirical", "scripted", "id", "wcet", "budget", "period"])
+def test_booleans_are_not_integers(make, field):
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.") + ": "):
+        make()
+
+
+def test_enforce_wcet_must_be_a_boolean():
+    with pytest.raises(ConfigError, match=r"task\.enforce_wcet: must be a boolean"):
+        TaskSpec(id=1, wcet=1, rel_deadline=4, period=4, enforce_wcet="false")
+
+
 def test_scripted_plays_values_then_fallback():
     m = Scripted((3, 1, 2), fallback=Deterministic(7))
     rng = derived_rng(0)

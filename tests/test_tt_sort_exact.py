@@ -19,8 +19,8 @@ from softrt.errors import ConfigError, NumericalError
 from softrt.controlcore import (ClosedLoopModes, ContinuousLti, c2d, dlqr,
                                 second_moment_stable, spectral_radius,
                                 stability_matrix)
-from softrt.moc import (MocKind, _operator as _moc_operator, _tt_matrix, cosimulate,
-                        service_distribution, stabilizes)
+from softrt.moc import (MocKind, _operator as _moc_operator, cosimulate,
+                        service_distribution, stabilizes, tt_hard_modes)
 from softrt.sweep import SweepConfig, random_system
 from softrt.taskmodel import Empirical, derived_seed
 
@@ -153,7 +153,7 @@ def test_no_backlog_reduces_to_the_iid_modes(c):
     s_vals = sorted(set(s_draws))
     modes = ClosedLoopModes(
         ["s=%d" % s for s in s_vals],
-        [_tt_matrix(c["plant"], c["K"], c["T"], s * c["R"], c["tick_seconds"])
+        [tt_hard_modes(c["plant"], c["K"], c["T"], s * c["R"], c["tick_seconds"]).matrices[0]
          for s in s_vals],
         [s_draws.count(s) / len(s_draws) for s in s_vals])
     rho = spectral_radius(stability_matrix(modes))
