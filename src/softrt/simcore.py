@@ -73,15 +73,32 @@ _SORT_RANK = {
 STOP_KINDS = ("preemption", "completion", "job_aborted", "budget_exhausted")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
+    """One trace event, immutable.
+
+    ``__init__`` stores each field through its slot descriptor; the
+    generated frozen ``__init__`` calls ``object.__setattr__`` per field and
+    takes about 1.6 times as long.
+    """
+
     tick: int
     kind: str
     task: int
     payload: dict
 
+    def __init__(self, tick: int, kind: str, task: int, payload: dict):
+        _set_tick(self, tick)
+        _set_kind(self, kind)
+        _set_task(self, task)
+        _set_payload(self, payload)
+
     def sort_key(self):
         return (self.tick, _SORT_RANK[self.kind], self.task)
+
+
+_set_tick, _set_kind, _set_task, _set_payload = (
+    getattr(Event, name).__set__ for name in ("tick", "kind", "task", "payload"))
 
 
 _CSV_HEADER = "tick,kind,task,payload\n"
@@ -488,15 +505,18 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     priorities = scheduler.priorities
     on_deadline = scheduler.miss_detection == "deadline"
     policy = {t.id: t.miss_policy for t in tasks}
-    events: List[Event] = []
     collect = scheduler.collect
-    emitted = 0
-
-    def emit(tick, kind, task, payload):
-        nonlocal emitted
-        emitted += 1
-        if collect is None or kind in collect:
-            events.append(Event(tick, kind, task, payload))
+    # An event is built only for a recorded kind: every site tests its
+    # kind's flag (unpacked in EVENT_KINDS order) first.  With the debug
+    # line on, every kind is recorded, so that the line can count what a
+    # collect filter drops.
+    debug = log.isEnabledFor(logging.DEBUG)
+    keep = EVENT_KINDS if collect is None or debug else collect
+    (rec_arrival, rec_start, rec_preempt, rec_completion, rec_miss, rec_exhausted,
+     rec_postponed, rec_recharge, rec_aborted, rec_skipped) = \
+        (kind in keep for kind in EVENT_KINDS)
+    events: List[Event] = []
+    add = events.append
 
     # every job's (arrival, task id, index, demand, deadline) in visiting
     # order; the draws are keyed independently per (task, job)
@@ -521,35 +541,57 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
         if cbs and not q and servers[job.task].status == "active":
             servers[job.task].status = "idle"
 
-    def resolve_completion(job, t, stopped):
+    def resolve_completion(job, t):
         late = t > job.deadline
         job.outcome = "late" if late else "met"
-        if late and not on_deadline:
-            emit(t, "deadline_miss", job.task, {"job": job.index})
-        emit(t, "completion", job.task, {"job": job.index, "late": late})
-        stopped.add(job)
+        if late and rec_miss and not on_deadline:
+            add(Event(t, "deadline_miss", job.task, {"job": job.index}))
+        if rec_completion:
+            add(Event(t, "completion", job.task, {"job": job.index, "late": late}))
         q = queues[job.task]
         drop(job, q)
         if late and policy[job.task] == "skip_late":
             while q and q[0].arrival < t:
                 stale = q[0]
                 stale.outcome = "skipped"
-                emit(t, "job_skipped", job.task, {"job": stale.index})
+                if rec_skipped:
+                    add(Event(t, "job_skipped", job.task, {"job": stale.index}))
                 drop(stale, q)
+
+    def exhaust(tid, t):
+        """Budget exhaustion, for a server tid whose budget is spent: if it
+        has pending work, returns the job whose execution segment this
+        closes, else None."""
+        s = servers[tid]
+        q = queues[tid]
+        if s.status != "active" or not q:
+            return None
+        spec = reservations[tid]
+        job = q[0]
+        if rec_exhausted:
+            add(Event(t, "budget_exhausted", tid, {"job": job.index}))
+        cbs_on_exhaustion(s, t, spec)
+        if s.status == "suspended":
+            if s.suspended_until > t:
+                heappush(wakes, (s.suspended_until, tid))
+                return job
+            cbs_wake(s, spec)
+        if rec_recharge:
+            add(Event(t, "server_recharge", tid, {"budget": spec.budget}))
+        if rec_postponed:
+            add(Event(t, "deadline_postponed", tid, {"deadline": s.current_deadline}))
+        return job
 
     runner: Optional[_Job] = None  # job that executed in the tick before t
     visited = 0
     t = 0
     while True:
         visited += 1
-        stopped = set()  # jobs whose execution segment closed at t
-        # servers that may have run out of budget: the one that executed up
-        # to t, and any admitted by an arrival at t
-        may_exhaust = [runner.task] if cbs and runner is not None else []
+        ran = runner  # its server may have run out of budget at t
 
         # 1. completion of work executed up to t
         if runner is not None and runner.executed == runner.demand:
-            resolve_completion(runner, t, stopped)
+            resolve_completion(runner, t)
             runner = None
 
         # 2. hard-server wake-ups due now, in task id order
@@ -559,31 +601,38 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
             s = cbs_wake(servers[tid], spec)
             if not queues[tid]:
                 s.status = "idle"
-            emit(t, "server_recharge", tid, {"budget": spec.budget})
-            emit(t, "deadline_postponed", tid, {"deadline": s.current_deadline})
+            if rec_recharge:
+                add(Event(t, "server_recharge", tid, {"budget": spec.budget}))
+            if rec_postponed:
+                add(Event(t, "deadline_postponed", tid, {"deadline": s.current_deadline}))
 
         # 3. deadline checks and miss policies, in task id order
         while deadlines and deadlines[0][0] <= t:
             job = heappop(deadlines)[3]
             if job.outcome is not None:
                 continue
-            emit(t, "deadline_miss", job.task, {"job": job.index})
+            if rec_miss:
+                add(Event(t, "deadline_miss", job.task, {"job": job.index}))
             if policy[job.task] == "abort":
                 job.outcome = "aborted"
-                emit(t, "job_aborted", job.task,
-                     {"job": job.index, "remaining": job.demand - job.executed})
-                stopped.add(job)
+                if rec_aborted:
+                    add(Event(t, "job_aborted", job.task,
+                              {"job": job.index, "remaining": job.demand - job.executed}))
                 drop(job, queues[job.task])
 
         if t == horizon:
             break
 
-        # 4. arrivals at t, in task id order
+        # 4. arrivals at t, in task id order; a server admitted here may
+        # have no budget, and is checked at once (servers are independent,
+        # and a task has one arrival per tick at most)
         while arrivals[next_arrival][0] == t:
             _, tid, j, demand, deadline = arrivals[next_arrival]
             next_arrival += 1
             job = _Job(tid, j, t, deadline, demand)
-            emit(t, "arrival", tid, {"job": j, "deadline": deadline, "demand": demand})
+            if rec_arrival:
+                add(Event(t, "arrival", tid,
+                          {"job": j, "deadline": deadline, "demand": demand}))
             q = queues[tid]
             was_empty = not q
             q.append(job)
@@ -594,29 +643,16 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
                 spec = reservations[tid]
                 before = (s.remaining_budget, s.current_deadline)
                 cbs_on_arrival(s, t, spec)
-                if (s.remaining_budget, s.current_deadline) != before:
-                    emit(t, "server_recharge", tid,
-                         {"budget": spec.budget, "deadline": s.current_deadline})
-                may_exhaust.append(tid)
+                if rec_recharge and (s.remaining_budget, s.current_deadline) != before:
+                    add(Event(t, "server_recharge", tid,
+                              {"budget": spec.budget, "deadline": s.current_deadline}))
+                if s.remaining_budget <= 0:
+                    exhaust(tid, t)
 
-        # 5. budget exhaustion: pending work but no budget left; servers
-        # are independent here, so the order of the candidates is immaterial
-        for tid in may_exhaust:
-            s = servers[tid]
-            q = queues[tid]
-            if s.status != "active" or not q or s.remaining_budget > 0:
-                continue
-            spec = reservations[tid]
-            emit(t, "budget_exhausted", tid, {"job": q[0].index})
-            stopped.add(q[0])
-            cbs_on_exhaustion(s, t, spec)
-            if s.status == "suspended":
-                if s.suspended_until > t:
-                    heappush(wakes, (s.suspended_until, tid))
-                    continue
-                cbs_wake(s, spec)
-            emit(t, "server_recharge", tid, {"budget": spec.budget})
-            emit(t, "deadline_postponed", tid, {"deadline": s.current_deadline})
+        # 5. budget exhaustion of the server that executed up to t
+        exhausted = None  # the job whose segment that closed
+        if cbs and ran is not None and servers[ran.task].remaining_budget <= 0:
+            exhausted = exhaust(ran.task, t)
 
         # 6. dispatch for [t, t+1)
         pick = None
@@ -637,13 +673,15 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
             if best is None or key < best:
                 best, pick = key, q[0]
 
-        if runner is not None and runner is not pick and \
-                runner.outcome is None and runner not in stopped:
-            emit(t, "preemption", runner.task, {"job": runner.index})
-            stopped.add(runner)
-        if pick is not None and (pick is not runner or pick in stopped):
-            emit(t, "job_start", pick.task,
-                 {"job": pick.index, "resumed": pick.executed > 0})
+        # a runner that completed, was aborted or ran out of budget at t has
+        # already closed its segment; one that did not and lost the
+        # processor is preempted
+        if rec_preempt and runner is not None and runner is not pick and \
+                runner.outcome is None and exhausted is not runner:
+            add(Event(t, "preemption", runner.task, {"job": runner.index}))
+        if rec_start and pick is not None and (pick is not runner or exhausted is pick):
+            add(Event(t, "job_start", pick.task,
+                      {"job": pick.index, "resumed": pick.executed > 0}))
 
         # 7. run the pick up to the next tick where something can change
         nxt = arrivals[next_arrival][0]
@@ -654,19 +692,29 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
         if wakes and wakes[0][0] < nxt:
             nxt = wakes[0][0]
         if pick is not None:
-            nxt = min(nxt, t + pick.demand - pick.executed)
+            end = t + pick.demand - pick.executed
+            if end < nxt:
+                nxt = end
             if cbs:
                 s = servers[pick.task]
-                drain = grub_tick((reservations[i] for i in ids if queues[i]),
-                                  reservations[pick.task])
+                spec = reservations[pick.task]
+                # grub_tick drains 1 for a server that does not reclaim
+                drain = grub_tick([reservations[i] for i in ids if queues[i]], spec) \
+                    if spec.reclaiming == "grub" else 1
                 budget = s.remaining_budget
-                nxt = min(nxt, t - (-budget // drain))  # ceil(budget / drain)
+                end = t - (-budget // drain)  # ceil(budget / drain)
+                if end < nxt:
+                    nxt = end
                 s.remaining_budget = budget - drain * (nxt - t)
             pick.executed += nxt - t
         runner = pick
         t = nxt
 
     events.sort(key=Event.sort_key)
-    log.debug("simulate: visited %d of %d ticks; emitted %d events, collected %d",
-              visited, horizon + 1, emitted, len(events))
+    if debug:
+        emitted = len(events)
+        if collect is not None:
+            events = [e for e in events if e.kind in collect]
+        log.debug("simulate: visited %d of %d ticks; emitted %d events, collected %d",
+                  visited, horizon + 1, emitted, len(events))
     return Trace(events, horizon, ids)

@@ -47,25 +47,28 @@ class SweepConfig:
     tick_seconds: float = 0.01
 
     def __post_init__(self):
-        if self.n_systems < 1 or self.state_dim < 1:
-            raise ConfigError("n_systems: need n_systems and state_dim >= 1")
-        if not self.grid or list(self.grid) != sorted(self.grid):
-            raise ConfigError("grid: bandwidth grid must be sorted ascending")
-        for b in self.grid:
-            if not 0 < b <= 1:
-                raise ConfigError("grid: bandwidth fractions must lie in (0, 1]")
-            if abs(b * self.R - round(b * self.R)) > 1e-9:
-                raise ConfigError("grid: fraction %r gives a non-integer budget "
-                                  "for R=%d" % (b, self.R))
+        # messages name each field by its path in a config document
+        for name in ("n_systems", "state_dim", "R", "max_delay"):
+            if getattr(self, name) < 1:
+                raise ConfigError("sweep.%s: must be >= 1" % name)
         if self.T < self.R or self.T % self.R != 0:
-            raise ConfigError("T: must be a positive multiple of R")
-        for m in self.mocs:
+            raise ConfigError("sweep.T: must be a positive multiple of R")
+        if not self.grid or list(self.grid) != sorted(self.grid):
+            raise ConfigError("sweep.grid: bandwidth grid must be non-empty and "
+                              "sorted ascending")
+        for i, b in enumerate(self.grid):
+            if not 0 < b <= 1:
+                raise ConfigError("sweep.grid[%d]: bandwidth fraction %r must lie "
+                                  "in (0, 1]" % (i, b))
+            if abs(b * self.R - round(b * self.R)) > 1e-9:
+                raise ConfigError("sweep.grid[%d]: fraction %r gives a non-integer "
+                                  "budget for R=%d" % (i, b, self.R))
+        for i, m in enumerate(self.mocs):
             if m not in MOC_KINDS:
-                raise ConfigError("mocs: unknown model of computation %r" % (m,))
-        if self.max_delay < 1:
-            raise ConfigError("max_delay: must be >= 1")
+                raise ConfigError("sweep.mocs[%d]: unknown model of computation %r"
+                                  % (i, m))
         if self.tick_seconds <= 0:
-            raise ConfigError("tick_seconds: must be > 0")
+            raise ConfigError("sweep.tick_seconds: must be > 0")
 
     @property
     def exec_model(self) -> Beta:

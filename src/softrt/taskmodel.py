@@ -35,15 +35,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def derived_rng(*parts) -> random.Random:
-    """Stream-independent RNG keyed by the given parts.
-
-    Seeding from a string goes through a stable hash, so a draw keyed by
-    (seed, task, job) never depends on how many draws other tasks made.
-    """
-    return random.Random("/".join(str(p) for p in parts))
-
-
 def derived_seed(*parts) -> int:
     """64-bit integer seed derived from the given parts (for numpy)."""
     import hashlib
@@ -94,6 +85,9 @@ class Uniform:
         _finite(self, "lo", "hi")
         _span(self)
 
+    def _draw(self, rng: random.Random) -> int:
+        return max(1, round_half_up(rng.uniform(self.lo, self.hi)))
+
 
 @dataclass(frozen=True)
 class Beta:
@@ -108,6 +102,10 @@ class Beta:
             raise ConfigError("exec_model.alpha/beta: shape parameters must be > 0")
         _span(self)
 
+    def _draw(self, rng: random.Random) -> int:
+        x = self.lo + (self.hi - self.lo) * rng.betavariate(self.alpha, self.beta)
+        return max(1, round_half_up(x))
+
 
 @dataclass(frozen=True)
 class Empirical:
@@ -121,6 +119,9 @@ class Empirical:
             if not _is_int(v) or v < 1:
                 raise ConfigError("exec_model.values: entries must be positive integers")
         object.__setattr__(self, "values", vals)
+
+    def _draw(self, rng: random.Random) -> int:
+        return self.values[rng.randrange(len(self.values))]
 
 
 @dataclass(frozen=True)
@@ -144,23 +145,26 @@ class Scripted:
 ExecTimeModel = Union[Deterministic, Uniform, Beta, Empirical, Scripted]
 
 
-def sample_exec_time(model: ExecTimeModel, job_index: int, rng: random.Random) -> int:
-    """One demand draw in ticks.  Deterministic given the rng's seed and job_index."""
-    if isinstance(model, Deterministic):
-        return model.ticks
+def sample_exec_time(model: ExecTimeModel, job_index: int, key: str) -> int:
+    """One demand draw in ticks from ``random.Random(key)``.
+
+    Seeding from the string key goes through a stable hash, so a draw keyed
+    by (seed, task, job) never depends on how many draws other tasks made.
+    A draw that reads no randomness (a deterministic model, a scripted job)
+    seeds no generator: the MT19937 state set-up is most of what a random
+    draw costs.
+    """
     if isinstance(model, Scripted):
         if job_index < len(model.values):
             return model.values[job_index]
-        return sample_exec_time(model.fallback, job_index, rng)
-    if isinstance(model, Empirical):
-        return model.values[rng.randrange(len(model.values))]
-    if isinstance(model, Uniform):
-        x = rng.uniform(model.lo, model.hi)
-    elif isinstance(model, Beta):
-        x = model.lo + (model.hi - model.lo) * rng.betavariate(model.alpha, model.beta)
-    else:
-        raise ConfigError("exec_model: unknown model type %r" % (model,))
-    return max(1, round_half_up(x))
+        model = model.fallback
+    if isinstance(model, Deterministic):
+        return model.ticks
+    try:
+        draw = model._draw
+    except AttributeError:
+        raise ConfigError("exec_model: unknown model type %r" % (model,)) from None
+    return draw(random.Random(key))
 
 
 def sample_exec_times(model: ExecTimeModel, n: int, seed) -> np.ndarray:
@@ -267,11 +271,10 @@ class TaskSpec:
             object.__setattr__(self, "exec_model", Deterministic(self.wcet))
 
     def demand(self, job_index: int, seed) -> int:
+        """Job job_index's demand, keyed by "seed/exec/task id/job index"."""
         c = sample_exec_time(self.exec_model, job_index,
-                             derived_rng(seed, "exec", self.id, job_index))
-        if self.enforce_wcet:
-            c = min(c, self.wcet)
-        return max(1, c)
+                             "%s/exec/%s/%s" % (seed, self.id, job_index))
+        return self.wcet if self.enforce_wcet and c > self.wcet else c
 
     def arrivals(self, horizon: int, seed) -> list:
         """Activation ticks in [0, horizon)."""
@@ -281,7 +284,7 @@ class TaskSpec:
         out, t, j = [], 0, 0
         while t < horizon:
             out.append(t)
-            gap = sample_exec_time(gap_model, j, derived_rng(seed, "gap", self.id, j))
+            gap = sample_exec_time(gap_model, j, "%s/gap/%s/%s" % (seed, self.id, j))
             t += max(self.period, gap)  # period is the minimum inter-arrival gap
             j += 1
         return out

@@ -524,6 +524,27 @@ def test_mistyped_sweep_lists_are_config_errors(tmp_path, capsys, sweep, field):
     assert "config error: %s:" % field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep, field", [
+    ({"n_systems": 0}, "sweep.n_systems"),
+    ({"state_dim": 0}, "sweep.state_dim"),
+    ({"R": 0}, "sweep.R"),
+    ({"R": -10}, "sweep.R"),
+    ({"T": 15}, "sweep.T"),
+    ({"max_delay": 0}, "sweep.max_delay"),
+    ({"grid": []}, "sweep.grid"),
+    ({"grid": [0.5, 0.2]}, "sweep.grid"),
+    ({"grid": [0.5, 2]}, "sweep.grid[1]"),
+    ({"grid": [0.55]}, "sweep.grid[0]"),
+    ({"mocs": ["cs", "x"]}, "sweep.mocs[1]"),
+], ids=["n-systems", "state-dim", "R-zero", "R-negative", "T-not-multiple",
+        "max-delay", "grid-empty", "grid-unsorted", "grid-above-one",
+        "grid-fractional-budget", "mocs-unknown"])
+def test_sweep_value_errors_name_their_path(tmp_path, capsys, sweep, field):
+    doc = {"sweep": dict({"n_systems": 1}, **sweep)}
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error: %s:" % field in capsys.readouterr().err
+
+
 def test_numerical_error_exit_code(tmp_path, capsys):
     doc = {"plant": {"A": [[1.0]], "B": [[0.0]]},
            "control": {"sample_seconds": 1.0}}

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from softrt.errors import ConfigError
 from softrt.render import execution_segments
 from softrt.simcore import (
+    EVENT_KINDS,
     SchedulerConfig,
     ServerState,
     Trace,
@@ -21,10 +23,13 @@ from softrt.simcore import (
 )
 from softrt.taskmodel import (
     Deterministic,
+    Empirical,
     ReservationSpec,
     Scripted,
     TaskSpec,
 )
+
+from conftest import make_overload_reservations, make_overload_tasks
 
 GOLDEN = Path(__file__).parent / "golden" / "edf_overload_trace.csv"
 
@@ -308,6 +313,66 @@ def test_collect_filter_keeps_a_subsequence(overload_tasks):
     only = simulate(overload_tasks, SchedulerConfig(
         kind="edf", horizon=20, collect=frozenset({"completion"})))
     assert only.events == full.of_kind("completion")
+
+
+def _simulate_counted(tasks, scheduler):
+    """simulate with the debug line on: (trace, emitted, collected)."""
+    logger = logging.getLogger("softrt.simcore")
+    lines = []
+    handler = logging.Handler()
+    handler.emit = lambda record: lines.append(record.getMessage())
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        trace = simulate(tasks, scheduler, seed=3)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    m = re.search(r"emitted (\d+) events, collected (\d+)", lines[0])
+    return trace, int(m.group(1)), int(m.group(2))
+
+
+def _collect_systems():
+    """Overloaded sets that between them emit every event kind."""
+    tasks = make_overload_tasks()
+    noisy = [dataclasses.replace(t, exec_model=Empirical((1, 2, 3, 4)), miss_policy=p)
+             for t, p in zip(tasks, ("abort", "skip_late", "continue"))]
+    hard = {tid: dataclasses.replace(r, variant="hard_suspend")
+            for tid, r in make_overload_reservations().items()}
+    grub = {tid: dataclasses.replace(r, reclaiming="grub")
+            for tid, r in make_overload_reservations().items()}
+    return [
+        (tasks, dict(kind="edf")),
+        (noisy, dict(kind="fixed_priority", priorities={1: 2, 2: 1, 3: 0},
+                     miss_detection="completion")),
+        (noisy, dict(kind="cbs_edf", reservations=make_overload_reservations())),
+        (noisy, dict(kind="cbs_edf", reservations=hard)),
+        (noisy, dict(kind="cbs_edf", reservations=grub, miss_detection="completion")),
+    ]
+
+
+@given(st.sampled_from(range(5)), st.frozensets(st.sampled_from(EVENT_KINDS)))
+@settings(max_examples=60, deadline=None)
+def test_collect_filter_builds_only_the_collected_kinds(which, kinds):
+    tasks, kw = _collect_systems()[which]
+    full = simulate(tasks, SchedulerConfig(horizon=40, **kw), seed=3)
+    only = simulate(tasks, SchedulerConfig(horizon=40, collect=kinds, **kw), seed=3)
+    assert only.events == [e for e in full.events if e.kind in kinds]
+    # with the debug line on, the same trace, and the dropped events counted
+    counted, emitted, collected = _simulate_counted(
+        tasks, SchedulerConfig(horizon=40, collect=kinds, **kw))
+    assert counted.events == only.events
+    assert emitted == len(full.events)
+    assert collected == len(only.events)
+
+
+def test_collect_systems_emit_every_kind():
+    seen = set()
+    for tasks, kw in _collect_systems():
+        seen.update(e.kind for e in simulate(tasks, SchedulerConfig(horizon=40, **kw),
+                                             seed=3).events)
+    assert seen == set(EVENT_KINDS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from softrt.taskmodel import (
     Scripted,
     TaskSpec,
     Uniform,
-    derived_rng,
     max_ticks,
     round_half_up,
     sample_exec_time,
@@ -108,16 +108,26 @@ def test_enforce_wcet_must_be_a_boolean():
         TaskSpec(id=1, wcet=1, rel_deadline=4, period=4, enforce_wcet="false")
 
 
+@pytest.mark.parametrize("model", [3, Scripted((1,), fallback="uniform")],
+                         ids=["plain", "fallback"])
+def test_unknown_model_types_are_config_errors(model):
+    task = TaskSpec(id=1, wcet=1, rel_deadline=4, period=4, exec_model=model)
+    with pytest.raises(ConfigError, match=r"exec_model: unknown model type"):
+        task.demand(1, seed=0)
+    act = Activation("sporadic", gap_model=model)
+    with pytest.raises(ConfigError, match=r"exec_model: unknown model type"):
+        TaskSpec(id=1, wcet=1, rel_deadline=4, period=4, activation=act).arrivals(9, 0)
+
+
 def test_scripted_plays_values_then_fallback():
     m = Scripted((3, 1, 2), fallback=Deterministic(7))
-    rng = derived_rng(0)
-    assert [sample_exec_time(m, j, rng) for j in range(5)] == [3, 1, 2, 7, 7]
+    assert [sample_exec_time(m, j, "0/%d" % j) for j in range(5)] == [3, 1, 2, 7, 7]
 
 
 def test_sample_determinism():
     m = Uniform(1.0, 9.0)
-    a = sample_exec_time(m, 0, derived_rng(42, "exec", 1, 0))
-    b = sample_exec_time(m, 0, derived_rng(42, "exec", 1, 0))
+    a = sample_exec_time(m, 0, "42/exec/1/0")
+    b = sample_exec_time(m, 0, "42/exec/1/0")
     assert a == b
     xs = sample_exec_times(m, 50, 42)
     ys = sample_exec_times(m, 50, 42)
@@ -256,7 +266,7 @@ exec_models = st.one_of(
 
 @given(exec_models, st.integers(0, 20), st.integers(0, 2**32))
 def test_samples_within_bounds(model, job, seed):
-    c = sample_exec_time(model, job, derived_rng(seed, "exec", 0, job))
+    c = sample_exec_time(model, job, "%d/exec/0/%d" % (seed, job))
     assert 1 <= c <= max_ticks(model)
 
 
@@ -283,3 +293,83 @@ def test_sporadic_gaps_respect_period(period, seed, horizon):
     assert arr[0] == 0
     assert all(b - a >= period for a, b in zip(arr, arr[1:]))
     assert all(0 <= a < horizon for a in arr)
+
+
+# ---------------------------------------------------------------------------
+# keyed draws against the plain seed-string streams
+
+
+def _reference_sample(model, job_index, rng):
+    """The per-job draw as a plain type dispatch over one random.Random."""
+    if isinstance(model, Scripted):
+        if job_index < len(model.values):
+            return model.values[job_index]
+        model = model.fallback
+    if isinstance(model, Deterministic):
+        return model.ticks
+    if isinstance(model, Empirical):
+        return model.values[rng.randrange(len(model.values))]
+    if isinstance(model, Uniform):
+        x = rng.uniform(model.lo, model.hi)
+    else:
+        x = model.lo + (model.hi - model.lo) * rng.betavariate(model.alpha, model.beta)
+    return max(1, round_half_up(x))
+
+
+def _reference_rng(*parts):
+    return random.Random("/".join(str(p) for p in parts))
+
+
+def _reference_demand(task, j, seed):
+    c = _reference_sample(task.exec_model, j, _reference_rng(seed, "exec", task.id, j))
+    if task.enforce_wcet:
+        c = min(c, task.wcet)
+    return max(1, c)
+
+
+def _reference_arrivals(task, horizon, seed):
+    if task.activation.kind == "periodic":
+        return list(range(0, horizon, task.period))
+    gap_model = task.activation.gap_model or Uniform(task.period, 2 * task.period)
+    out, t, j = [], 0, 0
+    while t < horizon:
+        out.append(t)
+        gap = _reference_sample(gap_model, j, _reference_rng(seed, "gap", task.id, j))
+        t += max(task.period, gap)
+        j += 1
+    return out
+
+
+plain_models = st.one_of(
+    st.integers(1, 9).map(Deterministic),
+    st.lists(st.integers(1, 9), min_size=1, max_size=5).map(
+        lambda v: Empirical(tuple(v))),
+    st.tuples(st.floats(0.0, 6.0), st.floats(0.25, 6.0)).map(
+        lambda p: Uniform(p[0], p[0] + p[1])),
+    st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.0, 6.0),
+              st.floats(0.25, 6.0)).map(
+        lambda p: Beta(p[0], p[1], p[2], p[2] + p[3])),
+)
+keyed_models = st.one_of(
+    plain_models,
+    st.builds(lambda v, fb: Scripted(tuple(v), fb),
+              st.lists(st.integers(1, 9), max_size=4), plain_models),
+)
+seeds = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.text(max_size=6),
+    st.tuples(st.integers(0, 99), st.text(max_size=3)),
+)
+
+
+@given(keyed_models, st.one_of(st.none(), keyed_models), st.booleans(),
+       st.integers(1, 6), st.integers(0, 9), seeds)
+@settings(max_examples=150)
+def test_keyed_draws_match_seed_string_streams(model, gap_model, enforce, wcet,
+                                               task_id, seed):
+    task = TaskSpec(id=task_id, wcet=wcet, rel_deadline=4, period=2,
+                    activation=Activation("sporadic", gap_model),
+                    exec_model=model, enforce_wcet=enforce)
+    assert [task.demand(j, seed) for j in range(8)] == \
+        [_reference_demand(task, j, seed) for j in range(8)]
+    assert task.arrivals(40, seed) == _reference_arrivals(task, 40, seed)
