@@ -33,11 +33,7 @@ def _write(text: str, out):
 
 
 def _read_trace(path: str, horizon=None) -> Trace:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ConfigError("trace: file %r not found" % path)
+    text = cfg._read_text(path, "trace")
     if text.startswith("tick,kind"):
         return Trace.from_csv(text, horizon)
     return Trace.from_jsonl(text, horizon)
@@ -144,7 +140,8 @@ def cmd_control_synth(args) -> int:
 
 def cmd_chain(args) -> int:
     p = cfg.parse_chain(cfg.load_config(args.config))
-    chain = build_delay_chain(p["exec_model"], p["Q"], p["R"], p["T"], p["d_max"])
+    with cfg._at_section("chain"):
+        chain = build_delay_chain(p["exec_model"], p["Q"], p["R"], p["T"], p["d_max"])
     if args.format == "csv":
         n = chain.n_states
         lines = ["state,steady," + ",".join("to_%d" % j for j in range(n))]
@@ -163,9 +160,10 @@ def cmd_cosim(args) -> int:
     m = cfg.parse_moc(doc)
     nominal = (m["T"] if m["T"] is not None else m["R"]) * m["tick_seconds"]
     plant, _, _, K, _ = _lqr(doc, nominal)
-    res = cosimulate(plant, K, m["moc"], m["exec_model"], m["Q"], m["R"], m["T"],
-                     tick_seconds=m["tick_seconds"], horizon=m["horizon"],
-                     n_traj=m["n_traj"], seed=args.seed)
+    with cfg._at_section("moc"):
+        res = cosimulate(plant, K, m["moc"], m["exec_model"], m["Q"], m["R"], m["T"],
+                         tick_seconds=m["tick_seconds"], horizon=m["horizon"],
+                         n_traj=m["n_traj"], seed=args.seed)
     if args.format == "csv":
         lines = ["step,second_moment"]
         for k, v in enumerate(res.estimates):

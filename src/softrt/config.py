@@ -3,7 +3,8 @@
 One document can carry any of the sections tasks, scheduler, reservations,
 constraints, plant, control, moc and sweep; each subcommand picks the
 sections it needs.  Every diagnostic names the offending field with its
-path, e.g. "tasks[1].period: must be >= 1".
+path, e.g. "tasks[1].period: must be >= 1"; an object's key that is not
+one of its fields is an error too.
 """
 
 from __future__ import annotations
@@ -24,12 +25,44 @@ from .taskmodel import (Activation, Beta, Deterministic, Empirical,
                         ReservationSpec, Scripted, TaskSpec, Uniform, _is_int)
 
 
+# the fields each object reads; any other key is an error
+_FIELDS = {
+    "task": ("id", "wcet", "rel_deadline", "period", "exec_model", "miss_policy",
+             "enforce_wcet", "activation"),
+    "activation": ("kind", "gap_model"),
+    "reservation": ("budget", "period", "variant", "reclaiming"),
+    "scheduler": ("kind", "horizon", "priorities", "miss_detection", "collect"),
+    "constraint": ("m", "n", "conjunction"),
+    "plant": ("A", "B", "C", "D"),
+    "control": ("sample_seconds", "feedback", "weights"),
+    "control.weights": ("Qx", "Ru"),
+    "moc": ("kind", "max_delay", "act_delay", "exec_model", "Q", "R", "T",
+            "tick_seconds", "horizon", "n_traj"),
+    "chain": ("exec_model", "Q", "R", "T", "d_max"),
+    "sweep": ("n_systems", "state_dim", "seed", "grid", "R", "T", "beta_alpha",
+              "beta_beta", "mocs", "max_delay", "tick_seconds"),
+}
+# an execution-time model's fields besides kind, by kind
+_MODEL_FIELDS = {"deterministic": ("ticks",), "uniform": ("lo", "hi"),
+                "beta": ("alpha", "beta", "lo", "hi"), "empirical": ("values",),
+                "scripted": ("values", "fallback")}
+
+
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of file path; a file that cannot be read is a config
+    error naming it as what."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError("%s: file %r not found" % (what, path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("%s: cannot read file %r (%s)" % (what, path, exc))
+
+
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config: file %r not found" % path)
+        doc = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError("config: not valid JSON (%s)" % exc)
     if not isinstance(doc, dict):
@@ -42,6 +75,16 @@ def _json(value, path: str, kind=dict):
     if not isinstance(value, kind):
         raise ConfigError("%s: expected a JSON %s"
                           % (path, "object" if kind is dict else "array"))
+    return value
+
+
+def _object(value, path: str, fields, hints=None) -> dict:
+    """value, if it is a JSON object whose every key is one of fields; hints
+    maps a key that is often misplaced to why it is not a field."""
+    for key in _json(value, path):
+        if key not in fields:
+            raise ConfigError("%s.%s: %s" % (path, key, (hints or {}).get(
+                key, "unknown field (expected one of %s)" % ", ".join(fields))))
     return value
 
 
@@ -77,21 +120,35 @@ def _positive(d: dict, key: str, path: str, default=None):
 
 
 @contextlib.contextmanager
-def _at(path: str, name: str):
-    """Re-raise a model's "name.field: ..." error as "path.field: ...";
-    errors that already carry their path pass unchanged."""
+def _at(paths: Dict[str, str]):
+    """Re-raise an error that starts with a name of paths ("name: ..." or
+    "name.field: ...") with that name replaced by its path in the document;
+    other errors, such as those that already carry their path, pass
+    unchanged."""
     try:
         yield
     except ConfigError as exc:
-        if not str(exc).startswith(name + "."):
-            raise
-        raise ConfigError(path + str(exc)[len(name):]) from None
+        msg = str(exc)
+        for name, path in paths.items():
+            if msg.startswith((name + ".", name + ":")):
+                raise ConfigError(path + msg[len(name):]) from None
+        raise
+
+
+def _at_section(section: str):
+    """Context in which an error that names a field of section bare ("Q: ...",
+    raised by the routine that section configures) names its path
+    ("chain.Q: ...")."""
+    return _at({f: "%s.%s" % (section, f) for f in _FIELDS[section]})
 
 
 def parse_exec_model(d, path: str):
     kind = _get(_json(d, path), "kind", path)
+    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
+        raise ConfigError("%s.kind: unknown execution-time model %r" % (path, kind))
+    _object(d, path, ("kind",) + _MODEL_FIELDS[kind])
     values = lambda: tuple(_json(_get(d, "values", path), path + ".values", list))
-    with _at(path, "exec_model"):
+    with _at({"exec_model": path}):
         if kind == "deterministic":
             return Deterministic(_get(d, "ticks", path))
         if kind == "uniform":
@@ -101,15 +158,13 @@ def parse_exec_model(d, path: str):
                         _get(d, "lo", path), _get(d, "hi", path))
         if kind == "empirical":
             return Empirical(values())
-        if kind == "scripted":
-            fb = _get(d, "fallback", path)
-            return Scripted(values(), parse_exec_model(fb, path + ".fallback"))
-    raise ConfigError("%s.kind: unknown execution-time model %r" % (path, kind))
+        fb = _get(d, "fallback", path)  # scripted
+        return Scripted(values(), parse_exec_model(fb, path + ".fallback"))
 
 
 def parse_task(d, path: str) -> TaskSpec:
     kwargs = dict(
-        id=_get(_json(d, path), "id", path),
+        id=_get(_object(d, path, _FIELDS["task"]), "id", path),
         wcet=_get(d, "wcet", path),
         rel_deadline=_get(d, "rel_deadline", path),
         period=_get(d, "period", path),
@@ -121,13 +176,13 @@ def parse_task(d, path: str) -> TaskSpec:
     if "enforce_wcet" in d:
         kwargs["enforce_wcet"] = d["enforce_wcet"]
     if "activation" in d:
-        a = _json(d["activation"], path + ".activation")
+        a = _object(d["activation"], path + ".activation", _FIELDS["activation"])
         gap = a.get("gap_model")
-        with _at(path + ".activation", "activation"):
+        with _at({"activation": path + ".activation"}):
             kwargs["activation"] = Activation(
                 a.get("kind", "periodic"),
                 parse_exec_model(gap, path + ".activation.gap_model") if gap else None)
-    with _at(path, "task"):
+    with _at({"task": path}):
         return TaskSpec(**kwargs)
 
 
@@ -143,9 +198,9 @@ def parse_reservations(doc: dict) -> Dict[int, ReservationSpec]:
     out = {}
     for key, r in raw.items():
         path = "reservations[%s]" % key
-        with _at(path, "reservation"):
+        with _at({"reservation": path}):
             out[_task_id(key, "reservations")] = ReservationSpec(
-                budget=_get(_json(r, path), "budget", path),
+                budget=_get(_object(r, path, _FIELDS["reservation"]), "budget", path),
                 period=_get(r, "period", path),
                 variant=r.get("variant", "soft_postpone"),
                 reclaiming=r.get("reclaiming", "none"))
@@ -153,7 +208,7 @@ def parse_reservations(doc: dict) -> Dict[int, ReservationSpec]:
 
 
 def parse_scheduler(doc: dict) -> SchedulerConfig:
-    raw = _json(_get(doc, "scheduler", "config"), "scheduler")
+    raw = _object(_get(doc, "scheduler", "config"), "scheduler", _FIELDS["scheduler"])
     kind = _get(raw, "kind", "scheduler")
     kwargs = dict(kind=kind, horizon=_get(raw, "horizon", "scheduler"))
     if kind == "fixed_priority":
@@ -178,11 +233,12 @@ def parse_constraints(doc: dict) -> Dict[int, MissConstraint]:
     out = {}
     for key, c in _json(doc.get("constraints", {}), "constraints").items():
         path = "constraints[%s]" % key
-        conj = _json(_json(c, path).get("conjunction", []), path + ".conjunction", list)
-        out[_task_id(key, "constraints")] = MissConstraint(
-            m=_int(c, "m", path), n=_int(c, "n", path),
-            conjunction=tuple(_pair(p, "%s.conjunction[%d]" % (path, i))
-                              for i, p in enumerate(conj)))
+        conj = _object(c, path, _FIELDS["constraint"]).get("conjunction", [])
+        pairs = tuple(_pair(p, "%s.conjunction[%d]" % (path, i))
+                      for i, p in enumerate(_json(conj, path + ".conjunction", list)))
+        with _at({"constraint": path}):
+            out[_task_id(key, "constraints")] = MissConstraint(
+                m=_int(c, "m", path), n=_int(c, "n", path), conjunction=pairs)
     return out
 
 
@@ -202,7 +258,7 @@ def _matrix(raw, path: str) -> np.ndarray:
 
 
 def parse_plant(doc: dict) -> ContinuousLti:
-    raw = _json(_get(doc, "plant", "config"), "plant")
+    raw = _object(_get(doc, "plant", "config"), "plant", _FIELDS["plant"])
     A = _matrix(_get(raw, "A", "plant"), "plant.A")
     B = _matrix(_get(raw, "B", "plant"), "plant.B")
     if "C" in raw or "D" in raw:
@@ -215,24 +271,22 @@ def parse_plant(doc: dict) -> ContinuousLti:
 
 def parse_control(doc: dict) -> dict:
     """Controller synthesis settings: period, weights, feedback structure."""
-    raw = _json(doc.get("control", {}), "control")
+    raw = _object(doc.get("control", {}), "control", _FIELDS["control"])
     out = {
         "sample_seconds": _positive(raw, "sample_seconds", "control"),  # None: caller picks
         "feedback": raw.get("feedback", "lqr"),
     }
     if out["feedback"] not in ("lqr", "lqg"):
         raise ConfigError("control.feedback: must be lqr or lqg")
-    w = _json(raw.get("weights", {}), "control.weights")
+    w = _object(raw.get("weights", {}), "control.weights", _FIELDS["control.weights"])
     out["Qx"] = _matrix(w["Qx"], "control.weights.Qx") if "Qx" in w else None
     out["Ru"] = _matrix(w["Ru"], "control.weights.Ru") if "Ru" in w else None
     return out
 
 
 def parse_moc(doc: dict) -> dict:
-    raw = _json(_get(doc, "moc", "config"), "moc")
-    if "d_max" in raw:
-        raise ConfigError("moc.d_max: not a moc field; the backlog bound is "
-                          "moc.max_delay")
+    raw = _object(_get(doc, "moc", "config"), "moc", _FIELDS["moc"], {
+        "d_max": "not a moc field; the backlog bound is moc.max_delay"})
     return {
         "moc": MocKind(_get(raw, "kind", "moc"),
                        _int(raw, "max_delay", "moc", required=False),
@@ -249,7 +303,7 @@ def parse_moc(doc: dict) -> dict:
 
 
 def parse_chain(doc: dict) -> dict:
-    raw = _json(_get(doc, "chain", "config"), "chain")
+    raw = _object(_get(doc, "chain", "config"), "chain", _FIELDS["chain"])
     return {
         "exec_model": parse_exec_model(_get(raw, "exec_model", "chain"),
                                        "chain.exec_model"),
@@ -261,9 +315,9 @@ def parse_chain(doc: dict) -> dict:
 
 
 def parse_sweep(doc: dict, seed=None) -> SweepConfig:
-    raw = _json(doc.get("sweep", {}), "sweep")
-    for field in sorted({"horizon", "n_traj"} & set(raw)):
-        raise ConfigError("sweep.%s: not a sweep field; verdicts are exact" % field)
+    exact = "not a sweep field; verdicts are exact"
+    raw = _object(doc.get("sweep", {}), "sweep", _FIELDS["sweep"],
+                  {"horizon": exact, "n_traj": exact})
     kwargs = {}
     for field in ("n_systems", "state_dim", "R", "T", "max_delay"):
         if field in raw:

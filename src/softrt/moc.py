@@ -416,6 +416,13 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
                        mode_sequence=mode_idx[0] if cuts else None)
 
 
+def _tt_sort_setup(plant, K, R: int, T: int, tick_seconds: float):
+    """(F, plant over one reservation period, K) for tt_sort's co-simulation
+    and operator alike, K checked against the plant."""
+    n, p = plant.A.shape[0], plant.B.shape[1]
+    return T // R, c2d(plant, R * tick_seconds), _shaped(K, "tt.K", (p, n))
+
+
 def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
                    n_traj, seed) -> CoSimResult:
     """Buffered activations with backlog memory, stepped per reservation period.
@@ -428,8 +435,8 @@ def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
     copy (a view moves last bits), so A @ X is bit for bit a per-trajectory
     loop's A @ x; only the sum over trajectories runs in another order.
     """
-    F, dR = T // R, c2d(plant, R * tick_seconds)
-    negK = -np.asarray(K, dtype=float)
+    F, dR, K = _tt_sort_setup(plant, K, R, T, tick_seconds)
+    negK = -K
     n, p = dR.B.shape
     S = -(-_traj_demands(model, horizon // F + 2, n_traj, seed) // Q)
     grid = np.indices((max_delay + 1, max_delay + S.max() + 1))  # every (d, fin)
@@ -478,8 +485,8 @@ def _operator(plant, K, moc: MocKind, R: int, T: int, tick_seconds: float) -> Ca
         states, key = lambda dist: [0], lambda d, s: np.searchsorted(cuts, s)
         block = functools.cache(lambda d, i: (0, _half_kron(matrix(i))))
     else:
-        F, D, dR = T // R, moc.max_delay, c2d(plant, R * tick_seconds)
-        K = _shaped(K, "tt.K", (p, n))
+        F, dR, K = _tt_sort_setup(plant, K, R, T, tick_seconds)
+        D = moc.max_delay
         states = lambda dist: _reachable_backlogs(dist, F, D)
         key = lambda d, s: np.minimum(d + s, F + D + 1)  # every cancel alike
 

@@ -32,7 +32,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heappop, heappush, merge
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigError
@@ -478,7 +478,9 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     Deterministic: the same (tasks, scheduler, seed) triple always yields a
     byte-identical trace.  Per-job demand and arrival-gap draws are keyed by
     (seed, task id, job index), so one task's stochastic model never perturbs
-    another task's samples.
+    another task's samples, and each job is drawn when the engine reaches its
+    arrival: beside each task's arrival ticks, memory grows with the open jobs
+    and the recorded events, not with the horizon.
 
     Each visited tick runs the per-tick steps in a fixed order: completion of
     the previous tick's work, hard-server wake-ups, deadline checks, arrivals,
@@ -518,15 +520,12 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     events: List[Event] = []
     add = events.append
 
-    # every job's (arrival, task id, index, demand, deadline) in visiting
-    # order; the draws are keyed independently per (task, job)
-    arrivals = []
-    for t in tasks:
-        arrivals.extend((a, t.id, j, t.demand(j, seed), a + t.rel_deadline)
-                        for j, a in enumerate(t.arrivals(horizon, seed)))
-    arrivals.sort()
-    arrivals.append((horizon, -1, 0, 0, 0))  # sentinel past the last arrival
-    next_arrival = 0
+    def jobs(task):  # task's jobs in arrival order, each drawn when it is reached
+        for j, a in enumerate(task.arrivals(horizon, seed)):
+            yield a, task.id, j, task.demand(j, seed), a + task.rel_deadline
+
+    pending = merge(*map(jobs, tasks))  # visiting order: (arrival, task id) is unique
+    coming = next(pending, (horizon,))  # (horizon,) stands past the last job
 
     queues: Dict[int, deque] = {i: deque() for i in ids}  # open jobs, arrival order
     servers: Dict[int, ServerState] = \
@@ -626,9 +625,9 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
         # 4. arrivals at t, in task id order; a server admitted here may
         # have no budget, and is checked at once (servers are independent,
         # and a task has one arrival per tick at most)
-        while arrivals[next_arrival][0] == t:
-            _, tid, j, demand, deadline = arrivals[next_arrival]
-            next_arrival += 1
+        while coming[0] == t:
+            _, tid, j, demand, deadline = coming
+            coming = next(pending, (horizon,))
             job = _Job(tid, j, t, deadline, demand)
             if rec_arrival:
                 add(Event(t, "arrival", tid,
@@ -684,7 +683,7 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
                       {"job": pick.index, "resumed": pick.executed > 0}))
 
         # 7. run the pick up to the next tick where something can change
-        nxt = arrivals[next_arrival][0]
+        nxt = coming[0]
         while deadlines and deadlines[0][3].outcome is not None:
             heappop(deadlines)
         if deadlines and deadlines[0][0] < nxt:

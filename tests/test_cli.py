@@ -225,8 +225,10 @@ COSIM_SORT = {
 
 
 def _with_moc(**fields):
+    """COSIM_SORT with moc fields changed; a field set to None is dropped."""
     doc = json.loads(json.dumps(COSIM_SORT))
     doc["moc"].update(fields)
+    doc["moc"] = {k: v for k, v in doc["moc"].items() if v is not None}
     return doc
 
 
@@ -560,3 +562,94 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "state,steady,to_0,to_1,to_2"
+
+
+def _unknown_key_cases():
+    """(command, config, path of the unknown key), one per kind of object."""
+    task = OVERLOAD_CONFIG["tasks"][1]
+    simulate = lambda **t: dict(OVERLOAD_CONFIG, tasks=[dict(task, **t)])
+    cbs = {"tasks": [task], "scheduler": {"kind": "cbs_edf", "horizon": 8},
+           "reservations": {"2": {"budget": 1, "period": 4, "varient": "hard_suspend"}}}
+    analyze = ["analyze", str(GOLDEN)]
+    return [
+        (["simulate"], simulate(miss_polcy="abort"), "tasks[0].miss_polcy"),
+        (["simulate"], simulate(activation={"kind": "sporadic", "gap": 3}),
+         "tasks[0].activation.gap"),
+        (["simulate"], simulate(exec_model={"kind": "uniform", "lo": 1, "hi": 2,
+                                            "ticks": 2}), "tasks[0].exec_model.ticks"),
+        (["simulate"], simulate(exec_model={
+            "kind": "scripted", "values": [1],
+            "fallback": {"kind": "deterministic", "ticks": 1, "lo": 1}}),
+         "tasks[0].exec_model.fallback.lo"),
+        (["simulate"], cbs, "reservations[2].varient"),
+        (["simulate"], dict(OVERLOAD_CONFIG, scheduler={"kind": "edf", "horizon": 8,
+                                                        "colect": ["arrival"]}),
+         "scheduler.colect"),
+        (analyze, {"constraints": {"1": {"m": 1, "n": 2, "k": 3}}}, "constraints[1].k"),
+        (["control-synth"], {"plant": dict(DOUBLE_INTEGRATOR["plant"], E=[[1]])},
+         "plant.E"),
+        (["control-synth"], dict(DOUBLE_INTEGRATOR, control={"feedbak": "lqg"}),
+         "control.feedbak"),
+        (["control-synth"], dict(DOUBLE_INTEGRATOR, control={"weights": {"Q": [[1]]}}),
+         "control.weights.Q"),
+        (["cosim"], _with_moc(n_trajs=3), "moc.n_trajs"),
+        (["chain"], {"chain": dict(CHAIN_CONFIG["chain"], max_delay=2)}, "chain.max_delay"),
+        (["sweep"], {"sweep": {"n_sytems": 2}}, "sweep.n_sytems"),
+    ]
+
+
+@pytest.mark.parametrize("cmd, doc, field", _unknown_key_cases(),
+                         ids=[field for *_, field in _unknown_key_cases()])
+def test_unknown_keys_are_config_errors(tmp_path, capsys, cmd, doc, field):
+    # a misspelt key would otherwise leave its field at the default unseen
+    assert main(cmd + ["--config", write_config(tmp_path, doc)]) == 2
+    assert "config error: %s: unknown field" % field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, doc, message", [
+    (["chain"], {"chain": dict(CHAIN_CONFIG["chain"], Q=0)}, "chain.Q: need 1 <= Q <= R"),
+    (["chain"], {"chain": dict(CHAIN_CONFIG["chain"], d_max=0)}, "chain.d_max: must be >= 1"),
+    (["chain"], {"chain": dict(CHAIN_CONFIG["chain"], R=2, T=3)},
+     "chain.T: must be a positive multiple of R"),
+    (["chain"], {"chain": dict(CHAIN_CONFIG["chain"], exec_model={
+        "kind": "scripted", "values": [1], "fallback": {"kind": "deterministic",
+                                                        "ticks": 1}})},
+     "chain.exec_model: no stationary distribution"),
+    (["cosim"], _with_moc(Q=0), "moc.Q: need 1 <= Q <= R"),
+    (["cosim"], _with_moc(kind="tt_maxb", max_delay=None, T=None), "moc.T: tt_maxb needs"),
+    (["cosim"], _with_moc(n_traj=0), "moc.n_traj: must be >= 1"),
+    (["cosim"], _with_moc(horizon=3), "moc.horizon: must be >= 4"),
+    (["cosim"], _with_moc(kind="tt_hard", max_delay=None, act_delay=5),
+     "moc.act_delay: need 0 <= act_delay <= T"),
+    (["analyze", str(GOLDEN)], {"constraints": {"1": {"m": 3, "n": 2}}},
+     "constraints[1].m: need 0 <= m <= n"),
+    (["analyze", str(GOLDEN)], {"constraints": {"2": {"m": 0, "n": 0}}},
+     "constraints[2].n: window must be >= 1"),
+], ids=["chain-Q", "chain-d_max", "chain-T", "chain-scripted", "moc-Q", "moc-T",
+        "moc-n_traj", "moc-horizon", "moc-act_delay", "constraint-m", "constraint-n"])
+def test_routine_value_errors_name_their_json_path(tmp_path, capsys, cmd, doc, message):
+    assert main(cmd + ["--config", write_config(tmp_path, doc)]) == 2
+    assert "config error: %s" % message in capsys.readouterr().err
+
+
+def test_synthesis_errors_keep_their_own_names(tmp_path, capsys):
+    # a plant error under cosim is no moc field, so it is not relabelled
+    doc = dict(_with_moc(), plant={"A": [[0.2]], "B": [[1.0], [1.0]]})
+    assert main(["cosim", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error: plant.B: row count must match A" in capsys.readouterr().err
+
+
+def test_unreadable_input_files_are_config_errors(tmp_path, capsys):
+    binary = tmp_path / "trace.csv"
+    binary.write_bytes(b"tick,kind\n\xff\xfe\n")
+    cases = [
+        (["analyze", str(tmp_path)], "trace: cannot read file"),
+        (["render", str(binary)], "trace: cannot read file"),
+        (["simulate", "--config", str(tmp_path)], "config: cannot read file"),
+        (["chain", "--config", str(binary)], "config: cannot read file"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s" % message), argv
+        assert "Traceback" not in err

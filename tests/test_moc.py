@@ -25,6 +25,7 @@ from softrt.moc import (
     stabilizes,
     tt_hard_modes,
     tt_maxb_modes,
+    verdicts,
 )
 from softrt.simcore import SchedulerConfig, simulate
 from softrt.taskmodel import (
@@ -325,6 +326,23 @@ def test_cosim_validation():
                    (MocKind("cs", max_delay=2), 3)):
         with pytest.raises(ConfigError, match="Q"):
             cosimulate(plant, [[0.4]], moc, Deterministic(1), Q=Q, R=2, T=2)
+
+
+def test_every_mechanism_checks_the_gain_against_the_plant():
+    # a 2-state plant with a 1x3 or a non-finite gain: each co-simulation and
+    # each exact verdict rejects it by name before using it
+    plant = ContinuousLti.from_ab([[0.2, 1.0], [0.0, -0.5]], [[0.0], [1.0]])
+    kw = dict(Q=1, R=1, T=2, tick_seconds=0.01)
+    for moc in (MocKind("tt_hard"), MocKind("tt_maxb"), MocKind("tt_sort", 2),
+                MocKind("cs", 2)):
+        for K, match in (([[0.1, 0.2, 0.3]], r"tt\.K: expected shape \(1, 2\), got \(1, 3\)"),
+                         ([[0.1, float("nan")]], r"tt\.K: entries must be finite")):
+            with pytest.raises(ConfigError, match=match):
+                cosimulate(plant, K, moc, Empirical((1, 2)), horizon=8, n_traj=2, **kw)
+            if moc.kind != "tt_hard":  # a closed form, which reads no gain
+                with pytest.raises(ConfigError, match=match):
+                    verdicts(plant, K, moc, Empirical((1, 2)), [1], 1, 2,
+                             tick_seconds=0.01)
 
 
 def test_cosim_discrete_plant_must_sample_at_the_task_period():

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -430,3 +431,47 @@ def test_engine_skips_event_free_ticks(caplog):
     visited, ticks, emitted, collected = map(int, m.groups())
     assert ticks == 201 and visited < ticks // 10
     assert emitted == collected == len(trace.events)
+
+
+def test_memory_grows_with_recorded_events_not_jobs():
+    # a criterion-6-shaped run: one hard-CBS task, misses only.  Beside its
+    # arrival ticks, the engine holds one pending job per task, so the
+    # traced peak above what the run leaves behind stays small per job (a
+    # job table built before the first tick cost about 170 B per job)
+    n_jobs = 10_000
+    task = TaskSpec(id=1, wcet=5, rel_deadline=4, period=4, miss_policy="abort",
+                    exec_model=Empirical((1, 2, 3, 5)))
+    cfg = SchedulerConfig(
+        kind="cbs_edf", horizon=n_jobs * 4,
+        reservations={1: ReservationSpec(budget=2, period=2, variant="hard_suspend")},
+        collect=frozenset({"deadline_miss"}))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        trace = simulate([task], cfg, seed=3)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.miss_count() > 0
+    assert (peak - retained) / n_jobs < 100
+
+
+def test_each_job_is_drawn_once(monkeypatch, overload_tasks):
+    # the engine draws every job's demand once, and each task's arrivals once
+    drawn, listed = [], []
+    demand, arrivals = TaskSpec.demand, TaskSpec.arrivals
+
+    def counted_demand(self, j, seed):
+        drawn.append((self.id, j))
+        return demand(self, j, seed)
+
+    def counted_arrivals(self, horizon, seed):
+        listed.append(self.id)
+        return arrivals(self, horizon, seed)
+
+    monkeypatch.setattr(TaskSpec, "demand", counted_demand)
+    monkeypatch.setattr(TaskSpec, "arrivals", counted_arrivals)
+    trace = simulate(overload_tasks, SchedulerConfig(kind="edf", horizon=30))
+    jobs = [(e.task, e.payload["job"]) for e in trace.events if e.kind == "arrival"]
+    assert sorted(drawn) == sorted(jobs)
+    assert sorted(listed) == [t.id for t in overload_tasks]
