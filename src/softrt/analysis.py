@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from .errors import ConfigError
 from .simcore import Trace
-from .taskmodel import ExecTimeModel, tick_cdf
+from .taskmodel import ExecTimeModel, _is_int, tick_cdf
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,10 @@ class MissConstraint:
     conjunction: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        for name in ("m", "n"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError("constraint.%s: must be an integer, got %r"
+                                  % (name, getattr(self, name)))
         for m, n in self.pairs:
             if n < 1:
                 raise ConfigError("constraint.n: window must be >= 1")

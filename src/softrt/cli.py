@@ -104,7 +104,8 @@ def _lqr(doc, default_seconds: float):
     n, p = d.A.shape[0], d.B.shape[1]
     Qx = ctl["Qx"] if ctl["Qx"] is not None else np.eye(n)
     Ru = ctl["Ru"] if ctl["Ru"] is not None else np.eye(p)
-    K, P = dlqr(d.A, d.B, Qx, Ru)
+    with cfg._at({"weights": "control.weights"}):
+        K, P = dlqr(d.A, d.B, Qx, Ru)
     return plant, ctl, d, K, P
 
 

@@ -2,16 +2,22 @@
 
 One document can carry any of the sections tasks, scheduler, reservations,
 constraints, plant, control, moc and sweep; each subcommand picks the
-sections it needs.  Every diagnostic names the offending field with its
-path, e.g. "tasks[1].period: must be >= 1"; an object's key that is not
-one of its fields is an error too.
+sections it needs.  An object that configures a class (a task and its
+parts, a reservation, the scheduler, a constraint, the sweep) takes exactly
+that dataclass's fields, with its defaults; the sections that configure a
+routine (control, moc, chain) list theirs in _FIELDS.  Every diagnostic
+names the offending field with its path, e.g. "tasks[1].period: must be
+>= 1"; a key that is not a field is an error too.  A null is the default
+where that is None or a fraction; elsewhere it is a (wrong) value.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
-from typing import Dict, List, Optional, Tuple
+from dataclasses import MISSING
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -21,31 +27,17 @@ from .errors import ConfigError
 from .moc import MocKind
 from .simcore import SchedulerConfig
 from .sweep import SweepConfig
-from .taskmodel import (Activation, Beta, Deterministic, Empirical,
-                        ReservationSpec, Scripted, TaskSpec, Uniform, _is_int)
+from .taskmodel import (EXEC_MODELS, Activation, ReservationSpec, TaskSpec,
+                        _is_int)
 
 
-# the fields each object reads; any other key is an error
+# the fields of each section that configures a routine; any other key is an error
 _FIELDS = {
-    "task": ("id", "wcet", "rel_deadline", "period", "exec_model", "miss_policy",
-             "enforce_wcet", "activation"),
-    "activation": ("kind", "gap_model"),
-    "reservation": ("budget", "period", "variant", "reclaiming"),
-    "scheduler": ("kind", "horizon", "priorities", "miss_detection", "collect"),
-    "constraint": ("m", "n", "conjunction"),
-    "plant": ("A", "B", "C", "D"),
     "control": ("sample_seconds", "feedback", "weights"),
-    "control.weights": ("Qx", "Ru"),
     "moc": ("kind", "max_delay", "act_delay", "exec_model", "Q", "R", "T",
             "tick_seconds", "horizon", "n_traj"),
     "chain": ("exec_model", "Q", "R", "T", "d_max"),
-    "sweep": ("n_systems", "state_dim", "seed", "grid", "R", "T", "beta_alpha",
-              "beta_beta", "mocs", "max_delay", "tick_seconds"),
 }
-# an execution-time model's fields besides kind, by kind
-_MODEL_FIELDS = {"deterministic": ("ticks",), "uniform": ("lo", "hi"),
-                "beta": ("alpha", "beta", "lo", "hi"), "empirical": ("values",),
-                "scripted": ("values", "fallback")}
 
 
 def _read_text(path: str, what: str) -> str:
@@ -80,10 +72,12 @@ def _json(value, path: str, kind=dict):
 
 def _object(value, path: str, fields, hints=None) -> dict:
     """value, if it is a JSON object whose every key is one of fields; hints
-    maps a key that is often misplaced to why it is not a field."""
+    maps a key that is often misplaced to why it does not belong there."""
+    hints = hints or {}
+    fields = [f for f in fields if f not in hints]
     for key in _json(value, path):
         if key not in fields:
-            raise ConfigError("%s.%s: %s" % (path, key, (hints or {}).get(
+            raise ConfigError("%s.%s: %s" % (path, key, hints.get(
                 key, "unknown field (expected one of %s)" % ", ".join(fields))))
     return value
 
@@ -94,29 +88,59 @@ def _task_id(key: str, path: str) -> int:
     return int(key)
 
 
-def _get(d: dict, key: str, path: str, required=True, default=None):
-    if key not in d:
-        if required:
-            raise ConfigError("%s.%s: missing required field" % (path, key))
-        return default
-    return d[key]
+def _get(d: dict, key: str, path: str, default=MISSING):
+    """d[key], or default for an absent key (an error without a default) and
+    for a null whose default is a fraction (a duration, a shape parameter)."""
+    v = d.get(key, default)
+    if v is None and isinstance(default, float):
+        v = default
+    if v is MISSING:
+        raise ConfigError("%s.%s: missing required field" % (path, key))
+    return v
 
 
-def _int(d: dict, key: str, path: str, required=True, default=None):
-    """_get for an integer field; JSON strings, floats and booleans are rejected."""
-    v = _get(d, key, path, required, default)
-    if v is not None and not _is_int(v):
+def _int(d: dict, key: str, path: str, default=MISSING):
+    """_get for an integer field; JSON strings, floats, booleans and null are
+    rejected, except where the default is None."""
+    v = _get(d, key, path, default)
+    if not _is_int(v) and not (v is None and default is None):
         raise ConfigError("%s.%s: must be an integer, got %r" % (path, key, v))
     return v
 
 
 def _positive(d: dict, key: str, path: str, default=None):
-    """_get for an optional finite number > 0 (a duration, a shape parameter),
-    not a string or boolean."""
-    v = _get(d, key, path, False, default)
+    """_get for an optional finite number > 0 (a duration), not a string."""
+    v = _get(d, key, path, default)
     if v is not None and not (type(v) in (int, float) and 0 < v < float("inf")):
         raise ConfigError("%s.%s: must be a number > 0, got %r" % (path, key, v))
     return v
+
+
+def _kwargs(cls, d, path: str, hints=None, keys=(), **read) -> dict:
+    """The arguments for dataclass cls that the JSON object d at path holds.
+
+    cls's fields are the schema: a key that is neither a field nor one of
+    keys (read by the caller) is an error, and so is a missing field that
+    has no default.  Only the values d holds are passed on (see _get for a
+    null), so every default is the class's; read maps a field to the reader
+    of its JSON value, called with the value and its path.
+    """
+    fields = dataclasses.fields(cls)
+    _object(d, path, keys + tuple(f.name for f in fields), hints)
+    kwargs = {}
+    for f in fields:
+        v = _get(d, f.name, path, f.default)
+        if v is not f.default:
+            kwargs[f.name] = read[f.name](v, path + "." + f.name) if f.name in read else v
+    return kwargs
+
+
+def _build(cls, d, path: str, name: str, hints=None, keys=(), **read):
+    """cls built from the JSON object d at path (see _kwargs); an error of
+    cls that names the object as name ("name.field: ...") names path."""
+    kwargs = _kwargs(cls, d, path, hints, keys, **read)
+    with _at({name: path}):
+        return cls(**kwargs)
 
 
 @contextlib.contextmanager
@@ -144,46 +168,25 @@ def _at_section(section: str):
 
 def parse_exec_model(d, path: str):
     kind = _get(_json(d, path), "kind", path)
-    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
+    cls = EXEC_MODELS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConfigError("%s.kind: unknown execution-time model %r" % (path, kind))
-    _object(d, path, ("kind",) + _MODEL_FIELDS[kind])
-    values = lambda: tuple(_json(_get(d, "values", path), path + ".values", list))
-    with _at({"exec_model": path}):
-        if kind == "deterministic":
-            return Deterministic(_get(d, "ticks", path))
-        if kind == "uniform":
-            return Uniform(_get(d, "lo", path), _get(d, "hi", path))
-        if kind == "beta":
-            return Beta(_get(d, "alpha", path), _get(d, "beta", path),
-                        _get(d, "lo", path), _get(d, "hi", path))
-        if kind == "empirical":
-            return Empirical(values())
-        fb = _get(d, "fallback", path)  # scripted
-        return Scripted(values(), parse_exec_model(fb, path + ".fallback"))
+    return _build(cls, d, path, "exec_model", keys=("kind",), values=_tuple,
+                  fallback=parse_exec_model)
+
+
+def _tuple(raw, path: str) -> tuple:
+    """raw, if it is a JSON array, as a tuple."""
+    return tuple(_json(raw, path, list))
 
 
 def parse_task(d, path: str) -> TaskSpec:
-    kwargs = dict(
-        id=_get(_object(d, path, _FIELDS["task"]), "id", path),
-        wcet=_get(d, "wcet", path),
-        rel_deadline=_get(d, "rel_deadline", path),
-        period=_get(d, "period", path),
-    )
-    if "exec_model" in d:
-        kwargs["exec_model"] = parse_exec_model(d["exec_model"], path + ".exec_model")
-    if "miss_policy" in d:
-        kwargs["miss_policy"] = d["miss_policy"]
-    if "enforce_wcet" in d:
-        kwargs["enforce_wcet"] = d["enforce_wcet"]
-    if "activation" in d:
-        a = _object(d["activation"], path + ".activation", _FIELDS["activation"])
-        gap = a.get("gap_model")
-        with _at({"activation": path + ".activation"}):
-            kwargs["activation"] = Activation(
-                a.get("kind", "periodic"),
-                parse_exec_model(gap, path + ".activation.gap_model") if gap else None)
-    with _at({"task": path}):
-        return TaskSpec(**kwargs)
+    return _build(TaskSpec, d, path, "task", activation=_activation,
+                  exec_model=parse_exec_model)
+
+
+def _activation(d, path: str) -> Activation:
+    return _build(Activation, d, path, "activation", gap_model=parse_exec_model)
 
 
 def parse_tasks(doc: dict) -> List[TaskSpec]:
@@ -194,60 +197,55 @@ def parse_tasks(doc: dict) -> List[TaskSpec]:
 
 
 def parse_reservations(doc: dict) -> Dict[int, ReservationSpec]:
-    raw = _json(_get(doc, "reservations", "config"), "reservations")
     out = {}
-    for key, r in raw.items():
+    for key, r in _json(_get(doc, "reservations", "config"), "reservations").items():
         path = "reservations[%s]" % key
-        with _at({"reservation": path}):
-            out[_task_id(key, "reservations")] = ReservationSpec(
-                budget=_get(_object(r, path, _FIELDS["reservation"]), "budget", path),
-                period=_get(r, "period", path),
-                variant=r.get("variant", "soft_postpone"),
-                reclaiming=r.get("reclaiming", "none"))
+        out[_task_id(key, "reservations")] = _build(ReservationSpec, r, path,
+                                                    "reservation")
     return out
 
 
 def parse_scheduler(doc: dict) -> SchedulerConfig:
-    raw = _object(_get(doc, "scheduler", "config"), "scheduler", _FIELDS["scheduler"])
-    kind = _get(raw, "kind", "scheduler")
-    kwargs = dict(kind=kind, horizon=_get(raw, "horizon", "scheduler"))
-    if kind == "fixed_priority":
-        prio = _json(_get(raw, "priorities", "scheduler"), "scheduler.priorities")
-        kwargs["priorities"] = {_task_id(k, "scheduler.priorities"): v
-                                for k, v in prio.items()}
-    if kind == "cbs_edf":
+    kwargs = _kwargs(SchedulerConfig, _get(doc, "scheduler", "config"), "scheduler",
+                     {"reservations": "not a scheduler field; reservations is a "
+                                      "top-level section"},
+                     priorities=_priorities, collect=_kinds)
+    if kwargs["kind"] == "cbs_edf":
         kwargs["reservations"] = parse_reservations(doc)
-    if "miss_detection" in raw:
-        kwargs["miss_detection"] = raw["miss_detection"]
-    if "collect" in raw:
-        kinds = _json(raw["collect"], "scheduler.collect", list)
-        for i, kind in enumerate(kinds):
-            if not isinstance(kind, str):
-                raise ConfigError("scheduler.collect[%d]: expected an event kind "
-                                  "string, got %r" % (i, kind))
-        kwargs["collect"] = frozenset(kinds)
     return SchedulerConfig(**kwargs)
+
+
+def _priorities(raw, path: str) -> Dict[int, object]:
+    return {_task_id(k, path): v for k, v in _json(raw, path).items()}
+
+
+def _kinds(raw, path: str) -> frozenset:
+    """raw, if it is a JSON array of strings (event kinds), as a frozenset."""
+    kinds = _json(raw, path, list)
+    for i, kind in enumerate(kinds):
+        if not isinstance(kind, str):
+            raise ConfigError("%s[%d]: expected an event kind string, got %r"
+                              % (path, i, kind))
+    return frozenset(kinds)
 
 
 def parse_constraints(doc: dict) -> Dict[int, MissConstraint]:
     out = {}
     for key, c in _json(doc.get("constraints", {}), "constraints").items():
         path = "constraints[%s]" % key
-        conj = _object(c, path, _FIELDS["constraint"]).get("conjunction", [])
-        pairs = tuple(_pair(p, "%s.conjunction[%d]" % (path, i))
-                      for i, p in enumerate(_json(conj, path + ".conjunction", list)))
-        with _at({"constraint": path}):
-            out[_task_id(key, "constraints")] = MissConstraint(
-                m=_int(c, "m", path), n=_int(c, "n", path), conjunction=pairs)
+        out[_task_id(key, "constraints")] = _build(MissConstraint, c, path,
+                                                   "constraint", conjunction=_pairs)
     return out
 
 
-def _pair(raw, path: str) -> Tuple[int, int]:
-    """raw, if it is a JSON array of two integers."""
-    pair = _json(raw, path, list)
-    if len(pair) != 2 or not all(map(_is_int, pair)):
-        raise ConfigError("%s: expected an [m, n] pair of integers, got %r" % (path, pair))
-    return tuple(pair)
+def _pairs(raw, path: str) -> Tuple[Tuple[int, int], ...]:
+    """raw, if it is a JSON array of [m, n] pairs of integers, as tuples."""
+    pairs = _json(raw, path, list)
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+            raise ConfigError("%s[%d]: expected an [m, n] pair of integers, got %r"
+                              % (path, i, pair))
+    return tuple(map(tuple, pairs))
 
 
 def _matrix(raw, path: str) -> np.ndarray:
@@ -258,7 +256,7 @@ def _matrix(raw, path: str) -> np.ndarray:
 
 
 def parse_plant(doc: dict) -> ContinuousLti:
-    raw = _object(_get(doc, "plant", "config"), "plant", _FIELDS["plant"])
+    raw = _object(_get(doc, "plant", "config"), "plant", ("A", "B", "C", "D"))
     A = _matrix(_get(raw, "A", "plant"), "plant.A")
     B = _matrix(_get(raw, "B", "plant"), "plant.B")
     if "C" in raw or "D" in raw:
@@ -278,7 +276,7 @@ def parse_control(doc: dict) -> dict:
     }
     if out["feedback"] not in ("lqr", "lqg"):
         raise ConfigError("control.feedback: must be lqr or lqg")
-    w = _object(raw.get("weights", {}), "control.weights", _FIELDS["control.weights"])
+    w = _object(raw.get("weights", {}), "control.weights", ("Qx", "Ru"))
     out["Qx"] = _matrix(w["Qx"], "control.weights.Qx") if "Qx" in w else None
     out["Ru"] = _matrix(w["Ru"], "control.weights.Ru") if "Ru" in w else None
     return out
@@ -288,17 +286,16 @@ def parse_moc(doc: dict) -> dict:
     raw = _object(_get(doc, "moc", "config"), "moc", _FIELDS["moc"], {
         "d_max": "not a moc field; the backlog bound is moc.max_delay"})
     return {
-        "moc": MocKind(_get(raw, "kind", "moc"),
-                       _int(raw, "max_delay", "moc", required=False),
-                       _int(raw, "act_delay", "moc", required=False)),
+        "moc": MocKind(_get(raw, "kind", "moc"), _int(raw, "max_delay", "moc", None),
+                       _int(raw, "act_delay", "moc", None)),
         "exec_model": parse_exec_model(_get(raw, "exec_model", "moc"),
                                        "moc.exec_model"),
         "Q": _int(raw, "Q", "moc"),
         "R": _int(raw, "R", "moc"),
-        "T": _int(raw, "T", "moc", required=False),
-        "tick_seconds": _positive(raw, "tick_seconds", "moc", default=1.0),
-        "horizon": _int(raw, "horizon", "moc", required=False, default=300),
-        "n_traj": _int(raw, "n_traj", "moc", required=False, default=100),
+        "T": _int(raw, "T", "moc", None),
+        "tick_seconds": _positive(raw, "tick_seconds", "moc", 1.0),
+        "horizon": _int(raw, "horizon", "moc", 300),
+        "n_traj": _int(raw, "n_traj", "moc", 100),
     }
 
 
@@ -316,28 +313,6 @@ def parse_chain(doc: dict) -> dict:
 
 def parse_sweep(doc: dict, seed=None) -> SweepConfig:
     exact = "not a sweep field; verdicts are exact"
-    raw = _object(doc.get("sweep", {}), "sweep", _FIELDS["sweep"],
-                  {"horizon": exact, "n_traj": exact})
-    kwargs = {}
-    for field in ("n_systems", "state_dim", "R", "T", "max_delay"):
-        if field in raw:
-            kwargs[field] = _int(raw, field, "sweep")
-    for field in ("beta_alpha", "beta_beta", "tick_seconds"):
-        v = _positive(raw, field, "sweep")  # null: the default, as for absent
-        if v is not None:
-            kwargs[field] = v
-    if "seed" in raw:
-        if not (_is_int(raw["seed"]) or isinstance(raw["seed"], str)):
-            raise ConfigError("sweep.seed: must be an integer or a string, got %r"
-                              % (raw["seed"],))
-        kwargs["seed"] = raw["seed"]
-    if "grid" in raw:
-        kwargs["grid"] = tuple(_json(raw["grid"], "sweep.grid", list))
-        for i, b in enumerate(kwargs["grid"]):
-            if type(b) not in (int, float):
-                raise ConfigError("sweep.grid[%d]: must be a number, got %r" % (i, b))
-    if "mocs" in raw:
-        kwargs["mocs"] = tuple(_json(raw["mocs"], "sweep.mocs", list))
-    if seed is not None:
-        kwargs["seed"] = seed
-    return SweepConfig(**kwargs)
+    sweep = _build(SweepConfig, doc.get("sweep", {}), "sweep", "sweep",
+                   {"horizon": exact, "n_traj": exact}, grid=_tuple, mocs=_tuple)
+    return sweep if seed is None else dataclasses.replace(sweep, seed=seed)

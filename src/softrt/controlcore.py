@@ -217,7 +217,7 @@ def dlqr(A, B, Qx, Ru) -> Tuple[np.ndarray, np.ndarray]:
         if residual <= 1e-6 * max(1.0, np.max(np.abs(P))) and \
                 spectral_radius(A - B @ K) < 1.0:
             return K, P
-    except np.linalg.LinAlgError:
+    except (np.linalg.LinAlgError, ValueError):  # ValueError: QZ reordering failed
         pass
     lam = _unreachable_mode(A, B)
     if lam is None:

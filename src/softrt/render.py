@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from .errors import ConfigError
 from .simcore import STOP_KINDS, Trace
 
 # (task, start, end, deadline of the job that ran)
@@ -103,10 +104,10 @@ def render_svg(trace: Trace, cell: int = 12, row_h: int = 26) -> str:
 
 
 def render_trace(trace: Trace, format: str = "ascii") -> str:
+    if trace.horizon < 0:
+        raise ConfigError("horizon: must be >= 0, got %r" % (trace.horizon,))
     if format == "ascii":
         return render_ascii(trace)
     if format == "svg":
         return render_svg(trace)
-    from .errors import ConfigError
-
     raise ConfigError("format: must be ascii or svg")

@@ -24,7 +24,7 @@ import numpy as np
 from .controlcore import ContinuousLti, c2d, dlqr
 from .errors import ConfigError, NumericalError
 from .moc import BUFFERED_KINDS, MOC_KINDS, MocKind, verdicts
-from .taskmodel import Beta, derived_seed
+from .taskmodel import Beta, _is_int, _is_real, derived_seed
 
 log = logging.getLogger(__name__)
 
@@ -48,27 +48,37 @@ class SweepConfig:
 
     def __post_init__(self):
         # messages name each field by its path in a config document
-        for name in ("n_systems", "state_dim", "R", "max_delay"):
-            if getattr(self, name) < 1:
+        for name in ("n_systems", "state_dim", "R", "T", "max_delay"):
+            v = getattr(self, name)
+            if not _is_int(v):
+                raise ConfigError("sweep.%s: must be an integer, got %r" % (name, v))
+            if v < 1:
                 raise ConfigError("sweep.%s: must be >= 1" % name)
-        if self.T < self.R or self.T % self.R != 0:
+        if self.T % self.R != 0:
             raise ConfigError("sweep.T: must be a positive multiple of R")
-        if not self.grid or list(self.grid) != sorted(self.grid):
-            raise ConfigError("sweep.grid: bandwidth grid must be non-empty and "
-                              "sorted ascending")
+        for name in ("beta_alpha", "beta_beta", "tick_seconds"):
+            v = getattr(self, name)
+            if not (_is_real(v) and 0 < v < float("inf")):
+                raise ConfigError("sweep.%s: must be a number > 0, got %r" % (name, v))
+        if not (_is_int(self.seed) or isinstance(self.seed, str)):
+            raise ConfigError("sweep.seed: must be an integer or a string, got %r"
+                              % (self.seed,))
         for i, b in enumerate(self.grid):
+            if not _is_real(b):
+                raise ConfigError("sweep.grid[%d]: must be a number, got %r" % (i, b))
             if not 0 < b <= 1:
                 raise ConfigError("sweep.grid[%d]: bandwidth fraction %r must lie "
                                   "in (0, 1]" % (i, b))
             if abs(b * self.R - round(b * self.R)) > 1e-9:
                 raise ConfigError("sweep.grid[%d]: fraction %r gives a non-integer "
                                   "budget for R=%d" % (i, b, self.R))
+        if not self.grid or list(self.grid) != sorted(self.grid):
+            raise ConfigError("sweep.grid: bandwidth grid must be non-empty and "
+                              "sorted ascending")
         for i, m in enumerate(self.mocs):
             if m not in MOC_KINDS:
                 raise ConfigError("sweep.mocs[%d]: unknown model of computation %r"
                                   % (i, m))
-        if self.tick_seconds <= 0:
-            raise ConfigError("sweep.tick_seconds: must be > 0")
 
     @property
     def exec_model(self) -> Beta:

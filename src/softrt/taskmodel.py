@@ -35,6 +35,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """Whether v is a real number and not a boolean."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def derived_seed(*parts) -> int:
     """64-bit integer seed derived from the given parts (for numpy)."""
     import hashlib
@@ -61,7 +66,7 @@ def _finite(model, *names) -> None:
     an infinite shape parameter never leaves random.betavariate."""
     for name in names:
         v = getattr(model, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        if not (_is_real(v) and math.isfinite(v)):
             raise ConfigError("exec_model.%s: must be a finite number, got %r" % (name, v))
 
 
@@ -143,6 +148,9 @@ class Scripted:
 
 
 ExecTimeModel = Union[Deterministic, Uniform, Beta, Empirical, Scripted]
+# each model's class by the kind that names it in a config document
+EXEC_MODELS = {"deterministic": Deterministic, "uniform": Uniform, "beta": Beta,
+               "empirical": Empirical, "scripted": Scripted}
 
 
 def sample_exec_time(model: ExecTimeModel, job_index: int, key: str) -> int:

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from softrt.analysis import dropout_probability
 from softrt.controlcore import (ContinuousLti, c2d, dlqr, gelfand_radius,
@@ -163,6 +164,7 @@ def test_criterion_05_temporal_isolation():
     print("criterion 5 PASS: inflating one task never perturbs the others")
 
 
+@pytest.mark.slow
 def test_criterion_06_dropout_probability_vs_simulation():
     n_jobs = 100_000
     for i in range(20):

@@ -8,6 +8,9 @@ import sys
 import pytest
 
 from softrt.cli import main
+from softrt.errors import ConfigError
+from softrt.render import render_trace
+from softrt.simcore import Trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "edf_overload_trace.csv"
 GOLDEN_COSIM_SORT = GOLDEN.with_name("cosim_tt_sort.csv")
@@ -653,3 +656,59 @@ def test_unreadable_input_files_are_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: %s" % message), argv
         assert "Traceback" not in err
+
+
+def _null_cases():
+    """(command, config, path) with one integer or seconds field set to null."""
+    sweep = {"n_systems": 1, "mocs": ["tt_hard"], "grid": [1.0]}
+    cases = [(["sweep"], {"sweep": dict(sweep, **{f: None})}, "sweep." + f)
+             for f in ("n_systems", "state_dim", "R", "T", "max_delay")]
+    cases += [(["analyze", str(GOLDEN)], {"constraints": {"1": dict({"m": 1, "n": 2},
+                                                                     **{f: None})}},
+               "constraints[1]." + f) for f in ("m", "n")]
+    cases += [(["chain"], {"chain": dict(CHAIN_CONFIG["chain"], **{f: None})}, "chain." + f)
+              for f in ("Q", "R", "T", "d_max")]
+    cases += [(["cosim"], dict(COSIM_SORT, moc=dict(COSIM_SORT["moc"], **{f: None})),
+               "moc." + f) for f in ("Q", "R", "horizon", "n_traj", "tick_seconds")]
+    return cases
+
+
+@pytest.mark.parametrize("cmd, doc, field", _null_cases(),
+                         ids=[field for *_, field in _null_cases()])
+def test_null_fields_are_config_errors_or_defaults(tmp_path, capsys, cmd, doc, field):
+    code = main(cmd + ["--config", write_config(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    if field != "moc.tick_seconds":
+        assert code == 2
+        assert "config error: %s: must be an integer, got None\n" % field in err
+        return
+    # a null duration takes its default, as if the key were left out
+    assert code == 0
+    del doc["moc"]["tick_seconds"]
+    assert main(cmd + ["--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("cmd", ["control-synth", "cosim"])
+def test_weight_errors_name_their_json_path(tmp_path, capsys, cmd):
+    base = DOUBLE_INTEGRATOR if cmd == "control-synth" else \
+        dict(COSIM_SORT, plant=DOUBLE_INTEGRATOR["plant"])
+    cases = [
+        ({"Qx": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "control.weights.Qx: expected shape"),
+        ({"Qx": [[1, 2], [0, 1]]}, "control.weights.Qx: must be symmetric"),
+        ({"Ru": [[1, 0], [0, 1]]}, "control.weights.Ru: expected shape"),
+        ({"Ru": [[1, 2], [0, 1]]}, "control.weights.Ru: must be symmetric"),
+        ({"Ru": [[-1]]}, "control.weights.Ru: must be positive definite"),
+    ]
+    for weights, message in cases:
+        doc = dict(base, control={"weights": weights})
+        assert main([cmd, "--config", write_config(tmp_path, doc)]) == 2, message
+        assert capsys.readouterr().err.startswith("config error: " + message), message
+
+
+def test_render_rejects_a_negative_horizon(capsys):
+    for fmt in ("ascii", "svg"):
+        assert main(["render", str(GOLDEN), "--horizon", "-5", "--format", fmt]) == 2
+        assert capsys.readouterr().err == "config error: horizon: must be >= 0, got -5\n"
+    with pytest.raises(ConfigError, match="^horizon: must be >= 0"):
+        render_trace(Trace.from_csv(GOLDEN.read_text(), horizon=-5))

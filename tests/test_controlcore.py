@@ -188,6 +188,16 @@ def test_dlqr_failure_names_the_cause():
         dlqr([[1.0]], [[1.0]], [[0.0]], [[1.0]])
 
 
+def test_dlqr_ill_conditioned_plant_is_a_numerical_error():
+    # exp(A*16) of this fast plant leaves scipy's QZ reordering no Schur form
+    g = np.random.default_rng(7)
+    plant = ContinuousLti.from_ab(4.0 * g.uniform(-1.0, 1.0, (3, 3)),
+                                  g.uniform(-1.0, 1.0, (3, 1)))
+    d = c2d(plant, 16.0)
+    with pytest.raises(NumericalError):
+        dlqr(d.A, d.B, np.eye(3), np.eye(1))
+
+
 def test_dlqr_rejects_mis_sized_weights():
     A, B = np.eye(2), np.ones((2, 1))
     with pytest.raises(ConfigError, match=r"weights\.Qx: expected shape \(2, 2\)"):
