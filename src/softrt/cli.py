@@ -40,13 +40,7 @@ def _read_trace(path: str, horizon=None) -> Trace:
 
 
 def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    return x
+    return x.tolist() if isinstance(x, (np.ndarray, np.generic)) else x
 
 
 def _dump_json(obj) -> str:
@@ -142,7 +136,7 @@ def cmd_control_synth(args) -> int:
 def cmd_chain(args) -> int:
     p = cfg.parse_chain(cfg.load_config(args.config))
     with cfg._at_section("chain"):
-        chain = build_delay_chain(p["exec_model"], p["Q"], p["R"], p["T"], p["d_max"])
+        chain = build_delay_chain(**p)
     if args.format == "csv":
         n = chain.n_states
         lines = ["state,steady," + ",".join("to_%d" % j for j in range(n))]
@@ -159,12 +153,12 @@ def cmd_chain(args) -> int:
 def cmd_cosim(args) -> int:
     doc = cfg.load_config(args.config)
     m = cfg.parse_moc(doc)
+    if cfg.parse_control(doc)["feedback"] != "lqr":  # no dynamic controller yet
+        raise ConfigError("control.feedback: cosim supports lqr only")
     nominal = (m["T"] if m["T"] is not None else m["R"]) * m["tick_seconds"]
     plant, _, _, K, _ = _lqr(doc, nominal)
     with cfg._at_section("moc"):
-        res = cosimulate(plant, K, m["moc"], m["exec_model"], m["Q"], m["R"], m["T"],
-                         tick_seconds=m["tick_seconds"], horizon=m["horizon"],
-                         n_traj=m["n_traj"], seed=args.seed)
+        res = cosimulate(plant, K, seed=args.seed, **m)
     if args.format == "csv":
         lines = ["step,second_moment"]
         for k, v in enumerate(res.estimates):

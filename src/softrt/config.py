@@ -4,17 +4,18 @@ One document can carry any of the sections tasks, scheduler, reservations,
 constraints, plant, control, moc and sweep; each subcommand picks the
 sections it needs.  An object that configures a class (a task and its
 parts, a reservation, the scheduler, a constraint, the sweep) takes exactly
-that dataclass's fields, with its defaults; the sections that configure a
-routine (control, moc, chain) list theirs in _FIELDS.  Every diagnostic
-names the offending field with its path, e.g. "tasks[1].period: must be
->= 1"; a key that is not a field is an error too.  A null is the default
-where that is None or a fraction; elsewhere it is a (wrong) value.
+that dataclass's fields, with its defaults; a section that configures a
+routine (moc, chain) takes that routine's parameters, with theirs.  Every
+diagnostic names the offending field with its path, e.g. "tasks[1].period:
+must be >= 1"; a key that is not a field is an error too.  A null is the
+default where that is None or a fraction; elsewhere it is a (wrong) value.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 import json
 from dataclasses import MISSING
 from typing import Dict, List, Tuple
@@ -24,20 +25,16 @@ import numpy as np
 from .analysis import MissConstraint
 from .controlcore import ContinuousLti
 from .errors import ConfigError
-from .moc import MocKind
+from .moc import MocKind, build_delay_chain, cosimulate
 from .simcore import SchedulerConfig
 from .sweep import SweepConfig
 from .taskmodel import (EXEC_MODELS, Activation, ReservationSpec, TaskSpec,
                         _is_int)
 
 
-# the fields of each section that configures a routine; any other key is an error
-_FIELDS = {
-    "control": ("sample_seconds", "feedback", "weights"),
-    "moc": ("kind", "max_delay", "act_delay", "exec_model", "Q", "R", "T",
-            "tick_seconds", "horizon", "n_traj"),
-    "chain": ("exec_model", "Q", "R", "T", "d_max"),
-}
+# the routine each section configures, and the parameters its caller sets
+_ROUTINES = {"moc": (cosimulate, ("plant", "K", "moc", "seed")),
+             "chain": (build_delay_chain, ())}
 
 
 def _read_text(path: str, what: str) -> str:
@@ -99,39 +96,45 @@ def _get(d: dict, key: str, path: str, default=MISSING):
     return v
 
 
-def _int(d: dict, key: str, path: str, default=MISSING):
-    """_get for an integer field; JSON strings, floats, booleans and null are
-    rejected, except where the default is None."""
-    v = _get(d, key, path, default)
-    if not _is_int(v) and not (v is None and default is None):
-        raise ConfigError("%s.%s: must be an integer, got %r" % (path, key, v))
+def _integer(v, path: str) -> int:
+    """v, if it is an integer; JSON strings, floats, booleans and null are not."""
+    if not _is_int(v):
+        raise ConfigError("%s: must be an integer, got %r" % (path, v))
     return v
 
 
-def _positive(d: dict, key: str, path: str, default=None):
-    """_get for an optional finite number > 0 (a duration), not a string."""
-    v = _get(d, key, path, default)
+def _duration(v, path: str):
+    """v, if it is None or a finite number > 0 (a duration), not a string."""
     if v is not None and not (type(v) in (int, float) and 0 < v < float("inf")):
-        raise ConfigError("%s.%s: must be a number > 0, got %r" % (path, key, v))
+        raise ConfigError("%s: must be a number > 0, got %r" % (path, v))
     return v
 
 
-def _kwargs(cls, d, path: str, hints=None, keys=(), **read) -> dict:
-    """The arguments for dataclass cls that the JSON object d at path holds.
+def _parameters(target, unset=()) -> Dict[str, inspect.Parameter]:
+    """The parameters of target, a class or a routine, but unset, by their
+    keys in the document, which calls a model parameter exec_model."""
+    return {"exec_model" if name == "model" else name: p
+            for name, p in inspect.signature(target).parameters.items() if name not in unset}
 
-    cls's fields are the schema: a key that is neither a field nor one of
-    keys (read by the caller) is an error, and so is a missing field that
-    has no default.  Only the values d holds are passed on (see _get for a
-    null), so every default is the class's; read maps a field to the reader
-    of its JSON value, called with the value and its path.
+
+def _kwargs(target, d, path: str, hints=None, keys=(), unset=(), **read) -> dict:
+    """The arguments for target that the JSON object d at path holds.
+
+    target's parameters but unset are the schema (see _parameters): a key
+    that is neither a parameter nor one of keys (read by the caller) is an
+    error, and so is a missing parameter that has no default.  Only the
+    values d holds are passed on (see _get for a null), so every default is
+    target's; read maps a parameter to the reader of its JSON value, called
+    with the value and its path.
     """
-    fields = dataclasses.fields(cls)
-    _object(d, path, keys + tuple(f.name for f in fields), hints)
+    params = _parameters(target, unset)
+    _object(d, path, keys + tuple(params), hints)
     kwargs = {}
-    for f in fields:
-        v = _get(d, f.name, path, f.default)
-        if v is not f.default:
-            kwargs[f.name] = read[f.name](v, path + "." + f.name) if f.name in read else v
+    for key, p in params.items():
+        default = MISSING if p.default is p.empty else p.default
+        v = _get(d, key, path, default)
+        if v is not default:
+            kwargs[p.name] = read[p.name](v, path + "." + key) if p.name in read else v
     return kwargs
 
 
@@ -163,7 +166,18 @@ def _at_section(section: str):
     """Context in which an error that names a field of section bare ("Q: ...",
     raised by the routine that section configures) names its path
     ("chain.Q: ...")."""
-    return _at({f: "%s.%s" % (section, f) for f in _FIELDS[section]})
+    return _at({key: section + "." + key for key in _parameters(*_ROUTINES[section])})
+
+
+def _arguments(doc: dict, section: str, hints=None, keys=()) -> dict:
+    """Every argument that section sets of its routine: the values it holds,
+    each read by its parameter's annotation (see _READERS), and the defaults
+    of the parameters it leaves out."""
+    routine, unset = _ROUTINES[section]
+    params = _parameters(routine, unset).values()
+    return dict({p.name: p.default for p in params if p.default is not p.empty},
+                **_kwargs(routine, _get(doc, section, "config"), section, hints, keys,
+                          unset, **{p.name: _READERS[p.annotation] for p in params}))
 
 
 def parse_exec_model(d, path: str):
@@ -173,6 +187,11 @@ def parse_exec_model(d, path: str):
         raise ConfigError("%s.kind: unknown execution-time model %r" % (path, kind))
     return _build(cls, d, path, "exec_model", keys=("kind",), values=_tuple,
                   fallback=parse_exec_model)
+
+
+# the reader of a routine argument's JSON value, by its parameter's annotation
+_READERS = {"int": _integer, "Optional[int]": _integer, "float": _duration,
+            "ExecTimeModel": parse_exec_model}
 
 
 def _tuple(raw, path: str) -> tuple:
@@ -269,9 +288,10 @@ def parse_plant(doc: dict) -> ContinuousLti:
 
 def parse_control(doc: dict) -> dict:
     """Controller synthesis settings: period, weights, feedback structure."""
-    raw = _object(doc.get("control", {}), "control", _FIELDS["control"])
-    out = {
-        "sample_seconds": _positive(raw, "sample_seconds", "control"),  # None: caller picks
+    raw = _object(doc.get("control", {}), "control",
+                  ("sample_seconds", "feedback", "weights"))
+    out = {  # sample_seconds None: the caller picks
+        "sample_seconds": _duration(raw.get("sample_seconds"), "control.sample_seconds"),
         "feedback": raw.get("feedback", "lqr"),
     }
     if out["feedback"] not in ("lqr", "lqg"):
@@ -283,32 +303,20 @@ def parse_control(doc: dict) -> dict:
 
 
 def parse_moc(doc: dict) -> dict:
-    raw = _object(_get(doc, "moc", "config"), "moc", _FIELDS["moc"], {
-        "d_max": "not a moc field; the backlog bound is moc.max_delay"})
-    return {
-        "moc": MocKind(_get(raw, "kind", "moc"), _int(raw, "max_delay", "moc", None),
-                       _int(raw, "act_delay", "moc", None)),
-        "exec_model": parse_exec_model(_get(raw, "exec_model", "moc"),
-                                       "moc.exec_model"),
-        "Q": _int(raw, "Q", "moc"),
-        "R": _int(raw, "R", "moc"),
-        "T": _int(raw, "T", "moc", None),
-        "tick_seconds": _positive(raw, "tick_seconds", "moc", 1.0),
-        "horizon": _int(raw, "horizon", "moc", 300),
-        "n_traj": _int(raw, "n_traj", "moc", 100),
-    }
+    """cosimulate's arguments but plant, K and seed; moc is the MocKind that
+    the section's fields of that class build."""
+    args = _arguments(doc, "moc", {
+        "d_max": "not a moc field; the backlog bound is moc.max_delay"},
+        tuple(_parameters(MocKind)))
+    # _arguments has checked every key; MocKind reads its own
+    args["moc"] = _build(MocKind, doc["moc"], "moc", "moc", keys=tuple(doc["moc"]),
+                         max_delay=_integer, act_delay=_integer)
+    return args
 
 
 def parse_chain(doc: dict) -> dict:
-    raw = _object(_get(doc, "chain", "config"), "chain", _FIELDS["chain"])
-    return {
-        "exec_model": parse_exec_model(_get(raw, "exec_model", "chain"),
-                                       "chain.exec_model"),
-        "Q": _int(raw, "Q", "chain"),
-        "R": _int(raw, "R", "chain"),
-        "T": _int(raw, "T", "chain"),
-        "d_max": _int(raw, "d_max", "chain"),
-    }
+    """build_delay_chain's arguments."""
+    return _arguments(doc, "chain")
 
 
 def parse_sweep(doc: dict, seed=None) -> SweepConfig:

@@ -123,14 +123,22 @@ class CostWeights:
     Ru: np.ndarray
 
     def __post_init__(self):
-        self.Qx = _square(self.Qx, "weights.Qx")
-        self.Ru = _square(self.Ru, "weights.Ru")
-        if not np.allclose(self.Qx, self.Qx.T, atol=1e-12):
-            raise ConfigError("weights.Qx: must be symmetric")
-        if not np.allclose(self.Ru, self.Ru.T, atol=1e-12):
-            raise ConfigError("weights.Ru: must be symmetric")
-        if np.min(np.linalg.eigvalsh(self.Ru)) <= 0:
-            raise ConfigError("weights.Ru: must be positive definite")
+        self.Qx = _weight(self.Qx, "weights.Qx")
+        self.Ru = _weight(self.Ru, "weights.Ru", definite=True)
+
+
+def _weight(M, name: str, n=None, definite=False) -> np.ndarray:
+    """M, if square (n x n when n is given), symmetric and positive definite
+    or, unless definite, semidefinite: no eigenvalue below minus rounding."""
+    M = _square(M, name) if n is None else _shaped(M, name, (n, n))
+    if not np.allclose(M, M.T, atol=1e-12):
+        raise ConfigError("%s: must be symmetric" % name)
+    low = np.min(np.linalg.eigvalsh(M))
+    if definite and low <= 0:
+        raise ConfigError("%s: must be positive definite" % name)
+    if low < -1e-12 * max(1.0, np.max(np.abs(M))):
+        raise ConfigError("%s: must be positive semidefinite" % name)
+    return M
 
 
 @dataclass
@@ -250,8 +258,8 @@ def kalman_gain(A, C, Wproc=None, Wmeas=None) -> np.ndarray:
     n, m = A.shape[0], C.shape[0]
     if C.shape[1] != n:
         raise ConfigError("kalman.C: column count must match A")
-    Wproc = np.eye(n) if Wproc is None else _shaped(Wproc, "kalman.Wproc", (n, n))
-    Wmeas = np.eye(m) if Wmeas is None else _shaped(Wmeas, "kalman.Wmeas", (m, m))
+    Wproc = np.eye(n) if Wproc is None else _weight(Wproc, "kalman.Wproc", n)
+    Wmeas = np.eye(m) if Wmeas is None else _weight(Wmeas, "kalman.Wmeas", m, definite=True)
     try:
         K, _ = dlqr(A.T, C.T, Wproc, Wmeas)
     except NumericalError:

@@ -225,7 +225,7 @@ def _mode_table(plant, K, moc: MocKind, R: Optional[int], T: Optional[int],
     if moc.kind == "tt_hard":
         held = T if moc.act_delay is None else moc.act_delay
         if held > T:
-            raise ConfigError("act_delay: need 0 <= act_delay <= T")
+            raise ConfigError("moc.act_delay: need 0 <= act_delay <= T")
         rows, cuts = [("tt", held, T)], []
     elif moc.kind == "tt_maxb":
         rows, cuts = [("closed", 0, T), ("open", T, None)], [T // R]

@@ -12,9 +12,11 @@ two such ticks the running job and its budget drain are constant, so the
 next completion is at ``now + demand - executed`` and the next exhaustion at
 ``now + ceil(budget / drain)``; deadlines and wake-ups wait in heaps.
 
-All quantities are integers.  The one exception is the budget of a server
-with ``reclaiming="grub"``, which drains by the active bandwidth and is kept
-as an exact ``Fraction``.
+All quantities are integers.  Budgets count in units of 1/L tick, L the lcm
+of the run's reservation periods if any server reclaims and 1 otherwise, so
+a server recharges to Q*L and drains L per tick it runs, or, under
+``reclaiming="grub"``, the active bandwidth capped at 1: min(sum Q_i*L/P_i, L)
+over the servers with pending work, exact as each P_i divides L.
 
 Tie-breaking is documented and total: EDF orders ready jobs by
 (absolute deadline, arrival tick, task id); reservation scheduling orders
@@ -31,9 +33,9 @@ import logging
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from heapq import heappop, heappush, merge
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
 from .taskmodel import JobRecord, ReservationSpec, TaskSpec, _is_int
@@ -349,21 +351,20 @@ def _checked_events(text: str) -> List[Event]:
 # ---------------------------------------------------------------------------
 # reservation state machine
 
-Budget = Union[int, Fraction]  # Fraction only under grub reclaiming
-
-
 @dataclass(slots=True)
 class ServerState:
     """Mutable per-run state of one reservation server.
 
-    The ``cbs_*`` rules below update it in place and return it.
+    The ``cbs_*`` rules below update it in place and return it.  The
+    budget counts in units of 1/``per_tick`` tick.
     """
 
     task_id: int
-    remaining_budget: Budget
+    remaining_budget: int
     current_deadline: int
     status: str = "idle"  # idle | active | suspended
     suspended_until: Optional[int] = None
+    per_tick: int = 1
 
 
 def cbs_on_arrival(server: ServerState, now: int, spec: ReservationSpec) -> ServerState:
@@ -371,27 +372,27 @@ def cbs_on_arrival(server: ServerState, now: int, spec: ReservationSpec) -> Serv
 
     The pair (budget, deadline) is kept only if serving the leftover budget by
     the current deadline stays within the reserved bandwidth, i.e. if
-    q * P < (d - now) * Q evaluated exactly; otherwise the server is reset to
-    a full budget with deadline now + P.  A stale deadline (d <= now) with a
+    q * P < (d - now) * Q * per_tick; otherwise the server is reset to a full
+    budget with deadline now + P.  A stale deadline (d <= now) with a
     non-negative leftover always fails the test and resets.
     """
     if server.remaining_budget * spec.period >= \
-            (server.current_deadline - now) * spec.budget:
-        server.remaining_budget = spec.budget
+            (server.current_deadline - now) * spec.budget * server.per_tick:
+        server.remaining_budget = spec.budget * server.per_tick
         server.current_deadline = now + spec.period
     server.status = "active"
     return server
 
 
 def cbs_on_exhaustion(server: ServerState, now: int, spec: ReservationSpec) -> ServerState:
-    """Budget ran out with work still pending.
+    """The budget ran out with work still pending.
 
     Soft servers immediately recharge and postpone the deadline by one server
     period, staying ready (at lower EDF priority).  Hard servers suspend until
     the current deadline; the recharge happens at wake-up via cbs_wake.
     """
     if spec.variant == "soft_postpone":
-        server.remaining_budget = spec.budget
+        server.remaining_budget = spec.budget * server.per_tick
         server.current_deadline += spec.period
         server.status = "active"
     else:
@@ -402,25 +403,11 @@ def cbs_on_exhaustion(server: ServerState, now: int, spec: ReservationSpec) -> S
 
 def cbs_wake(server: ServerState, spec: ReservationSpec) -> ServerState:
     """End of a hard suspension: full budget, deadline moved one period on."""
-    server.remaining_budget = spec.budget
+    server.remaining_budget = spec.budget * server.per_tick
     server.current_deadline += spec.period
     server.status = "active"
     server.suspended_until = None
     return server
-
-
-def grub_tick(active: Iterable[ReservationSpec], executing: ReservationSpec) -> Budget:
-    """Budget drain for one executing tick under bandwidth reclaiming.
-
-    The executing server pays only the total bandwidth of currently active
-    servers (a server is active while it has pending work), so spare
-    bandwidth stretches the budget.  Without reclaiming the drain is the
-    integer 1 and ``active`` is not read, so plain budgets stay integers.
-    """
-    if executing.reclaiming != "grub":
-        return 1
-    u_act = sum((s.bandwidth for s in active), Fraction(0))
-    return min(u_act, Fraction(1)) if u_act > 0 else Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +515,11 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     coming = next(pending, (horizon,))  # (horizon,) stands past the last job
 
     queues: Dict[int, deque] = {i: deque() for i in ids}  # open jobs, arrival order
-    servers: Dict[int, ServerState] = \
-        {i: ServerState(i, 0, 0, "idle") for i in ids} if cbs else {}
+    specs = [reservations[i] for i in ids] if cbs else []
+    grub = any(r.reclaiming == "grub" for r in specs)
+    per_tick = lcm(*(r.period for r in specs)) if grub else 1  # budget units per tick
+    servers = {i: ServerState(i, 0, 0, per_tick=per_tick) for i in ids} if cbs else {}
+    drains = {i: r.budget * per_tick // r.period for i, r in zip(ids, specs)}  # bandwidths
     deadlines: list = []  # heap of (deadline, task id, job index, job), deadline mode only
     wakes: list = []  # heap of (wake tick, task id) of suspended hard servers
 
@@ -558,9 +548,8 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
                 drop(stale, q)
 
     def exhaust(tid, t):
-        """Budget exhaustion, for a server tid whose budget is spent: if it
-        has pending work, returns the job whose execution segment this
-        closes, else None."""
+        """Exhaustion of server tid, whose budget is spent: if it has pending
+        work, returns the job whose execution segment this closes, else None."""
         s = servers[tid]
         q = queues[tid]
         if s.status != "active" or not q:
@@ -697,9 +686,8 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
             if cbs:
                 s = servers[pick.task]
                 spec = reservations[pick.task]
-                # grub_tick drains 1 for a server that does not reclaim
-                drain = grub_tick([reservations[i] for i in ids if queues[i]], spec) \
-                    if spec.reclaiming == "grub" else 1
+                drain = min(sum([drains[i] for i in ids if queues[i]]), per_tick) \
+                    if spec.reclaiming == "grub" else per_tick
                 budget = s.remaining_budget
                 end = t - (-budget // drain)  # ceil(budget / drain)
                 if end < nxt:

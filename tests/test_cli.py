@@ -1,5 +1,6 @@
 """Command-line surface, driven in-process through main(argv)."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -14,6 +15,9 @@ from softrt.simcore import Trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "edf_overload_trace.csv"
 GOLDEN_COSIM_SORT = GOLDEN.with_name("cosim_tt_sort.csv")
+# sha256 of `softrt sweep` with no config; a documented correctness fix that
+# changes the table updates it
+DEFAULT_SWEEP_SHA256 = "39da3e2e77e23fccfeec16b6cf10145266321b4bf8b4cff496b58a2dd015b088"
 
 OVERLOAD_CONFIG = {
     "tasks": [
@@ -235,6 +239,20 @@ def _with_moc(**fields):
     return doc
 
 
+def test_cosim_rejects_lqg_feedback(tmp_path, capsys):
+    # the co-simulation runs a static gain, so lqg would silently run lqr
+    doc = dict(DOUBLE_INTEGRATOR, moc={
+        "kind": "tt_maxb", "exec_model": {"kind": "deterministic", "ticks": 1},
+        "Q": 2, "R": 2, "T": 2, "tick_seconds": 0.1, "horizon": 40, "n_traj": 2})
+    assert main(["cosim", "--config", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    doc["control"] = {"feedback": "lqg"}
+    assert main(["cosim", "--config", write_config(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: control.feedback: cosim supports lqr only\n"
+
+
 def test_cosim_rejects_misplaced_moc_fields(tmp_path, capsys):
     assert main(["cosim", "--config", write_config(tmp_path, COSIM_SORT)]) == 0
     capsys.readouterr()
@@ -300,6 +318,12 @@ def test_sweep_cli(tmp_path, capsys):
     assert len(lines) == 5
     for ln in lines[1:]:
         assert 0.0 <= float(ln.split(",")[2]) <= 1.0
+
+
+def test_default_sweep_csv_is_pinned(capsys):
+    assert main(["sweep"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_SWEEP_SHA256
 
 
 def test_sweep_non_integer_fields_are_config_errors(tmp_path, capsys):
@@ -704,6 +728,21 @@ def test_weight_errors_name_their_json_path(tmp_path, capsys, cmd):
         doc = dict(base, control={"weights": weights})
         assert main([cmd, "--config", write_config(tmp_path, doc)]) == 2, message
         assert capsys.readouterr().err.startswith("config error: " + message), message
+
+
+@pytest.mark.parametrize("cmd", ["control-synth", "cosim"])
+def test_indefinite_state_weight_is_a_config_error(tmp_path, capsys, cmd):
+    base = DOUBLE_INTEGRATOR if cmd == "control-synth" else \
+        dict(COSIM_SORT, plant=DOUBLE_INTEGRATOR["plant"])
+    doc = dict(base, control={"weights": {"Qx": [[-1, 0], [0, 1]]}})
+    assert main([cmd, "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: control.weights.Qx: must be positive semidefinite\n"
+    # Qx = 0 is a valid weight; it leaves the double integrator's modes on
+    # the unit circle unobserved, a genuine numerical failure
+    doc = dict(base, control={"weights": {"Qx": [[0, 0], [0, 0]]}})
+    assert main([cmd, "--config", write_config(tmp_path, doc)]) == 3
+    assert "dlqr: no stabilizing solution" in capsys.readouterr().err
 
 
 def test_render_rejects_a_negative_horizon(capsys):

@@ -239,6 +239,19 @@ def test_kalman_failure_names_the_cause():
         kalman_gain([[1.0]], [[1.0]], Wproc=[[0.0]])
 
 
+def test_indefinite_weights_name_their_fields():
+    indefinite = [[-1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ConfigError, match=r"^weights\.Qx: must be positive semidefinite"):
+        dlqr(np.eye(2), np.eye(2), indefinite, np.eye(2))
+    with pytest.raises(ConfigError, match=r"^kalman\.Wproc: must be positive semidefinite"):
+        kalman_gain(np.eye(2), np.eye(2), Wproc=indefinite)
+    with pytest.raises(ConfigError, match=r"^kalman\.Wmeas: must be positive definite"):
+        kalman_gain(np.eye(2), np.eye(2), Wmeas=indefinite)
+    # rounding below zero is not indefinite
+    K, _ = dlqr([[0.5]], [[1.0]], [[-1e-15]], [[1.0]])
+    assert K.shape == (1, 1)
+
+
 def test_kalman_shape_errors_name_its_fields():
     with pytest.raises(ConfigError, match=r"^kalman\.C: column count must match A"):
         kalman_gain([[1.0]], [[1.0, 2.0]])

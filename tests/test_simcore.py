@@ -2,7 +2,6 @@ import dataclasses
 import logging
 import re
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,6 @@ from softrt.simcore import (
     cbs_on_arrival,
     cbs_on_exhaustion,
     cbs_wake,
-    grub_tick,
     simulate,
 )
 from softrt.taskmodel import (
@@ -33,6 +31,7 @@ from softrt.taskmodel import (
 from conftest import make_overload_reservations, make_overload_tasks
 
 GOLDEN = Path(__file__).parent / "golden" / "edf_overload_trace.csv"
+GOLDEN_GRUB = GOLDEN.with_name("grub_trace.csv")
 
 
 def timeline(trace):
@@ -152,17 +151,6 @@ def test_cbs_exhaustion_soft_and_hard():
     assert woke.suspended_until is None
 
 
-def test_grub_drain():
-    plain = ReservationSpec(budget=1, period=4)
-    grub = ReservationSpec(budget=1, period=4, reclaiming="grub")
-    other = ReservationSpec(budget=2, period=5)
-    assert grub_tick([plain, other], plain) == 1
-    assert grub_tick([grub, other], grub) == Fraction(1, 4) + Fraction(2, 5)
-    assert grub_tick([grub], grub) == Fraction(1, 4)
-    fat = ReservationSpec(budget=9, period=10, reclaiming="grub")
-    assert grub_tick([fat, other], fat) == 1  # capped at the full processor
-
-
 # ---------------------------------------------------------------------------
 # CBS scheduling
 
@@ -216,6 +204,15 @@ def test_grub_reclaims_idle_bandwidth():
     assert completions(grub, 1) == [2]
     assert len(plain.of_kind("budget_exhausted", 1)) > \
         len(grub.of_kind("budget_exhausted", 1))
+
+
+def test_grub_overload_matches_golden_trace(overload_tasks, overload_reservations):
+    # every server reclaims: budgets count in 1/60 tick, lcm(4, 5, 6) = 60
+    grub = {tid: dataclasses.replace(r, reclaiming="grub")
+            for tid, r in overload_reservations.items()}
+    trace = simulate(overload_tasks, SchedulerConfig(
+        kind="cbs_edf", horizon=60, reservations=grub), seed=0)
+    assert trace.to_csv() == GOLDEN_GRUB.read_text()
 
 
 def test_soft_postpone_keeps_single_task_running():

@@ -86,19 +86,24 @@ def systems(draw):
 
 @st.composite
 def grub_systems(draw):
-    """Reclaiming servers only, with demands that outlast stretched budgets,
-    so exhaustion ticks ceil(q / drain) land both on and off exact integers."""
+    """Reclaiming servers, the first always, beside plain ones, with demands
+    that outlast stretched budgets, so exhaustion ticks ceil(q / drain) land
+    both on and off exact integers.  Server periods up to 13 make the budget
+    unit 1/L tick fine (L, the lcm of the periods, reaches the hundreds), and
+    short ones push the active bandwidth past its cap of 1."""
     rows = draw(st.lists(st.tuples(
         st.integers(3, 10), st.integers(4, 12), st.sampled_from(MISS_POLICIES),
-        st.integers(1, 3), st.integers(0, 3), st.sampled_from(VARIANTS),
-    ), min_size=1, max_size=3))
+        st.integers(1, 3), st.one_of(st.integers(0, 3), st.integers(0, 12)),
+        st.sampled_from(VARIANTS), st.sampled_from(RECLAIMING),
+    ), min_size=1, max_size=4))
     tasks, res = [], {}
-    for i, (c, p, policy, q, slack, variant) in enumerate(rows):
+    for i, (c, p, policy, q, slack, variant, reclaiming) in enumerate(rows):
         tasks.append(TaskSpec(id=i + 1, wcet=c, rel_deadline=p, period=p,
                               exec_model=Empirical((c - 1, c, c + 1)),
                               miss_policy=policy))
-        res[i + 1] = ReservationSpec(budget=q, period=q + slack, variant=variant,
-                                     reclaiming="grub")
+        res[i + 1] = ReservationSpec(budget=q, period=min(q + slack, 13),
+                                     variant=variant,
+                                     reclaiming="grub" if i == 0 else reclaiming)
     scheduler = SchedulerConfig(
         kind="cbs_edf", horizon=draw(st.integers(10, 60)), reservations=res,
         miss_detection=draw(st.sampled_from(("deadline", "completion"))))
@@ -122,6 +127,27 @@ def _grub_pair_exact_exhaustion():
     return tasks, SchedulerConfig(kind="cbs_edf", horizon=40, reservations=res)
 
 
+def _grub_beside_plain_coprime():
+    # a plain server's bandwidth counts in the GRUB servers' drain while it
+    # has work, and the plain server itself drains a whole tick per tick;
+    # the budget unit is 1/L tick with L = lcm(7, 11, 13) = 1001
+    tasks = [TaskSpec(id=i, wcet=6, rel_deadline=12, period=12) for i in (1, 2, 3)]
+    res = {1: ReservationSpec(budget=2, period=7, reclaiming="grub"),
+           2: ReservationSpec(budget=3, period=11),
+           3: ReservationSpec(budget=1, period=13, reclaiming="grub")}
+    return tasks, SchedulerConfig(kind="cbs_edf", horizon=60, reservations=res)
+
+
+def _grub_capped_drain():
+    # active bandwidth 9/10 + 2/5 > 1: the GRUB server drains one full tick
+    # per tick while the plain server has work, and 9/10 of one after
+    tasks = [TaskSpec(id=1, wcet=12, rel_deadline=20, period=20),
+             TaskSpec(id=2, wcet=4, rel_deadline=10, period=10)]
+    res = {1: ReservationSpec(budget=9, period=10, reclaiming="grub"),
+           2: ReservationSpec(budget=2, period=5)}
+    return tasks, SchedulerConfig(kind="cbs_edf", horizon=40, reservations=res)
+
+
 def _hard_wake_with_empty_queue():
     # the job is aborted at tick 2 while its hard server is suspended; the
     # server wakes at 4 with nothing queued and must go idle, so the arrival
@@ -134,6 +160,8 @@ def _hard_wake_with_empty_queue():
 @given(st.one_of(systems(), grub_systems()), st.integers(0, 2**32))
 @example(_grub_exact_exhaustion(), 0)
 @example(_grub_pair_exact_exhaustion(), 0)
+@example(_grub_beside_plain_coprime(), 0)
+@example(_grub_capped_drain(), 0)
 @example(_hard_wake_with_empty_queue(), 0)
 @settings(max_examples=900, deadline=None)
 def test_event_engine_matches_tick_reference(system, seed):
