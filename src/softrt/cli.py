@@ -15,10 +15,10 @@ import numpy as np
 
 from . import config as cfg
 from .analysis import check_mn, miss_pattern, tardiness
-from .controlcore import (build_modes, c2d, dlqr, kalman_gain, lqg_assemble,
-                          spectral_radius, stability_matrix)
+from .controlcore import (ClosedLoopModes, ControllerLti, c2d, dlqr, kalman_gain,
+                          lqg_assemble, spectral_radius, stability_matrix)
 from .errors import ConfigError, NumericalError
-from .moc import build_delay_chain, cosimulate
+from .moc import MocKind, _mode_table, build_delay_chain, cosimulate
 from .render import render_trace
 from .simcore import Trace, simulate
 from .sweep import bandwidth_sweep, sweep_to_csv
@@ -90,7 +90,9 @@ def cmd_analyze(args) -> int:
 
 
 def _lqr(doc, default_seconds: float):
-    """The plant, its discretisation and the LQR gain the control section asks for."""
+    """The plant, its discretisation, the LQR gain K with its Riccati
+    solution P, and the feedback control.feedback asks for: K (lqr) or the
+    observer-based controller built on it (lqg)."""
     plant = cfg.parse_plant(doc)
     ctl = cfg.parse_control(doc)
     Ts = ctl["sample_seconds"] if ctl["sample_seconds"] is not None else default_seconds
@@ -100,16 +102,15 @@ def _lqr(doc, default_seconds: float):
     Ru = ctl["Ru"] if ctl["Ru"] is not None else np.eye(p)
     with cfg._at({"weights": "control.weights"}):
         K, P = dlqr(d.A, d.B, Qx, Ru)
-    return plant, ctl, d, K, P
+    feedback = K if ctl["feedback"] == "lqr" else lqg_assemble(d, K, kalman_gain(d.A, d.C))
+    return plant, d, K, P, feedback
 
 
 def cmd_control_synth(args) -> int:
-    _, ctl, d, K, P = _lqr(cfg.load_config(args.config), 1.0)
-    L = controller = None
-    if ctl["feedback"] == "lqg":
-        L = kalman_gain(d.A, d.C)
-        controller = lqg_assemble(d, K, L)
-    modes = build_modes(d, controller if controller is not None else K)
+    _, d, K, P, feedback = _lqr(cfg.load_config(args.config), 1.0)
+    # tt_maxb's rows at the plant's own interval: a fresh command, or a drop
+    labels, _, matrix = _mode_table(d, feedback, MocKind("tt_maxb"), 1, 1, d.sample_period)
+    modes = ClosedLoopModes(labels, [matrix(0), matrix(1)])
     if args.format == "csv":
         lines = ["mu,rho"]
         for k in range(21):
@@ -125,10 +126,9 @@ def cmd_control_synth(args) -> int:
             "K": K, "P": P,
             "modes": {"labels": modes.labels, "matrices": modes.matrices},
         }
-        if L is not None:
-            report["L"] = L
-            report["controller"] = {"E": controller.E, "F": controller.F,
-                                    "G": controller.G}
+        if isinstance(feedback, ControllerLti):
+            report["L"] = feedback.F
+            report["controller"] = {"E": feedback.E, "F": feedback.F, "G": feedback.G}
         _write(_dump_json(report), args.out)
     return 0
 
@@ -153,12 +153,10 @@ def cmd_chain(args) -> int:
 def cmd_cosim(args) -> int:
     doc = cfg.load_config(args.config)
     m = cfg.parse_moc(doc)
-    if cfg.parse_control(doc)["feedback"] != "lqr":  # no dynamic controller yet
-        raise ConfigError("control.feedback: cosim supports lqr only")
     nominal = (m["T"] if m["T"] is not None else m["R"]) * m["tick_seconds"]
-    plant, _, _, K, _ = _lqr(doc, nominal)
-    with cfg._at_section("moc"):
-        res = cosimulate(plant, K, seed=args.seed, **m)
+    plant, _, _, _, feedback = _lqr(doc, nominal)
+    with cfg._at_section("moc"), cfg._at({"K": "control.feedback"}):
+        res = cosimulate(plant, feedback, seed=args.seed, **m)
     if args.format == "csv":
         lines = ["step,second_moment"]
         for k, v in enumerate(res.estimates):

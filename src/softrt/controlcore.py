@@ -2,17 +2,13 @@
 
 Matrices are dense float64 numpy arrays throughout.  The exponential, the
 eigenvalue solver and the Riccati equation are delegated to scipy/LAPACK; the
-mode construction and the mean-square test are implemented here because
-their exact forms are what the rest of the package is built around.  Every
-stochastic verdict is one operator on lower triangles (_half_kron) and one
-solve (_mean_square_stable); eigenvalues of stability_matrix only report rho.
-
-State conventions for the switched closed loop: with static feedback
-u = -Kx the augmented state is (x, u_held); with a dynamic controller
-(E, F, G) it is (x, z, u_held).  The "closed" mode applies a freshly
-computed command and latches it; the "open" mode evolves the plant under
-the latched command (or zero, depending on the hold strategy) and leaves
-the controller state untouched.
+mean-square test is implemented here because its exact form is what the
+rest of the package is built around.  Every stochastic verdict is one
+operator on lower triangles (_half_kron) and one solve
+(_mean_square_stable); eigenvalues of stability_matrix only report rho.
+The switched loop's modes are built in moc, over the augmented state (x, z,
+u_held): z is a dynamic controller's (E, F, G) state, absent under static
+feedback u = -Kx.
 """
 
 from __future__ import annotations
@@ -283,53 +279,6 @@ def lqg_assemble(plant_d: DiscreteLti, K, L) -> ControllerLti:
     L = _shaped(L, "lqg.L", (A.shape[0], C.shape[0]))  # (states, outputs)
     E = A - B @ K - L @ C + L @ D @ K
     return ControllerLti(E, L, -K)
-
-
-def build_modes(plant_d: DiscreteLti, feedback, hold_strategy="hold") -> ClosedLoopModes:
-    """Two-mode switched closed loop: fresh command vs command held.
-
-    With a gain matrix K the augmented state is (x, u_held):
-        closed: x' = (A - BK) x,        u_held' = -K x
-        open:   x' = A x + B u_held,    u_held' = u_held   (or 0)
-    With a ControllerLti the augmented state is (x, z, u_held) and the open
-    mode freezes z.  Probabilities are left unfilled.
-    """
-    if hold_strategy not in ("hold", "zero"):
-        raise ConfigError("hold_strategy: must be hold or zero")
-    A, B = plant_d.A, plant_d.B
-    n, p = A.shape[0], B.shape[1]
-
-    if isinstance(feedback, ControllerLti):
-        C, D = plant_d.C, plant_d.D
-        E, F, G = feedback.E, feedback.F, feedback.G
-        q = E.shape[0]
-        if F.shape[1] != C.shape[0] or G.shape[0] != p:
-            raise ConfigError("controller.F: dimensions must match plant outputs/inputs")
-        dim = n + q + p
-        Ac = np.zeros((dim, dim))
-        Ac[:n, :n] = A
-        Ac[:n, n:n + q] = B @ G
-        Ac[n:n + q, :n] = F @ C
-        Ac[n:n + q, n:n + q] = E + F @ D @ G
-        Ac[n + q:, n:n + q] = G
-        Ao = np.zeros((dim, dim))
-        Ao[:n, :n] = A
-        Ao[n:n + q, n:n + q] = np.eye(q)
-        if hold_strategy == "hold":
-            Ao[:n, n + q:] = B
-            Ao[n + q:, n + q:] = np.eye(p)
-    else:
-        K = _shaped(feedback, "modes.K", (p, n))
-        dim = n + p
-        Ac = np.zeros((dim, dim))
-        Ac[:n, :n] = A - B @ K
-        Ac[n:, :n] = -K
-        Ao = np.zeros((dim, dim))
-        Ao[:n, :n] = A
-        if hold_strategy == "hold":
-            Ao[:n, n:] = B
-            Ao[n:, n:] = np.eye(p)
-    return ClosedLoopModes(["closed", "open"], [Ac, Ao])
 
 
 def kron(Amat, Bmat) -> np.ndarray:

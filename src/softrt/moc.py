@@ -15,10 +15,15 @@ All the stochastic timing derives from one quantity: a job of demand c
 ticks served by a budget-Q reservation occupies s = ceil(c/Q) reservation
 periods.  tt_hard, tt_maxb and cs differ only in when a job's command
 takes effect, so each maps s through one table (_mode_table) of cuts on s
-and rows (held, span): hold the previous command for held ticks, then latch
--K x(sample) for the rest of span, or never (no span: dropped or cancelled).
-The rows are weighted by the odds of each cut interval in tt_maxb_modes
-and cs_modes and switched by sampled s in cosimulate().  tt_sort carries
+and rows (held, span) over the state (x, z, u_held), z the state of a
+ControllerLti (E, F, G) and absent for a static gain K.  A job samples its
+command c (-K x, or G z) at its start; u_held drives the first held ticks
+and c the rest of span, then u_held' = c and z' = E z + F (C x + D u), u
+the input at the sample.  A row with no span (a drop or a cancel) never
+latches: z and u_held stay.  control-synth's closed/open pair is tt_maxb's
+rows at the plant's own interval.  The rows are weighted by the odds of
+each cut interval in tt_maxb_modes and cs_modes and switched by sampled s
+in cosimulate().  tt_sort takes a static gain only, and carries
 backlog memory, stepped by _backlog_step in its delay chain; its operator
 and co-simulation share one latch rule, _latch_sources, and one state: x
 and the coming periods' inputs.  That period-granular backlog never drains
@@ -40,8 +45,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti, _as_matrix,
-                          _half_kron, _mean_square_stable, _shaped, c2d)
+from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti, DiscreteLti,
+                          _as_matrix, _half_kron, _mean_square_stable, _shaped, c2d)
 from .errors import ConfigError, NumericalError
 from .taskmodel import ExecTimeModel, derived_seed, max_ticks, sample_exec_times, tick_cdf
 
@@ -216,8 +221,9 @@ def _mode_table(plant, K, moc: MocKind, R: Optional[int], T: Optional[int],
                 tick_seconds: float) -> Tuple[List[str], List[int], Callable]:
     """(labels, cuts, matrix) of an i.i.d. mechanism: a job of s service
     periods runs mode i = #{k in cuts : k < s}, labels[i], with transition
-    matrix(i) over (x, u_held), the rule of its row (label, held, span) by
-    _tt_matrix.  None of it depends on the budget Q.  disc discretises each
+    matrix(i) over (x, z, u_held), the rule of its row (label, held, span)
+    by _tt_matrix for the feedback K, a static gain or a ControllerLti
+    (_law).  None of it depends on the budget Q.  disc discretises each
     interval once (a DiscreteLti plant stands for its own interval T), and
     matrices are built on first use and kept, so a caller pays once for
     each mode it uses.  The caller checks the reservation.
@@ -233,7 +239,7 @@ def _mode_table(plant, K, moc: MocKind, R: Optional[int], T: Optional[int],
         D, cuts = moc.max_delay, list(range(1, moc.max_delay + 1))
         rows = [("s=%d" % s, s * R, s * R) for s in cuts] + [("cancel", D * R, None)]
     n, p = plant.A.shape[0], plant.B.shape[1]
-    K = _shaped(K, "tt.K", (p, n))
+    law = _law(plant, K)
 
     @functools.cache
     def disc(ticks):
@@ -244,24 +250,47 @@ def _mode_table(plant, K, moc: MocKind, R: Optional[int], T: Optional[int],
         d = plant if isinstance(plant, DiscreteLti) else c2d(plant, ticks * tick_seconds)
         return d.A, d.B
 
-    matrix = functools.cache(lambda i: _tt_matrix(disc, K, *rows[i][1:]))
+    matrix = functools.cache(lambda i: _tt_matrix(disc, law, *rows[i][1:]))
     return [row[0] for row in rows], cuts, matrix
 
 
-def _tt_matrix(disc: Callable, K: np.ndarray, held: int, span: Optional[int]) -> np.ndarray:
-    """One _mode_table row over (x, u_held); with (A_t, B_t) = disc(t), h = held
-    and r = span - held, it is [[A_r A_h - B_r K, A_r B_h], [-K, 0]], and
-    [[A_h, B_h], [0, I]] for span None."""
+def _law(plant, K) -> tuple:
+    """(Kx, Kz, FC, E, FD) of the feedback K over (x, z, u_held): a job
+    commands c = Kx x + Kz z from its sample, and a latching job moves z to
+    E z + FC x + FD u, u its input at the sample.  A static gain K is c =
+    -K x with no z; a ControllerLti (E, F, G) is c = G z with FC = F C and
+    FD = F D, C and D the plant's."""
+    n, p = plant.A.shape[0], plant.B.shape[1]
+    if not isinstance(K, ControllerLti):
+        K = _shaped(K, "tt.K", (p, n))
+        return -K, np.zeros((p, 0)), np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, p))
+    if K.F.shape[1] != plant.C.shape[0] or K.G.shape[0] != p:
+        raise ConfigError("controller.F: dimensions must match plant outputs/inputs")
+    return np.zeros((p, n)), K.G, K.F @ plant.C, K.E, K.F @ plant.D
+
+
+def _tt_matrix(disc: Callable, law: tuple, held: int, span: Optional[int]) -> np.ndarray:
+    """One _mode_table row over (x, z, u_held) under law = (Kx, Kz, FC, E,
+    FD) (_law).  With (A_t, B_t) = disc(t), h = held and r = span - held,
+    the job's command c = Kx x + Kz z drives the plant after u_held has for
+    h ticks: x' = A_r (A_h x + B_h u_held) + B_r c, z' = E z + FC x + FD u
+    for u = c if h = 0 and u_held otherwise, u_held' = c.  For span None, x'
+    = A_h x + B_h u_held, and z and u_held stay."""
+    Kx, Kz, FC, E, FD = law
     A_h, B_h = disc(held)
     A_r, B_r = disc(0 if span is None else span - held)
-    n, p = B_h.shape
-    M = np.zeros((n + p, n + p))
-    M[:n, :n], M[:n, n:] = A_r @ A_h, A_r @ B_h
-    if span is None:
-        M[n:, n:] = np.eye(p)
-    else:
-        M[:n, :n] -= B_r @ K
-        M[n:, :n] = -K
+    n, q, p = len(A_h), len(E), B_h.shape[1]
+    x, z, u = slice(0, n), slice(n, n + q), slice(n + q, None)
+    M = np.eye(n + q + p)
+    M[x, x], M[x, u] = A_r @ A_h, A_r @ B_h
+    if span is not None:
+        M[x, x] += B_r @ Kx
+        M[x, z] = B_r @ Kz
+        if held:
+            M[z, x], M[z, z], M[z, u] = FC, E, FD
+        else:
+            M[z, x], M[z, z] = FC + FD @ Kx, E + FD @ Kz
+        M[u, x], M[u, z], M[u, u] = Kx, Kz, 0
     return M
 
 
@@ -285,10 +314,10 @@ def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
 
     A job taking s <= max_delay reservation periods holds the previous
     command for its s*R ticks, then latches the one from its start sample:
-    the row (s*R, s*R), [[A_sR, B_sR], [-K, 0]].  A longer job is cancelled
-    after D = max_delay periods and never latches: the row (D*R, no span),
-    [[A_DR, B_DR], [0, I]].  Jobs start fresh (i.i.d. service);
-    zero-probability modes are omitted.
+    the row (s*R, s*R), for a static gain [[A_sR, B_sR], [-K, 0]].  A longer
+    job is cancelled after D = max_delay periods and never latches: the row
+    (D*R, no span), [[A_DR, B_DR], [0, I]].  Jobs start fresh (i.i.d.
+    service); zero-probability modes are omitted.
     """
     moc = MocKind("cs", max_delay)
     _check_reservation(moc, Q, R, None)
@@ -304,9 +333,9 @@ def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
     """Single deterministic mode: sample at kT, actuate at kT + act_delay.
 
     The row (act_delay, T): the old command drives the first act_delay
-    ticks, the fresh command u = -K x(kT) the rest.  act_delay = 0 recovers
-    the idealized no-latency closed mode, act_delay = T the fully latched
-    one.
+    ticks, the fresh one (-K x(kT) for a static gain) the rest.  act_delay =
+    0 recovers the idealized no-latency closed mode, act_delay = T the fully
+    latched one.
     """
     labels, _, matrix = _mode_table(plant, K, MocKind("tt_hard", act_delay=act_delay), None, T,
                                     tick_seconds)
@@ -385,11 +414,12 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
                horizon: int = 300, n_traj: int = 100, seed=0) -> CoSimResult:
     """Monte Carlo second-moment run of the closed loop under a moc.
 
-    The plant starts at x = e1 with controller command and held input zero;
+    The plant starts at x = e1 with controller state and held input zero;
     execution demands are drawn per trajectory from streams keyed by
     (seed, trajectory index), so results are independent of evaluation
-    order.  T is the task period in ticks (unused by cs).  tt_hard has no
-    randomness: all trajectories coincide, so one is run.
+    order.  T is the task period in ticks (unused by cs).  K is a static
+    gain or, but for tt_sort, a ControllerLti.  tt_hard has no randomness:
+    all trajectories coincide, so one is run.
     """
     if isinstance(plant, DiscreteLti) and moc.kind != "tt_maxb":
         raise ConfigError("plant: continuous model required for %s" % moc.kind)
@@ -418,7 +448,10 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
 
 def _tt_sort_setup(plant, K, R: int, T: int, tick_seconds: float):
     """(F, plant over one reservation period, K) for tt_sort's co-simulation
-    and operator alike, K checked against the plant."""
+    and operator alike, K checked against the plant.  Its queued jobs would
+    need z advanced at activation, so a ControllerLti is refused."""
+    if isinstance(K, ControllerLti):
+        raise ConfigError("K: tt_sort needs a static gain, not a dynamic controller")
     n, p = plant.A.shape[0], plant.B.shape[1]
     return T // R, c2d(plant, R * tick_seconds), _shaped(K, "tt.K", (p, n))
 
@@ -469,34 +502,37 @@ def _operator(plant, K, moc: MocKind, R: int, T: int, tick_seconds: float) -> Ca
     """The loop's second-moment operator under a stochastic moc, a Markov
     jump linear system at activations (Costa, Fragoso & Marques 2005, ch.
     3): operator(dist) -> (op, sides) for dist = [(s, P(s))].  In state d,
-    z = (x, w_0..w_d); a job of s periods maps z' = M z into state d', so
-    V'_d' = sum p(s) M V_d M^T, V_d = E[z z^T; state d] on its lower
+    a job of s periods maps the loop's state v to v' = M v in state d', so
+    V'_d' = sum p(s) M V_d M^T, V_d = E[v v^T; state d] on its lower
     triangle (_half_kron), stacked by d.  Only the jump rule is per kind.
-    tt_maxb and cs: one state, w_0 = u_held, M is _mode_table's mode
-    searchsorted(cuts, s).  tt_sort: d is the backlog (_reachable_backlogs),
-    w_j the input j periods on, w_d held beyond; _latch_sources schedules
-    the coming periods' inputs, x advances F = T // R periods and w' is the
-    schedule from period F on.  M depends on (d, key of s) alone, so its
-    block is built on first use and kept: a further dist only sums blocks.
+    tt_maxb and cs: one state, v = (x, z, u_held) and M is _mode_table's
+    mode searchsorted(cuts, s).  tt_sort, static K only: d is the backlog
+    (_reachable_backlogs), v = (x, w_0..w_d), w_j the input j periods on,
+    w_d held beyond; _latch_sources schedules the coming periods' inputs, x
+    advances F = T // R periods and w' is the schedule from period F on.  M
+    depends on (d, key of s) alone, so its block is built on first use and
+    kept: a further dist only sums blocks.
     """
     n, p = plant.A.shape[0], plant.B.shape[1]
     if moc.kind != "tt_sort":
         _, cuts, matrix = _mode_table(plant, K, moc, R, T, tick_seconds)
         states, key = lambda dist: [0], lambda d, s: np.searchsorted(cuts, s)
         block = functools.cache(lambda d, i: (0, _half_kron(matrix(i))))
+        side = lambda d: len(matrix(0))  # n + q + p, q the states of z
     else:
         F, dR, K = _tt_sort_setup(plant, K, R, T, tick_seconds)
         D = moc.max_delay
         states = lambda dist: _reachable_backlogs(dist, F, D)
         key = lambda d, s: np.minimum(d + s, F + D + 1)  # every cancel alike
+        side = lambda d: n + (d + 1) * p
 
         @functools.cache
         def block(d, fin):
             d_next, src = _latch_sources(d, fin, F, D)
-            side = n + (d + 1) * p
-            w = np.eye(side)[n:].reshape(d + 1, p, side)  # w_j as rows over z
-            sched = np.concatenate([w, [-K @ np.eye(n, side)]])[src[:F + d_next + 1]]
-            x = np.eye(n, side)
+            m = side(d)
+            w = np.eye(m)[n:].reshape(d + 1, p, m)  # w_j as rows over v
+            sched = np.concatenate([w, [-K @ np.eye(n, m)]])[src[:F + d_next + 1]]
+            x = np.eye(n, m)
             for u in sched[:F]:
                 x = dR.A @ x + dR.B @ u
             return int(d_next), _half_kron(np.vstack([x, *sched[F:]]))
@@ -505,7 +541,7 @@ def _operator(plant, K, moc: MocKind, R: int, T: int, tick_seconds: float) -> Ca
         s = np.array([s for s, _ in dist])
         prob = np.array([float(q) for _, q in dist])
         jumps = states(dist)
-        sides = [n + (d + 1) * p for d in jumps]
+        sides = [side(d) for d in jumps]
         starts = np.cumsum([0] + [m * (m + 1) // 2 for m in sides])
         at = {d: slice(starts[i], starts[i + 1]) for i, d in enumerate(jumps)}
         op = np.zeros((starts[-1], starts[-1]), order="F")  # LAPACK's order
@@ -527,7 +563,8 @@ def verdicts(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel,
 
     tt_hard: Q * (T // R) >= max_ticks.  tt_maxb, cs and tt_sort:
     _mean_square_stable on _operator's operator, whose blocks are built
-    once per call; each budget only weights them by its own odds.
+    once per call; each budget only weights them by its own odds.  K is a
+    static gain or, but for tt_sort, a ControllerLti.
     """
     if isinstance(plant, DiscreteLti) and moc.kind != "tt_hard":
         raise ConfigError("plant: continuous model required for %s" % moc.kind)

@@ -72,6 +72,9 @@ class SweepConfig:
             if abs(b * self.R - round(b * self.R)) > 1e-9:
                 raise ConfigError("sweep.grid[%d]: fraction %r gives a non-integer "
                                   "budget for R=%d" % (i, b, self.R))
+            if i and round(b * self.R) == round(self.grid[i - 1] * self.R):
+                raise ConfigError("sweep.grid[%d]: repeats the budget of sweep.grid[%d]"
+                                  % (i, i - 1))
         if not self.grid or list(self.grid) != sorted(self.grid):
             raise ConfigError("sweep.grid: bandwidth grid must be non-empty and "
                               "sorted ascending")
@@ -79,6 +82,8 @@ class SweepConfig:
             if m not in MOC_KINDS:
                 raise ConfigError("sweep.mocs[%d]: unknown model of computation %r"
                                   % (i, m))
+            if m in self.mocs[:i]:
+                raise ConfigError("sweep.mocs[%d]: %r is listed twice" % (i, m))
 
     @property
     def exec_model(self) -> Beta:

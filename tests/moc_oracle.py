@@ -1,7 +1,9 @@
 """Reference mode builders, delay chain and co-simulation: the functions
 softrt shipped before each mechanism's timing rule got one mode table,
 kept verbatim (only the analysis import made absolute) as the oracle for
-the differential test in test_moc_differential.py.
+the differential test in test_moc_differential.py.  build_modes, the
+closed/open pair at one interval for a static gain or a ControllerLti,
+was controlcore's before the mode table took dynamic controllers too.
 
 Here the tt_maxb drop rule, the cs service-length rule and the tt_sort
 backlog recursion are each written out where they are used, as they were;
@@ -18,8 +20,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from softrt.controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti,
-                                _as_matrix, build_modes, c2d)
+from softrt.controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti,
+                                DiscreteLti, _as_matrix, _shaped, c2d)
 from softrt.errors import ConfigError, NumericalError
 from softrt.moc import (CoSimResult, DelayChain, MocKind, _check_reservation,
                         _ensemble_switched, _verdict, service_periods, tt_hard_modes)
@@ -96,6 +98,52 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
         raise NumericalError("delay chain: steady-state solve did not converge")
     return DelayChain(P, pi)
 
+
+def build_modes(plant_d: DiscreteLti, feedback, hold_strategy="hold") -> ClosedLoopModes:
+    """Two-mode switched closed loop: fresh command vs command held.
+
+    With a gain matrix K the augmented state is (x, u_held):
+        closed: x' = (A - BK) x,        u_held' = -K x
+        open:   x' = A x + B u_held,    u_held' = u_held   (or 0)
+    With a ControllerLti the augmented state is (x, z, u_held) and the open
+    mode freezes z.  Probabilities are left unfilled.
+    """
+    if hold_strategy not in ("hold", "zero"):
+        raise ConfigError("hold_strategy: must be hold or zero")
+    A, B = plant_d.A, plant_d.B
+    n, p = A.shape[0], B.shape[1]
+
+    if isinstance(feedback, ControllerLti):
+        C, D = plant_d.C, plant_d.D
+        E, F, G = feedback.E, feedback.F, feedback.G
+        q = E.shape[0]
+        if F.shape[1] != C.shape[0] or G.shape[0] != p:
+            raise ConfigError("controller.F: dimensions must match plant outputs/inputs")
+        dim = n + q + p
+        Ac = np.zeros((dim, dim))
+        Ac[:n, :n] = A
+        Ac[:n, n:n + q] = B @ G
+        Ac[n:n + q, :n] = F @ C
+        Ac[n:n + q, n:n + q] = E + F @ D @ G
+        Ac[n + q:, n:n + q] = G
+        Ao = np.zeros((dim, dim))
+        Ao[:n, :n] = A
+        Ao[n:n + q, n:n + q] = np.eye(q)
+        if hold_strategy == "hold":
+            Ao[:n, n + q:] = B
+            Ao[n + q:, n + q:] = np.eye(p)
+    else:
+        K = _shaped(feedback, "modes.K", (p, n))
+        dim = n + p
+        Ac = np.zeros((dim, dim))
+        Ac[:n, :n] = A - B @ K
+        Ac[n:, :n] = -K
+        Ao = np.zeros((dim, dim))
+        Ao[:n, :n] = A
+        if hold_strategy == "hold":
+            Ao[:n, n:] = B
+            Ao[n:, n:] = np.eye(p)
+    return ClosedLoopModes(["closed", "open"], [Ac, Ao])
 
 
 def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,

@@ -148,6 +148,30 @@ def test_control_synth_json(tmp_path, capsys):
     assert set(rep["controller"]) == {"E", "F", "G"}
 
 
+# sha256 of control-synth's JSON and CSV for the double integrator at 0.5 s;
+# the closed/open pair is tt_maxb's rows, and the digests predate that
+CONTROL_SYNTH_SHA256 = {
+    "lqr": ("9f76c06df0647a11e84377e415e3d31e44b84833411c417213eeb0a37b1f9251",
+            "9a15280c8b47e3079df39069005a6d41d34aa337df4c19e8c3bbaf6f4bc438c7"),
+    "lqg": ("554fdfa7624e83db2becfe9b0cc31d1746cb25d7d59fce6841f6d164b6c1cf07",
+            "6665ab03464bb0592dbc824149d396138d2824c0780e0a6c1da2085c40333dfc"),
+    "lqg-C=[1 0]": ("67ccef59f7a149da0dccfa777a7f30329c694dad59f89e836f35643fec3202b5",
+                    "2ab0f02f3df2c92fdfbce85eaedd43fb13de3db6106e5f8f6310a0b995242439"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTROL_SYNTH_SHA256))
+def test_control_synth_output_is_pinned(tmp_path, capsys, case):
+    feedback, _, measured = case.partition("-")
+    plant = dict(DOUBLE_INTEGRATOR["plant"], **({"C": [[1.0, 0.0]]} if measured else {}))
+    cfg = write_config(tmp_path, {"plant": plant, "control": {"sample_seconds": 0.5,
+                                                              "feedback": feedback}})
+    for fmt, digest in zip(("json", "csv"), CONTROL_SYNTH_SHA256[case]):
+        assert main(["control-synth", "--config", cfg, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_control_synth_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, DOUBLE_INTEGRATOR)
     assert main(["control-synth", "--config", cfg, "--format", "csv"]) == 0
@@ -239,18 +263,37 @@ def _with_moc(**fields):
     return doc
 
 
-def test_cosim_rejects_lqg_feedback(tmp_path, capsys):
-    # the co-simulation runs a static gain, so lqg would silently run lqr
-    doc = dict(DOUBLE_INTEGRATOR, moc={
-        "kind": "tt_maxb", "exec_model": {"kind": "deterministic", "ticks": 1},
-        "Q": 2, "R": 2, "T": 2, "tick_seconds": 0.1, "horizon": 40, "n_traj": 2})
-    assert main(["cosim", "--config", write_config(tmp_path, doc)]) == 0
-    capsys.readouterr()
-    doc["control"] = {"feedback": "lqg"}
+# README's example config, less the two moc fields it marks as for other kinds
+README_LOOP = {
+    "plant": {"A": [[0, 1], [0, 0]], "B": [[0], [1]]},
+    "control": {"sample_seconds": 0.5, "feedback": "lqg",
+                "weights": {"Qx": [[1, 0], [0, 1]], "Ru": [[1]]}},
+    "moc": {"kind": "tt_maxb", "exec_model": {"kind": "empirical", "values": [1, 3]},
+            "Q": 1, "R": 1, "T": 2, "tick_seconds": 0.05, "horizon": 300, "n_traj": 100},
+}
+
+
+def test_cosim_takes_lqg_feedback_except_under_tt_sort(tmp_path, capsys):
+    assert main(["cosim", "--config", write_config(tmp_path, README_LOOP),
+                 "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "stable" and len(rep["estimates"]) == 301
+    # the LQG loop's state (x, z, u_held) is 2 + 2 + 1 wide, not lqr's 2 + 1
+    lqr = dict(README_LOOP, control=dict(README_LOOP["control"], feedback="lqr"))
+    assert main(["cosim", "--config", write_config(tmp_path, lqr),
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["estimates"] != rep["estimates"]
+    for kind, extra in (("tt_hard", {}), ("cs", {"max_delay": 3})):
+        doc = dict(README_LOOP, moc=dict(README_LOOP["moc"], kind=kind, **extra))
+        assert main(["cosim", "--config", write_config(tmp_path, doc)]) == 0, kind
+        capsys.readouterr()
+    # tt_sort's queued jobs would need the controller stepped at activation
+    doc = dict(README_LOOP, moc=dict(README_LOOP["moc"], kind="tt_sort", max_delay=3))
     assert main(["cosim", "--config", write_config(tmp_path, doc)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "config error: control.feedback: cosim supports lqr only\n"
+    assert err == ("config error: control.feedback: tt_sort needs a static gain, "
+                   "not a dynamic controller\n")
 
 
 def test_cosim_rejects_misplaced_moc_fields(tmp_path, capsys):
@@ -565,9 +608,14 @@ def test_mistyped_sweep_lists_are_config_errors(tmp_path, capsys, sweep, field):
     ({"grid": [0.5, 2]}, "sweep.grid[1]"),
     ({"grid": [0.55]}, "sweep.grid[0]"),
     ({"mocs": ["cs", "x"]}, "sweep.mocs[1]"),
+    # a repeat would count its plants twice: fraction_stabilized 2 at b = 1
+    ({"mocs": ["tt_maxb", "tt_maxb"], "grid": [0.5, 1.0]}, "sweep.mocs[1]"),
+    ({"grid": [0.5, 0.5]}, "sweep.grid[1]"),
+    ({"grid": [0.2, 0.5, 0.50000000001]}, "sweep.grid[2]"),  # the same budget
 ], ids=["n-systems", "state-dim", "R-zero", "R-negative", "T-not-multiple",
         "max-delay", "grid-empty", "grid-unsorted", "grid-above-one",
-        "grid-fractional-budget", "mocs-unknown"])
+        "grid-fractional-budget", "mocs-unknown", "mocs-repeated", "grid-repeated",
+        "grid-repeated-budget"])
 def test_sweep_value_errors_name_their_path(tmp_path, capsys, sweep, field):
     doc = {"sweep": dict({"n_systems": 1}, **sweep)}
     assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import moc_oracle as oracle
 from softrt.controlcore import (
     ClosedLoopModes,
     ContinuousLti,
     ControllerLti,
     CostWeights,
     DiscreteLti,
-    build_modes,
     c2d,
     dlqr,
     gelfand_radius,
@@ -25,6 +25,7 @@ from softrt.controlcore import (
     stability_matrix,
 )
 from softrt.errors import ConfigError, NumericalError
+from softrt.moc import MocKind, _mode_table
 from softrt.sweep import SweepConfig, random_system
 from softrt.taskmodel import derived_seed
 
@@ -290,25 +291,27 @@ def test_lqg_shape_checks():
         lqg_assemble(plant, np.ones((1, 2)), np.ones((1, 1)))
 
 
+def maxb_rows(plant_d, feedback):
+    """The closed/open pair at the plant's own interval, as control-synth
+    reports it: tt_maxb's rows over (x, z, u_held)."""
+    labels, _, matrix = _mode_table(plant_d, feedback, MocKind("tt_maxb"), 1, 1, 1.0)
+    return ClosedLoopModes(labels, [matrix(0), matrix(1)])
+
+
 def test_build_modes_static_scalar():
     plant = DiscreteLti([[1.2]], [[0.5]], [[1.0]], [[0.0]], 1.0)
-    modes = build_modes(plant, [[0.8]])
+    modes = maxb_rows(plant, [[0.8]])
     assert modes.labels == ["closed", "open"]
-    assert modes.probabilities is None
     Ac, Ao = modes.matrices
     assert np.allclose(Ac, [[0.8, 0.0], [-0.8, 0.0]])
     assert np.allclose(Ao, [[1.2, 0.5], [0.0, 1.0]])
-    zeroed = build_modes(plant, [[0.8]], hold_strategy="zero")
-    assert np.allclose(zeroed.matrices[1], [[1.2, 0.0], [0.0, 0.0]])
-    with pytest.raises(ConfigError):
-        build_modes(plant, [[0.8]], hold_strategy="decay")
 
 
 def test_build_modes_static_gain_only_sees_state():
     plant = DiscreteLti(np.diag([0.9, 1.1]), [[1.0], [0.5]], np.eye(2),
                         np.zeros((2, 1)), 1.0)
     K = np.array([[0.2, 0.4]])
-    modes = build_modes(plant, K)
+    modes = maxb_rows(plant, K)
     assert modes.augmented_dim == 3
     Ac = modes.matrices[0]
     assert np.allclose(Ac[:2, :2], plant.A - plant.B @ K)
@@ -324,7 +327,7 @@ def test_build_modes_dynamic_controller():
     plant = DiscreteLti(A, B, C, np.zeros((1, 1)), 1.0)
     ctrl = ControllerLti(np.diag([0.5, 0.1]), np.ones((2, 1)),
                          np.array([[0.3, -0.2]]))
-    modes = build_modes(plant, ctrl)
+    modes = maxb_rows(plant, ctrl)
     assert modes.augmented_dim == 2 + 2 + 1
     Ac, Ao = modes.matrices
     assert np.allclose(Ac[:2, 2:4], B @ ctrl.G)
@@ -389,8 +392,9 @@ def test_non_finite_probabilities_are_config_errors():
 @st.composite
 def mode_sets(draw):
     """Modes with probabilities: random matrices of dimension 1-6 (1-4 modes,
-    scaled so that rho lands on both sides of 1), or build_modes of a random
-    plant under its LQR gain or LQG controller, either hold strategy."""
+    scaled so that rho lands on both sides of 1), or the reference
+    build_modes (moc_oracle) of a random plant under its LQR gain or LQG
+    controller, holding the input or zeroing it on a drop."""
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         dim, count = draw(st.integers(1, 6)), draw(st.integers(1, 4))
@@ -408,7 +412,7 @@ def mode_sets(draw):
             feedback = lqg_assemble(plant, K, kalman_gain(A, C)) if draw(st.booleans()) else K
         except NumericalError:
             assume(False)
-        modes = build_modes(plant, feedback, draw(st.sampled_from(("hold", "zero"))))
+        modes = oracle.build_modes(plant, feedback, draw(st.sampled_from(("hold", "zero"))))
     weights = draw(st.lists(st.integers(0, 4), min_size=len(modes.matrices),
                             max_size=len(modes.matrices)).filter(any))
     return modes.with_probabilities([w / sum(weights) for w in weights])
@@ -429,8 +433,8 @@ def test_second_moment_stable_eigenvalue_one_is_not_stable():
     for dim in (1, 4):
         assert not second_moment_stable(ClosedLoopModes(["id"], [np.eye(dim)], [1.0]))
     # a job that never finishes leaves the held input in place
-    always_open = build_modes(DiscreteLti([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0),
-                              [[0.4]]).with_probabilities([0.0, 1.0])
+    always_open = maxb_rows(DiscreteLti([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0),
+                            [[0.4]]).with_probabilities([0.0, 1.0])
     assert spectral_radius(stability_matrix(always_open)) == 1.0
     assert not second_moment_stable(always_open)
 

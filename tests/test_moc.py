@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import moc_oracle as oracle
 from softrt.controlcore import (
     ContinuousLti,
     DiscreteLti,
-    build_modes,
     c2d,
     dlqr,
     second_moment_stable,
@@ -242,7 +242,7 @@ def test_tt_hard_modes_zero_delay_is_ideal_loop():
     K = [[0.4]]
     T = 3
     ideal = tt_hard_modes(plant, K, T=T, act_delay=0)
-    static = build_modes(c2d(plant, float(T)), K)
+    static = oracle.build_modes(c2d(plant, float(T)), K)
     assert np.allclose(ideal.matrices[0], static.matrices[0])
     full = tt_hard_modes(plant, K, T=T, act_delay=T)
     d = c2d(plant, float(T))
