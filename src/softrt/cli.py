@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
+import math
 import sys
 
 import numpy as np
@@ -18,10 +20,12 @@ from .analysis import check_mn, miss_pattern, tardiness
 from .controlcore import (ClosedLoopModes, ControllerLti, c2d, dlqr, kalman_gain,
                           lqg_assemble, spectral_radius, stability_matrix)
 from .errors import ConfigError, NumericalError
-from .moc import MocKind, _mode_table, build_delay_chain, cosimulate
+from .moc import MocKind, _discretiser, _mode_table, build_delay_chain, cosimulate
 from .render import render_trace
 from .simcore import Trace, simulate
 from .sweep import bandwidth_sweep, sweep_to_csv
+
+log = logging.getLogger(__name__)
 
 
 def _write(text: str, out):
@@ -109,7 +113,8 @@ def _lqr(doc, default_seconds: float):
 def cmd_control_synth(args) -> int:
     _, d, K, P, feedback = _lqr(cfg.load_config(args.config), 1.0)
     # tt_maxb's rows at the plant's own interval: a fresh command, or a drop
-    labels, _, matrix = _mode_table(d, feedback, MocKind("tt_maxb"), 1, 1, d.sample_period)
+    labels, _, matrix = _mode_table(d, feedback, MocKind("tt_maxb"), 1, 1,
+                                    _discretiser(d, d.sample_period))
     modes = ClosedLoopModes(labels, [matrix(0), matrix(1)])
     if args.format == "csv":
         lines = ["mu,rho"]
@@ -154,7 +159,11 @@ def cmd_cosim(args) -> int:
     doc = cfg.load_config(args.config)
     m = cfg.parse_moc(doc)
     nominal = (m["T"] if m["T"] is not None else m["R"]) * m["tick_seconds"]
-    plant, _, _, _, feedback = _lqr(doc, nominal)
+    plant, d, _, _, feedback = _lqr(doc, nominal)
+    if not math.isclose(d.sample_period, nominal, rel_tol=1e-9):
+        log.warning("cosim: the controller is designed for control.sample_seconds = %g s "
+                    "but runs every (moc.T or moc.R) * moc.tick_seconds = %g s",
+                    d.sample_period, nominal)
     with cfg._at_section("moc"), cfg._at({"K": "control.feedback"}):
         res = cosimulate(plant, feedback, seed=args.seed, **m)
     if args.format == "csv":

@@ -349,36 +349,51 @@ def _half_kron(M: np.ndarray) -> np.ndarray:
     """The map V -> M V M^T on symmetric V, on lower triangles: row (i, j)
     and column (k, l), i >= j and k >= l in _tril order, hold the
     coefficient of V_kl in (M V M^T)_ij, that is M_ik M_jl + M_il M_jk
-    (the second term only for k != l, where V_kl also stands for V_lk)."""
-    ri, rj = _tril(M.shape[0])
-    ck, cl = _tril(M.shape[1])
+    (the second term only for k != l, where V_kl also stands for V_lk).
+    Leading axes of M are a batch: M[..., i, k] gives H[..., (i, j), (k, l)]."""
+    ri, rj = _tril(M.shape[-2])
+    ck, cl = _tril(M.shape[-1])
     ri, rj = ri[:, None], rj[:, None]
-    H = M[ri, ck] * M[rj, cl]
+    H = M[..., ri, ck] * M[..., rj, cl]
     off = ck != cl
-    H[:, off] += M[ri, cl[off]] * M[rj, ck[off]]
+    H[..., off] += M[..., ri, cl[off]] * M[..., rj, ck[off]]
     return H
 
 
-def _mean_square_stable(op: np.ndarray, sides: List[int]) -> bool:
+@functools.lru_cache(maxsize=64)  # a sweep solves few distinct shapes many times
+def _solve_setup(sides: Tuple[int, ...]) -> tuple:
+    """(diagonal, rhs, parts) of _mean_square_stable for V_d of the given
+    sides: the indices of the stacked operator's diagonal, the stacked lower
+    triangles (_tril) of the identities, and the slice of the stack each V_d
+    takes; read-only."""
+    starts = np.cumsum([0] + [m * (m + 1) // 2 for m in sides])
+    diagonal = np.arange(starts[-1])
+    rhs = np.concatenate([np.eye(m)[_tril(m)] for m in sides])
+    diagonal.flags.writeable = rhs.flags.writeable = False
+    return (diagonal, diagonal), rhs, tuple(map(slice, starts, starts[1:]))
+
+
+def _mean_square_stable(op: np.ndarray, sides: Sequence[int]) -> bool:
     """rho(op) < 1 - STABILITY_MARGIN, for op acting on the stacked lower
     triangles (_half_kron) of symmetric V_d of the given sides; overwrites
-    op.  With c = 1 - STABILITY_MARGIN that holds iff (c I - op) V = I has a
-    solution V >= I, V = sum op^k(I) / c^(k+1) (Costa, Fragoso & Marques
-    2005, ch. 3): one solve and a Cholesky of each V_d - I/2, whose margin
-    keeps rounding from passing the tiny negative eigenvalue V has when rho
-    is far above 1.  Non-finite V is not stable; callers ignore overflow.
+    op, in place when it is Fortran-ordered.  With c = 1 - STABILITY_MARGIN
+    that holds iff (c I - op) V = I has a solution V >= I, V = sum op^k(I)
+    / c^(k+1) (Costa, Fragoso & Marques 2005, ch. 3): one solve and a
+    Cholesky of each V_d - I/2, whose margin keeps rounding from passing
+    the tiny negative eigenvalue V has when rho is far above 1.  Non-finite
+    V is not stable; callers ignore overflow.
     """
     if not len(op):  # no state, nothing to grow
         return True
-    tri = [_tril(m) for m in sides]
-    eye = np.concatenate([np.eye(m)[t] for m, t in zip(sides, tri)])
-    np.subtract((1.0 - STABILITY_MARGIN) * np.eye(len(op)), op, out=op)
-    *_, V, singular = dgesv(op, eye, overwrite_a=True)  # info > 0, not a warning
+    diagonal, rhs, parts = _solve_setup(tuple(sides))
+    np.negative(op, out=op)  # c I - op, but for the sign of zeros
+    op[diagonal] += 1.0 - STABILITY_MARGIN
+    *_, V, singular = dgesv(op, rhs, overwrite_a=True)  # info > 0, not a warning
     if singular or not np.isfinite(V).all():
         return False
-    for v, m, t in zip(np.split(V, np.cumsum([len(t[0]) for t in tri])), sides, tri):
+    for part, m in zip(parts, sides):
         B = np.zeros((m, m))
-        B[t] = v
+        B[_tril(m)] = V[part]
         B.flat[::m + 1] -= 0.5
         if dpotrf(B, lower=1)[1]:
             return False

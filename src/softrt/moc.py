@@ -28,12 +28,18 @@ backlog memory, stepped by _backlog_step in its delay chain; its operator
 and co-simulation share one latch rule, _latch_sources, and one state: x
 and the coming periods' inputs.  That period-granular backlog never drains
 at T = R but by cancelling, so its verdicts can be non-monotone in Q there:
-not the engine's curve.  verdicts() decides a whole grid of budgets by one
-mean-square test: _operator builds each mechanism's jump-system operator
-from blocks that do not depend on Q, and one solve decides each budget;
-stabilizes() is its one-budget call.  cosimulate(), the verdicts' oracle,
-draws the stochastic mechanisms' demands from the same per-trajectory
-streams.
+not the engine's curve.  _verdict_table decides a whole grid of budgets
+for a list of plants of one shape by one mean-square test, VERDICT_CHUNK
+plants at a time: _operator builds each mechanism's jump-system operator
+from blocks that do not depend on Q, each (state, key) block once for the
+whole chunk as one stacked array; a budget only sums the chunk's blocks,
+weighted by its odds, into one stack whose slices are the plants'
+operators, and one solve per plant decides it.
+Each plant's discretiser (_discretiser) keeps one c2d per interval for
+its synthesis and all its mechanisms.  verdicts() is _verdict_table for
+one plant and stabilizes() its one-budget call.  cosimulate(), the
+verdicts' oracle, draws the stochastic mechanisms' demands from the same
+per-trajectory streams.
 """
 
 from __future__ import annotations
@@ -217,16 +223,34 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
 # mode builders
 
 
+def _discretiser(plant, tick_seconds: float) -> Callable:
+    """ticks -> (A, B), the plant over that many ticks of held input: each
+    interval is discretised (c2d) on first use and kept, so a plant's
+    synthesis, modes and operators share one discretisation per interval.
+    A DiscreteLti plant is its own (A, B) at every interval but 0;
+    _mode_table takes it over its own interval T alone."""
+    n, p = plant.A.shape[0], plant.B.shape[1]
+
+    @functools.cache
+    def disc(ticks):
+        if ticks == 0:
+            return np.eye(n), np.zeros((n, p))
+        d = plant if isinstance(plant, DiscreteLti) else c2d(plant, ticks * tick_seconds)
+        return d.A, d.B
+
+    return disc
+
+
 def _mode_table(plant, K, moc: MocKind, R: Optional[int], T: Optional[int],
-                tick_seconds: float) -> Tuple[List[str], List[int], Callable]:
+                disc: Callable) -> Tuple[List[str], List[int], Callable]:
     """(labels, cuts, matrix) of an i.i.d. mechanism: a job of s service
     periods runs mode i = #{k in cuts : k < s}, labels[i], with transition
     matrix(i) over (x, z, u_held), the rule of its row (label, held, span)
     by _tt_matrix for the feedback K, a static gain or a ControllerLti
-    (_law).  None of it depends on the budget Q.  disc discretises each
-    interval once (a DiscreteLti plant stands for its own interval T), and
-    matrices are built on first use and kept, so a caller pays once for
-    each mode it uses.  The caller checks the reservation.
+    (_law), and the plant's discretiser disc (_discretiser).  None of it
+    depends on the budget Q.  Matrices are built on first use and kept, so
+    a caller pays once for each mode it uses.  The caller checks the
+    reservation.
     """
     if moc.kind == "tt_hard":
         held = T if moc.act_delay is None else moc.act_delay
@@ -238,18 +262,10 @@ def _mode_table(plant, K, moc: MocKind, R: Optional[int], T: Optional[int],
     else:  # cs: s = 1..D latch at the job's end, a cancel after D periods never
         D, cuts = moc.max_delay, list(range(1, moc.max_delay + 1))
         rows = [("s=%d" % s, s * R, s * R) for s in cuts] + [("cancel", D * R, None)]
-    n, p = plant.A.shape[0], plant.B.shape[1]
+    ticks = {h for _, h, _ in rows} | {s - h for _, h, s in rows if s is not None}
+    if isinstance(plant, DiscreteLti) and not ticks <= {0, T}:
+        raise ConfigError("plant: continuous model required for %s" % moc.kind)
     law = _law(plant, K)
-
-    @functools.cache
-    def disc(ticks):
-        if ticks == 0:
-            return np.eye(n), np.zeros((n, p))
-        if isinstance(plant, DiscreteLti) and ticks != T:
-            raise ConfigError("plant: continuous model required for %s" % moc.kind)
-        d = plant if isinstance(plant, DiscreteLti) else c2d(plant, ticks * tick_seconds)
-        return d.A, d.B
-
     matrix = functools.cache(lambda i: _tt_matrix(disc, law, *rows[i][1:]))
     return [row[0] for row in rows], cuts, matrix
 
@@ -303,7 +319,7 @@ def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,
     """
     moc = MocKind("tt_maxb")
     _check_reservation(moc, Q, R, T)
-    labels, cuts, matrix = _mode_table(plant_d, K, moc, R, T, 1.0)
+    labels, cuts, matrix = _mode_table(plant_d, K, moc, R, T, _discretiser(plant_d, 1.0))
     return ClosedLoopModes(labels, [matrix(0), matrix(1)],
                            [float(p) for p in _cut_odds(model, Q, cuts)])
 
@@ -321,7 +337,8 @@ def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
     """
     moc = MocKind("cs", max_delay)
     _check_reservation(moc, Q, R, None)
-    labels, cuts, matrix = _mode_table(plant, K, moc, R, None, tick_seconds)
+    labels, cuts, matrix = _mode_table(plant, K, moc, R, None,
+                                       _discretiser(plant, tick_seconds))
     odds = _cut_odds(model, Q, cuts)
     keep = [i for i, p in enumerate(odds) if p > 0]
     return ClosedLoopModes([labels[i] for i in keep], [matrix(i) for i in keep],
@@ -338,7 +355,7 @@ def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
     latched one.
     """
     labels, _, matrix = _mode_table(plant, K, MocKind("tt_hard", act_delay=act_delay), None, T,
-                                    tick_seconds)
+                                    _discretiser(plant, tick_seconds))
     return ClosedLoopModes(labels, [matrix(0)], [1.0])
 
 
@@ -433,10 +450,11 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
         raise ConfigError("plant.sample_period: %r s, but tt_maxb samples every "
                           "T * tick_seconds = %r s" % (plant.sample_period, T * tick_seconds))
 
+    disc = _discretiser(plant, tick_seconds)
     if moc.kind == "tt_sort":
-        return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, tick_seconds,
-                              horizon, n_traj, seed)
-    labels, cuts, matrix = _mode_table(plant, K, moc, R, T, tick_seconds)
+        return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, disc, horizon,
+                              n_traj, seed)
+    labels, cuts, matrix = _mode_table(plant, K, moc, R, T, disc)
     if cuts:
         mode_idx = np.searchsorted(cuts, -(-_traj_demands(model, horizon, n_traj, seed) // Q))
     else:  # tt_hard
@@ -446,18 +464,19 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
                        mode_sequence=mode_idx[0] if cuts else None)
 
 
-def _tt_sort_setup(plant, K, R: int, T: int, tick_seconds: float):
-    """(F, plant over one reservation period, K) for tt_sort's co-simulation
-    and operator alike, K checked against the plant.  Its queued jobs would
-    need z advanced at activation, so a ControllerLti is refused."""
+def _tt_sort_setup(plant, K, R: int, T: int, disc: Callable):
+    """(F, (A, B) of the plant over one reservation period, K) for tt_sort's
+    co-simulation and operator alike, K checked against the plant.  Its
+    queued jobs would need z advanced at activation, so a ControllerLti is
+    refused."""
     if isinstance(K, ControllerLti):
         raise ConfigError("K: tt_sort needs a static gain, not a dynamic controller")
     n, p = plant.A.shape[0], plant.B.shape[1]
-    return T // R, c2d(plant, R * tick_seconds), _shaped(K, "tt.K", (p, n))
+    return T // R, disc(R), _shaped(K, "tt.K", (p, n))
 
 
-def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
-                   n_traj, seed) -> CoSimResult:
+def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, disc, horizon, n_traj,
+                   seed) -> CoSimResult:
     """Buffered activations with backlog memory, stepped per reservation period.
 
     All trajectories advance together, each in _operator's state: x, the
@@ -468,9 +487,9 @@ def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
     copy (a view moves last bits), so A @ X is bit for bit a per-trajectory
     loop's A @ x; only the sum over trajectories runs in another order.
     """
-    F, dR, K = _tt_sort_setup(plant, K, R, T, tick_seconds)
+    F, (A, B), K = _tt_sort_setup(plant, K, R, T, disc)
     negK = -K
-    n, p = dR.B.shape
+    n, p = B.shape
     S = -(-_traj_demands(model, horizon // F + 2, n_traj, seed) // Q)
     grid = np.indices((max_delay + 1, max_delay + S.max() + 1))  # every (d, fin)
     after, sources = _latch_sources(*grid, F, max_delay)
@@ -492,90 +511,132 @@ def _cosim_tt_sort(plant, K, max_delay, model, Q, R, T, tick_seconds, horizon,
                 backlog = after[backlog, fin]
                 W[:-1] = sched[F:]
             U = sched[m % F].copy()
-            X = dR.A @ X + dR.B @ U
+            X = A @ X + B @ U
             est[m + 1] = np.vdot(X, X) + np.vdot(U, U)
     est /= n_traj
     return CoSimResult(est, n_traj, _verdict(est), delay_sequence=delays)
 
 
-def _operator(plant, K, moc: MocKind, R: int, T: int, tick_seconds: float) -> Callable:
-    """The loop's second-moment operator under a stochastic moc, a Markov
-    jump linear system at activations (Costa, Fragoso & Marques 2005, ch.
-    3): operator(dist) -> (op, sides) for dist = [(s, P(s))].  In state d,
-    a job of s periods maps the loop's state v to v' = M v in state d', so
-    V'_d' = sum p(s) M V_d M^T, V_d = E[v v^T; state d] on its lower
-    triangle (_half_kron), stacked by d.  Only the jump rule is per kind.
-    tt_maxb and cs: one state, v = (x, z, u_held) and M is _mode_table's
-    mode searchsorted(cuts, s).  tt_sort, static K only: d is the backlog
+# loops whose operators one verdict pass builds and solves together.  A
+# chunk's stacked operators and blocks take VERDICT_CHUNK times one loop's
+# memory (about 0.4 MB for a default-sweep plant), whatever the plant
+# count; 5 keeps most of the time a whole batch saves
+VERDICT_CHUNK = 5
+
+
+def _operator(plants, gains, discs, moc: MocKind, R: int, T: int) -> Callable:
+    """The second-moment operators of a chunk of loops of one shape under a
+    stochastic moc, loop i the plant plants[i] under the feedback gains[i]
+    with the discretiser discs[i] (_discretiser).  Each is a Markov jump
+    linear system at activations (Costa, Fragoso & Marques 2005, ch. 3):
+    operator(dist) -> (opT, sides) for dist = [(s, P(s))], opT[i].T loop
+    i's operator, Fortran-ordered for LAPACK.  In state d, a job of s
+    periods maps the loop's state v to v' = M v in state d', so V'_d' = sum
+    p(s) M V_d M^T, V_d = E[v v^T; state d] on its lower triangle
+    (_half_kron), stacked by d.  Only the jump rule is per kind.  tt_maxb
+    and cs: one state, v = (x, z, u_held) and M is _mode_table's mode
+    searchsorted(cuts, s).  tt_sort, static K only: d is the backlog
     (_reachable_backlogs), v = (x, w_0..w_d), w_j the input j periods on,
     w_d held beyond; _latch_sources schedules the coming periods' inputs, x
     advances F = T // R periods and w' is the schedule from period F on.  M
-    depends on (d, key of s) alone, so its block is built on first use and
-    kept: a further dist only sums blocks.
+    depends on (d, key of s) alone, so its block is built on first use for
+    the whole chunk, one stacked and transposed array, and kept: a further
+    dist only sums blocks, in one order for every loop.
     """
-    n, p = plant.A.shape[0], plant.B.shape[1]
+    n, p, loops = plants[0].A.shape[0], plants[0].B.shape[1], len(plants)
     if moc.kind != "tt_sort":
-        _, cuts, matrix = _mode_table(plant, K, moc, R, T, tick_seconds)
+        tables = [_mode_table(plant, K, moc, R, T, disc)
+                  for plant, K, disc in zip(plants, gains, discs)]
+        cuts = tables[0][1]
         states, key = lambda dist: [0], lambda d, s: np.searchsorted(cuts, s)
-        block = functools.cache(lambda d, i: (0, _half_kron(matrix(i))))
-        side = lambda d: len(matrix(0))  # n + q + p, q the states of z
+        mode = lambda d, i: (0, np.stack([matrix(i) for _, _, matrix in tables]))
+        side = lambda d: len(tables[0][2](0))  # n + q + p, q the states of z
     else:
-        F, dR, K = _tt_sort_setup(plant, K, R, T, tick_seconds)
-        D = moc.max_delay
+        _, ABs, Ks = zip(*[_tt_sort_setup(plant, K, R, T, disc)
+                           for plant, K, disc in zip(plants, gains, discs)])
+        (A, B), negK = map(np.stack, zip(*ABs)), -np.stack(Ks)
+        F, D = T // R, moc.max_delay
         states = lambda dist: _reachable_backlogs(dist, F, D)
         key = lambda d, s: np.minimum(d + s, F + D + 1)  # every cancel alike
         side = lambda d: n + (d + 1) * p
 
-        @functools.cache
-        def block(d, fin):
+        def mode(d, fin):
             d_next, src = _latch_sources(d, fin, F, D)
             m = side(d)
             w = np.eye(m)[n:].reshape(d + 1, p, m)  # w_j as rows over v
-            sched = np.concatenate([w, [-K @ np.eye(n, m)]])[src[:F + d_next + 1]]
+            inputs = np.concatenate([np.broadcast_to(w, (loops, *w.shape)),
+                                     (negK @ np.eye(n, m))[:, None]], axis=1)
+            sched = inputs[:, src[:F + d_next + 1]]
             x = np.eye(n, m)
-            for u in sched[:F]:
-                x = dR.A @ x + dR.B @ u
-            return int(d_next), _half_kron(np.vstack([x, *sched[F:]]))
+            for r in range(F):
+                x = A @ x + B @ sched[:, r]
+            return int(d_next), np.concatenate([x, sched[:, F:].reshape(loops, -1, m)], axis=1)
+
+    @functools.cache
+    def block(d, k):
+        d_next, M = mode(d, k)
+        return d_next, np.ascontiguousarray(_half_kron(M).swapaxes(1, 2))
 
     def operator(dist):
         s = np.array([s for s, _ in dist])
         prob = np.array([float(q) for _, q in dist])
         jumps = states(dist)
-        sides = [side(d) for d in jumps]
+        sides = tuple(side(d) for d in jumps)
         starts = np.cumsum([0] + [m * (m + 1) // 2 for m in sides])
         at = {d: slice(starts[i], starts[i + 1]) for i, d in enumerate(jumps)}
-        op = np.zeros((starts[-1], starts[-1]), order="F")  # LAPACK's order
+        opT = np.zeros((loops, starts[-1], starts[-1]))
         for d in jumps:
             odds = np.bincount(key(d, s), weights=prob)
             for k in np.flatnonzero(odds):
-                d_next, H = block(d, int(k))
-                op[at[d_next], at[d]] += odds[k] * H
-        return op, sides
+                d_next, HT = block(d, int(k))
+                opT[:, at[d], at[d_next]] += odds[k] * HT
+        return opT, sides
 
     return operator
+
+
+def _verdict_table(plants, gains, discs, moc: MocKind, model: ExecTimeModel,
+                   budgets: Sequence[int], R: int, T: int) -> Tuple[np.ndarray, int]:
+    """(table, unknowns): table[i, j] is whether a (budgets[j], R)
+    reservation keeps loop i (_operator's plants, gains and discs) under moc
+    second-moment stable, and unknowns the size of the largest operator
+    solved (0 for tt_hard).  tt_hard: Q * (T // R) >= max_ticks.  tt_maxb,
+    cs and tt_sort: _mean_square_stable on the operators of VERDICT_CHUNK
+    loops at a time, whose blocks _operator builds once per chunk; each
+    budget only weights them by its own odds.
+    """
+    if moc.kind != "tt_hard" and any(isinstance(plant, DiscreteLti) for plant in plants):
+        raise ConfigError("plant: continuous model required for %s" % moc.kind)
+    for Q in budgets:
+        _check_reservation(moc, Q, R, T)
+    table = np.zeros((len(plants), len(budgets)), dtype=bool)
+    if moc.kind == "tt_hard":
+        table[:] = [Q * (T // R) >= max_ticks(model) for Q in budgets]
+        return table, 0
+    dists = [_service_distribution(model, Q, R) for Q in budgets]
+    unknowns = 0
+    for lo in range(0, len(plants), VERDICT_CHUNK):
+        chunk = slice(lo, lo + VERDICT_CHUNK)
+        operator = _operator(plants[chunk], gains[chunk], discs[chunk], moc, R, T)
+        for j, dist in enumerate(dists):
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite is not stable
+                opT, sides = operator(dist)
+                table[chunk, j] = [_mean_square_stable(op.T, sides) for op in opT]
+            unknowns = max(unknowns, opT.shape[-1])
+            del opT  # before the next budget's stack is built
+    return table, unknowns
 
 
 def verdicts(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel,
              budgets: Sequence[int], R: int, T: int, *,
              tick_seconds: float = 1.0) -> List[bool]:
     """Whether a (Q, R) reservation keeps the loop under moc second-moment
-    stable, for each budget Q in budgets.
-
-    tt_hard: Q * (T // R) >= max_ticks.  tt_maxb, cs and tt_sort:
-    _mean_square_stable on _operator's operator, whose blocks are built
-    once per call; each budget only weights them by its own odds.  K is a
-    static gain or, but for tt_sort, a ControllerLti.
+    stable, for each budget Q in budgets: _verdict_table for this one loop.
+    K is a static gain or, but for tt_sort, a ControllerLti.
     """
-    if isinstance(plant, DiscreteLti) and moc.kind != "tt_hard":
-        raise ConfigError("plant: continuous model required for %s" % moc.kind)
-    for Q in budgets:
-        _check_reservation(moc, Q, R, T)
-    if moc.kind == "tt_hard":
-        return [Q * (T // R) >= max_ticks(model) for Q in budgets]
-    operator = _operator(plant, K, moc, R, T, tick_seconds)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is not stable
-        return [_mean_square_stable(*operator(_service_distribution(model, Q, R)))
-                for Q in budgets]
+    table, _ = _verdict_table([plant], [K], [_discretiser(plant, tick_seconds)], moc, model,
+                              budgets, R, T)
+    return table[0].tolist()
 
 
 def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: int,

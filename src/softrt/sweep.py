@@ -4,9 +4,13 @@ For every sampled plant an LQR controller is synthesized at the nominal
 sampling period, then each bandwidth fraction b on the grid funds a
 reservation of budget b*R per period R and every model of computation is
 asked whether the resulting switched loop is second-moment stable.
-The verdict rule lives in moc.verdicts and is exact, so the seed only
-draws the plants; one call per (plant, mechanism) decides the whole grid,
-sharing the work that does not depend on the budget.  tt_hard needs the
+The verdict rule lives in moc and is exact, so the seed only draws the
+plants.  Every plant is synthesized first; then one call per mechanism
+decides the whole grid for all of them, a chunk of plants at a time,
+sharing the work that depends on neither the budget nor the plant.  Each
+plant is discretised once per interval, for its synthesis and every
+mechanism alike.  A debug line on this module's logger reports each
+mechanism's plants, budgets, operator size and wall time.  tt_hard needs the
 budget to cover the worst-case demand every task period, which with
 worst-case utilization 1 holds only at b = 1.
 """
@@ -16,14 +20,15 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import time
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .controlcore import ContinuousLti, c2d, dlqr
+from .controlcore import ContinuousLti, dlqr
 from .errors import ConfigError, NumericalError
-from .moc import BUFFERED_KINDS, MOC_KINDS, MocKind, verdicts
+from .moc import BUFFERED_KINDS, MOC_KINDS, MocKind, _discretiser, _verdict_table
 from .taskmodel import Beta, _is_int, _is_real, derived_seed
 
 log = logging.getLogger(__name__)
@@ -111,6 +116,27 @@ def random_system(state_dim: int, seed, retries: int = 50) -> ContinuousLti:
     raise NumericalError("random_system: no controllable draw in %d retries" % retries)
 
 
+def _synthesized(config: SweepConfig) -> Tuple[list, list, list]:
+    """(plants, gains, discs) of the sweep's plants that synthesis
+    stabilizes, in order: each plant, its LQR gain at the nominal sampling
+    period and its discretiser (moc._discretiser), which kept that
+    discretisation for the mechanisms to share.  A failed synthesis is
+    logged and the plant left out, which counts it unstabilized."""
+    plants, gains, discs = [], [], []
+    for i in range(config.n_systems):
+        plant = random_system(config.state_dim, derived_seed(config.seed, "sys", i))
+        disc = _discretiser(plant, config.tick_seconds)
+        try:
+            K, _ = dlqr(*disc(config.T), np.eye(config.state_dim), np.eye(1))
+        except NumericalError as exc:
+            log.warning("system %d: synthesis failed, counted unstabilized (%s)", i, exc)
+            continue
+        plants.append(plant)
+        gains.append(K)
+        discs.append(disc)
+    return plants, gains, discs
+
+
 def bandwidth_sweep(config: SweepConfig) -> List[dict]:
     """Rows (bandwidth, moc, fraction_stabilized), deterministic given the seed."""
     model = config.exec_model
@@ -118,19 +144,15 @@ def bandwidth_sweep(config: SweepConfig) -> List[dict]:
             for m in config.mocs]
 
     budgets = [int(round(b * config.R)) for b in config.grid]
-    counts = {(b, m): 0 for b in config.grid for m in config.mocs}
-    for i in range(config.n_systems):
-        plant = random_system(config.state_dim, derived_seed(config.seed, "sys", i))
-        plant_d = c2d(plant, config.T * config.tick_seconds)
-        try:
-            K, _ = dlqr(plant_d.A, plant_d.B, np.eye(config.state_dim), np.eye(1))
-        except NumericalError as exc:
-            log.warning("system %d: synthesis failed, counted unstabilized (%s)", i, exc)
-            continue
-        for moc in mocs:
-            for b, ok in zip(config.grid, verdicts(plant, K, moc, model, budgets, config.R,
-                                                   config.T, tick_seconds=config.tick_seconds)):
-                counts[(b, moc.kind)] += ok
+    loops = _synthesized(config)
+    counts = {}
+    for moc in mocs:
+        start = time.perf_counter()
+        table, unknowns = _verdict_table(*loops, moc, model, budgets, config.R, config.T)
+        log.debug("%s: %d plants x %d budgets, up to %d unknowns per operator, %.3f s",
+                  moc.kind, len(table), len(budgets), unknowns, time.perf_counter() - start)
+        for b, stabilized in zip(config.grid, table.sum(axis=0)):
+            counts[(b, moc.kind)] = int(stabilized)
 
     rows = []
     for b in config.grid:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import pathlib
 import subprocess
 import sys
@@ -294,6 +295,28 @@ def test_cosim_takes_lqg_feedback_except_under_tt_sort(tmp_path, capsys):
     assert out == ""
     assert err == ("config error: control.feedback: tt_sort needs a static gain, "
                    "not a dynamic controller\n")
+
+
+def test_cosim_warns_when_the_design_interval_is_not_the_loop_interval(
+        tmp_path, capsys, caplog):
+    # README's loop designs for 0.5 s and runs every T * tick = 0.1 s
+    with caplog.at_level(logging.WARNING, logger="softrt.cli"):
+        assert main(["cosim", "--config", write_config(tmp_path, README_LOOP),
+                     "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["verdict"] == "stable"
+    assert [r.getMessage() for r in caplog.records] == [
+        "cosim: the controller is designed for control.sample_seconds = 0.5 s but runs "
+        "every (moc.T or moc.R) * moc.tick_seconds = 0.1 s"]
+    caplog.clear()
+    for seconds in (0.1, None):  # matched, or left to the loop's own interval
+        control = dict(README_LOOP["control"], sample_seconds=seconds)
+        doc = dict(README_LOOP, control=control)
+        with caplog.at_level(logging.WARNING, logger="softrt.cli"):
+            assert main(["cosim", "--config", write_config(tmp_path, doc),
+                         "--format", "json"]) == 0
+        capsys.readouterr()
+        assert caplog.records == [], seconds
 
 
 def test_cosim_rejects_misplaced_moc_fields(tmp_path, capsys):

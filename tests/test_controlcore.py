@@ -25,7 +25,7 @@ from softrt.controlcore import (
     stability_matrix,
 )
 from softrt.errors import ConfigError, NumericalError
-from softrt.moc import MocKind, _mode_table
+from softrt.moc import MocKind, _discretiser, _mode_table
 from softrt.sweep import SweepConfig, random_system
 from softrt.taskmodel import derived_seed
 
@@ -294,7 +294,8 @@ def test_lqg_shape_checks():
 def maxb_rows(plant_d, feedback):
     """The closed/open pair at the plant's own interval, as control-synth
     reports it: tt_maxb's rows over (x, z, u_held)."""
-    labels, _, matrix = _mode_table(plant_d, feedback, MocKind("tt_maxb"), 1, 1, 1.0)
+    labels, _, matrix = _mode_table(plant_d, feedback, MocKind("tt_maxb"), 1, 1,
+                                    _discretiser(plant_d, 1.0))
     return ClosedLoopModes(labels, [matrix(0), matrix(1)])
 
 

@@ -12,8 +12,8 @@ from softrt.controlcore import (ContinuousLti, ControllerLti, c2d, dlqr,
                                 kalman_gain, lqg_assemble, spectral_radius,
                                 stability_matrix)
 from softrt.errors import ConfigError, NumericalError
-from softrt.moc import (MocKind, _mode_table, cosimulate, cs_modes, tt_hard_modes,
-                        tt_maxb_modes, verdicts)
+from softrt.moc import (MocKind, _discretiser, _mode_table, cosimulate, cs_modes,
+                        tt_hard_modes, tt_maxb_modes, verdicts)
 from softrt.sweep import SweepConfig, random_system
 from softrt.taskmodel import Deterministic, derived_seed
 
@@ -111,7 +111,7 @@ def test_every_row_runs_one_job_tick_by_tick(loop, seed):
     cases.append((MocKind("tt_maxb"), [(0, T), (T, None)]))
     cases.append((MocKind("cs", D), [(s * R, s * R) for s in range(1, D + 1)] + [(D * R, None)]))
     for moc, rows in cases:
-        labels, _, matrix = _mode_table(plant, feedback, moc, R, T, tick)
+        labels, _, matrix = _mode_table(plant, feedback, moc, R, T, _discretiser(plant, tick))
         assert len(labels) == len(rows)
         for i, (held, span) in enumerate(rows):
             v = g.uniform(-1.0, 1.0, len(matrix(i)))

@@ -1,13 +1,14 @@
 """Bandwidth sweep: random plants and the stabilized-fraction table."""
 
+import logging
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import moc_oracle as oracle
 import softrt.moc
-import softrt.sweep
 from softrt.controlcore import c2d, dlqr, second_moment_stable
 from softrt.errors import ConfigError
 from softrt.moc import MocKind
@@ -117,19 +118,20 @@ def test_sweep_matches_golden_table():
 
 
 def test_sweep_discretises_each_plant_a_bounded_number_of_times(monkeypatch):
-    # one c2d for synthesis, then per plant, however many budgets the grid
-    # holds: one for tt_maxb, at most max_delay + 1 = 7 for cs (one per
-    # mode), one for tt_sort
+    # however many budgets the grid holds, a plant is discretised once per
+    # interval its synthesis and mechanisms use: T = 20 ticks (synthesis,
+    # tt_maxb, cs's s = 2), R = 10 (tt_sort, cs's s = 1) and cs's other
+    # s * R for s = 3..max_delay, six in all
     calls = []
 
     def counted(plant, T):
-        calls.append(T)
+        calls.append((id(plant), T))
         return c2d(plant, T)
 
     monkeypatch.setattr(softrt.moc, "c2d", counted)
-    monkeypatch.setattr(softrt.sweep, "c2d", counted)
     bandwidth_sweep(SweepConfig(n_systems=2))
-    assert 0 < len(calls) <= 10 * 2
+    assert 0 < len(calls) <= 6 * 2
+    assert len(set(calls)) == len(calls)
 
 
 def test_stochastic_verdicts_need_no_eigenvalues(monkeypatch):
@@ -166,3 +168,24 @@ def test_sweep_reads_each_budgets_service_odds_once(monkeypatch):
     softrt.moc._service_distribution.cache_clear()
     bandwidth_sweep(SweepConfig(n_systems=3))
     assert 0 < len(calls) <= sum(-(-20 // Q) for Q in range(1, 11))  # 61
+
+
+def test_sweep_logs_one_debug_line_per_mechanism(caplog):
+    cfg = SweepConfig(**SMALL)
+    quiet = sweep_to_csv(bandwidth_sweep(cfg))
+    with caplog.at_level(logging.DEBUG, logger="softrt.sweep"):
+        rows = bandwidth_sweep(cfg)
+    assert sweep_to_csv(rows) == quiet
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert [line.split(":")[0] for line in lines] == list(cfg.mocs)
+    unknowns = {}
+    for line in lines:
+        m = re.fullmatch(r"(\w+): 3 plants x 2 budgets, up to (\d+) unknowns per "
+                         r"operator, \d+\.\d{3} s", line)
+        assert m, line
+        unknowns[m[1]] = int(m[2])
+    # tt_hard is a closed form; tt_maxb and cs solve for the 6 entries of
+    # one symmetric 3 x 3 V over (x, u_held); tt_sort stacks one V_d a backlog
+    assert unknowns["tt_hard"] == 0
+    assert unknowns["tt_maxb"] == unknowns["cs"] == 6
+    assert unknowns["tt_sort"] > 6

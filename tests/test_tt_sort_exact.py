@@ -19,7 +19,7 @@ from softrt.errors import ConfigError, NumericalError
 from softrt.controlcore import (ClosedLoopModes, ContinuousLti, c2d, dlqr,
                                 second_moment_stable, spectral_radius,
                                 stability_matrix)
-from softrt.moc import (MocKind, _operator as _moc_operator, cosimulate,
+from softrt.moc import (MocKind, _discretiser, _operator as _moc_operator, cosimulate,
                         service_distribution, stabilizes, tt_hard_modes)
 from softrt.sweep import SweepConfig, random_system
 from softrt.taskmodel import Empirical, derived_seed
@@ -64,9 +64,15 @@ def _enumerated_moments(plant, K, max_delay, values, Q, R, T, tick, n_act):
     return out
 
 
+def _one_operator(plant, K, moc, R, T, tick, dist):
+    """moc._operator's operator for one loop, as a batch of one."""
+    opT, sides = _moc_operator([plant], [K], [_discretiser(plant, tick)], moc, R, T)(dist)
+    return opT[0].T, sides
+
+
 def _operator(c, model, Q):
-    return _moc_operator(c["plant"], c["K"], MocKind("tt_sort", c["max_delay"]), c["R"],
-                         c["T"], c["tick"])(service_distribution(model, Q, c["R"]))
+    return _one_operator(c["plant"], c["K"], MocKind("tt_sort", c["max_delay"]), c["R"],
+                         c["T"], c["tick"], service_distribution(model, Q, c["R"]))
 
 
 def _operator_moments(op, sides, n, n_act):
@@ -139,8 +145,8 @@ def _verdict(c):
 def _rho(c):
     # the map on symmetric V_d has the spectral radius of the full operator:
     # that of a positive map is an eigenvalue with a symmetric eigenvector
-    op, _ = _moc_operator(c["plant"], c["K"], c["moc"], c["R"], c["T"],
-                          c["tick_seconds"])(service_distribution(c["model"], c["Q"], c["R"]))
+    op, _ = _one_operator(c["plant"], c["K"], c["moc"], c["R"], c["T"], c["tick_seconds"],
+                          service_distribution(c["model"], c["Q"], c["R"]))
     return spectral_radius(op)
 
 

@@ -1,6 +1,9 @@
 """Reference stochastic verdicts: moc.stabilizes and moc._tt_sort_operator
 as softrt shipped them before verdicts were split into per-plant blocks and
-per-budget sums, kept verbatim as the oracle for test_verdict_differential.py.
+per-budget sums, kept verbatim as the oracle for test_verdict_differential.py;
+and moc._operator as it was before one build served a chunk of plants, the
+oracle for test_verdict_batch.py, its setup calls given the plant's
+discretiser.
 
 Each call rebuilds everything for its one budget: tt_maxb and cs through
 the public mode builders and the eigenvalue rule rho(stability_matrix) <
@@ -13,15 +16,17 @@ the backlog recursion and the discretisation come from the package.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import functools
+from typing import Callable, List, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
-from softrt.controlcore import (ContinuousLti, DiscreteLti, _shaped, c2d,
+from softrt.controlcore import (ContinuousLti, DiscreteLti, _half_kron, _shaped, c2d,
                                 spectral_radius, stability_matrix)
 from softrt.errors import ConfigError
-from softrt.moc import (MocKind, _backlog_step, _check_reservation, _reachable_backlogs,
+from softrt.moc import (MocKind, _backlog_step, _check_reservation, _discretiser,
+                        _latch_sources, _mode_table, _reachable_backlogs, _tt_sort_setup,
                         cs_modes, service_distribution, tt_maxb_modes)
 from softrt.taskmodel import ExecTimeModel, max_ticks
 
@@ -95,3 +100,60 @@ def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: i
     blocks = np.split(V, np.cumsum([m * m for m in sides]))
     return bool(not singular and np.isfinite(V).all() and not any(
         dpotrf(b.reshape(m, m) - np.eye(m) / 2)[1] for b, m in zip(blocks, sides)))
+
+
+def _operator(plant, K, moc: MocKind, R: int, T: int, tick_seconds: float) -> Callable:
+    """The loop's second-moment operator under a stochastic moc, a Markov
+    jump linear system at activations (Costa, Fragoso & Marques 2005, ch.
+    3): operator(dist) -> (op, sides) for dist = [(s, P(s))].  In state d,
+    a job of s periods maps the loop's state v to v' = M v in state d', so
+    V'_d' = sum p(s) M V_d M^T, V_d = E[v v^T; state d] on its lower
+    triangle (_half_kron), stacked by d.  Only the jump rule is per kind.
+    tt_maxb and cs: one state, v = (x, z, u_held) and M is _mode_table's
+    mode searchsorted(cuts, s).  tt_sort, static K only: d is the backlog
+    (_reachable_backlogs), v = (x, w_0..w_d), w_j the input j periods on,
+    w_d held beyond; _latch_sources schedules the coming periods' inputs, x
+    advances F = T // R periods and w' is the schedule from period F on.  M
+    depends on (d, key of s) alone, so its block is built on first use and
+    kept: a further dist only sums blocks.
+    """
+    n, p = plant.A.shape[0], plant.B.shape[1]
+    if moc.kind != "tt_sort":
+        _, cuts, matrix = _mode_table(plant, K, moc, R, T, _discretiser(plant, tick_seconds))
+        states, key = lambda dist: [0], lambda d, s: np.searchsorted(cuts, s)
+        block = functools.cache(lambda d, i: (0, _half_kron(matrix(i))))
+        side = lambda d: len(matrix(0))  # n + q + p, q the states of z
+    else:
+        F, (A, B), K = _tt_sort_setup(plant, K, R, T, _discretiser(plant, tick_seconds))
+        D = moc.max_delay
+        states = lambda dist: _reachable_backlogs(dist, F, D)
+        key = lambda d, s: np.minimum(d + s, F + D + 1)  # every cancel alike
+        side = lambda d: n + (d + 1) * p
+
+        @functools.cache
+        def block(d, fin):
+            d_next, src = _latch_sources(d, fin, F, D)
+            m = side(d)
+            w = np.eye(m)[n:].reshape(d + 1, p, m)  # w_j as rows over v
+            sched = np.concatenate([w, [-K @ np.eye(n, m)]])[src[:F + d_next + 1]]
+            x = np.eye(n, m)
+            for u in sched[:F]:
+                x = A @ x + B @ u
+            return int(d_next), _half_kron(np.vstack([x, *sched[F:]]))
+
+    def operator(dist):
+        s = np.array([s for s, _ in dist])
+        prob = np.array([float(q) for _, q in dist])
+        jumps = states(dist)
+        sides = [side(d) for d in jumps]
+        starts = np.cumsum([0] + [m * (m + 1) // 2 for m in sides])
+        at = {d: slice(starts[i], starts[i + 1]) for i, d in enumerate(jumps)}
+        op = np.zeros((starts[-1], starts[-1]), order="F")  # LAPACK's order
+        for d in jumps:
+            odds = np.bincount(key(d, s), weights=prob)
+            for k in np.flatnonzero(odds):
+                d_next, H = block(d, int(k))
+                op[at[d_next], at[d]] += odds[k] * H
+        return op, sides
+
+    return operator
