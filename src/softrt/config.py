@@ -309,8 +309,7 @@ def parse_moc(doc: dict) -> dict:
         "d_max": "not a moc field; the backlog bound is moc.max_delay"},
         tuple(_parameters(MocKind)))
     # _arguments has checked every key; MocKind reads its own
-    args["moc"] = _build(MocKind, doc["moc"], "moc", "moc", keys=tuple(doc["moc"]),
-                         max_delay=_integer, act_delay=_integer)
+    args["moc"] = _build(MocKind, doc["moc"], "moc", "moc", keys=tuple(doc["moc"]))
     return args
 
 

@@ -36,10 +36,10 @@ whole chunk as one stacked array; a budget only sums the chunk's blocks,
 weighted by its odds, into one stack whose slices are the plants'
 operators, and one solve per plant decides it.
 Each plant's discretiser (_discretiser) keeps one c2d per interval for
-its synthesis and all its mechanisms.  verdicts() is _verdict_table for
-one plant and stabilizes() its one-budget call.  cosimulate(), the
-verdicts' oracle, draws the stochastic mechanisms' demands from the same
-per-trajectory streams.
+its synthesis and all its mechanisms, and alone says where a DiscreteLti
+plant may run.  verdicts() is _verdict_table for one plant and
+stabilizes() its one-budget call.  cosimulate(), their oracle, draws
+demands from the same per-trajectory streams and accepts the same loops.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ import numpy as np
 from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti, DiscreteLti,
                           _as_matrix, _half_kron, _mean_square_stable, _shaped, c2d)
 from .errors import ConfigError, NumericalError
-from .taskmodel import ExecTimeModel, derived_seed, max_ticks, sample_exec_times, tick_cdf
+from .taskmodel import (ExecTimeModel, _is_int, derived_seed, max_ticks, sample_exec_times,
+                        tick_cdf)
 
 MOC_KINDS = ("tt_hard", "tt_maxb", "tt_sort", "cs")
 BUFFERED_KINDS = ("tt_sort", "cs")  # the kinds that cancel past max_delay
@@ -67,6 +68,9 @@ class MocKind:
     act_delay: Optional[int] = None  # ticks, default T; tt_hard only
 
     def __post_init__(self):
+        for name, v in (("max_delay", self.max_delay), ("act_delay", self.act_delay)):
+            if v is not None and not _is_int(v):
+                raise ConfigError("moc.%s: must be an integer, got %r" % (name, v))
         if self.kind not in MOC_KINDS:
             raise ConfigError("moc.kind: must be one of %s" % (MOC_KINDS,))
         if self.kind in BUFFERED_KINDS:
@@ -227,8 +231,8 @@ def _discretiser(plant, tick_seconds: float) -> Callable:
     """ticks -> (A, B), the plant over that many ticks of held input: each
     interval is discretised (c2d) on first use and kept, so a plant's
     synthesis, modes and operators share one discretisation per interval.
-    A DiscreteLti plant is its own (A, B) at every interval but 0;
-    _mode_table takes it over its own interval T alone."""
+    A DiscreteLti plant is its own (A, B) over its sample_period (rel_tol
+    1e-9) and over no other interval but 0: the one rule for where it runs."""
     n, p = plant.A.shape[0], plant.B.shape[1]
 
     @functools.cache
@@ -236,6 +240,10 @@ def _discretiser(plant, tick_seconds: float) -> Callable:
         if ticks == 0:
             return np.eye(n), np.zeros((n, p))
         d = plant if isinstance(plant, DiscreteLti) else c2d(plant, ticks * tick_seconds)
+        if not math.isclose(d.sample_period, ticks * tick_seconds, rel_tol=1e-9):
+            raise ConfigError("plant.sample_period: %r s, but this loop needs the plant over "
+                              "%d tick%s of %r s; continuous model required"
+                              % (plant.sample_period, ticks, "s"[ticks == 1:], tick_seconds))
         return d.A, d.B
 
     return disc
@@ -249,8 +257,8 @@ def _mode_table(plant, K, moc: MocKind, R: Optional[int], T: Optional[int],
     by _tt_matrix for the feedback K, a static gain or a ControllerLti
     (_law), and the plant's discretiser disc (_discretiser).  None of it
     depends on the budget Q.  Matrices are built on first use and kept, so
-    a caller pays once for each mode it uses.  The caller checks the
-    reservation.
+    a caller pays once for each mode it uses; a DiscreteLti plant's disc
+    is asked for every interval at once.  The caller checks the reservation.
     """
     if moc.kind == "tt_hard":
         held = T if moc.act_delay is None else moc.act_delay
@@ -262,9 +270,9 @@ def _mode_table(plant, K, moc: MocKind, R: Optional[int], T: Optional[int],
     else:  # cs: s = 1..D latch at the job's end, a cancel after D periods never
         D, cuts = moc.max_delay, list(range(1, moc.max_delay + 1))
         rows = [("s=%d" % s, s * R, s * R) for s in cuts] + [("cancel", D * R, None)]
-    ticks = {h for _, h, _ in rows} | {s - h for _, h, s in rows if s is not None}
-    if isinstance(plant, DiscreteLti) and not ticks <= {0, T}:
-        raise ConfigError("plant: continuous model required for %s" % moc.kind)
+    if isinstance(plant, DiscreteLti):
+        for ticks in sorted({h for _, h, _ in rows} | {s - h for _, h, s in rows if s}):
+            disc(ticks)
     law = _law(plant, K)
     matrix = functools.cache(lambda i: _tt_matrix(disc, law, *rows[i][1:]))
     return [row[0] for row in rows], cuts, matrix
@@ -319,7 +327,8 @@ def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,
     """
     moc = MocKind("tt_maxb")
     _check_reservation(moc, Q, R, T)
-    labels, cuts, matrix = _mode_table(plant_d, K, moc, R, T, _discretiser(plant_d, 1.0))
+    disc = _discretiser(plant_d, plant_d.sample_period / T)  # its own interval: T ticks
+    labels, cuts, matrix = _mode_table(plant_d, K, moc, R, T, disc)
     return ClosedLoopModes(labels, [matrix(0), matrix(1)],
                            [float(p) for p in _cut_odds(model, Q, cuts)])
 
@@ -385,9 +394,7 @@ def _verdict(estimates: np.ndarray) -> str:
     initial = estimates[0]
     tail = estimates[-max(1, len(estimates) // 4):]
     avg = float(np.mean(tail))
-    if math.isnan(avg) or math.isinf(avg):
-        return "unstable"
-    if avg > 1e6 * initial:
+    if not math.isfinite(avg) or avg > 1e6 * initial:
         return "unstable"
     if avg < 1e-6 * initial:
         return "stable"
@@ -438,18 +445,11 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
     gain or, but for tt_sort, a ControllerLti.  tt_hard has no randomness:
     all trajectories coincide, so one is run.
     """
-    if isinstance(plant, DiscreteLti) and moc.kind != "tt_maxb":
-        raise ConfigError("plant: continuous model required for %s" % moc.kind)
     if n_traj < 1:
         raise ConfigError("n_traj: must be >= 1")
     if horizon < 4:
         raise ConfigError("horizon: must be >= 4")
     _check_reservation(moc, Q, R, T)
-    if isinstance(plant, DiscreteLti) and not math.isclose(
-            plant.sample_period, T * tick_seconds, rel_tol=1e-9):
-        raise ConfigError("plant.sample_period: %r s, but tt_maxb samples every "
-                          "T * tick_seconds = %r s" % (plant.sample_period, T * tick_seconds))
-
     disc = _discretiser(plant, tick_seconds)
     if moc.kind == "tt_sort":
         return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, disc, horizon,
@@ -600,17 +600,18 @@ def _verdict_table(plants, gains, discs, moc: MocKind, model: ExecTimeModel,
     """(table, unknowns): table[i, j] is whether a (budgets[j], R)
     reservation keeps loop i (_operator's plants, gains and discs) under moc
     second-moment stable, and unknowns the size of the largest operator
-    solved (0 for tt_hard).  tt_hard: Q * (T // R) >= max_ticks.  tt_maxb,
-    cs and tt_sort: _mean_square_stable on the operators of VERDICT_CHUNK
-    loops at a time, whose blocks _operator builds once per chunk; each
-    budget only weights them by its own odds.
+    solved (0 for tt_hard).  tt_hard: Q * (T // R) >= max_ticks, the loop
+    checked by its mode table.  tt_maxb, cs and tt_sort: _mean_square_stable
+    on the operators of VERDICT_CHUNK loops at a time, whose blocks
+    _operator builds once per chunk; each budget only weights them by its
+    own odds.
     """
-    if moc.kind != "tt_hard" and any(isinstance(plant, DiscreteLti) for plant in plants):
-        raise ConfigError("plant: continuous model required for %s" % moc.kind)
     for Q in budgets:
         _check_reservation(moc, Q, R, T)
     table = np.zeros((len(plants), len(budgets)), dtype=bool)
     if moc.kind == "tt_hard":
+        for plant, K, disc in zip(plants, gains, discs):
+            _mode_table(plant, K, moc, R, T, disc)
         table[:] = [Q * (T // R) >= max_ticks(model) for Q in budgets]
         return table, 0
     dists = [_service_distribution(model, Q, R) for Q in budgets]
@@ -627,9 +628,8 @@ def _verdict_table(plants, gains, discs, moc: MocKind, model: ExecTimeModel,
     return table, unknowns
 
 
-def verdicts(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel,
-             budgets: Sequence[int], R: int, T: int, *,
-             tick_seconds: float = 1.0) -> List[bool]:
+def verdicts(plant, K, moc: MocKind, model: ExecTimeModel, budgets: Sequence[int], R: int,
+             T: int, *, tick_seconds: float = 1.0) -> List[bool]:
     """Whether a (Q, R) reservation keeps the loop under moc second-moment
     stable, for each budget Q in budgets: _verdict_table for this one loop.
     K is a static gain or, but for tt_sort, a ControllerLti.
@@ -639,8 +639,8 @@ def verdicts(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel,
     return table[0].tolist()
 
 
-def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: int,
-               R: int, T: int, *, tick_seconds: float = 1.0) -> bool:
+def stabilizes(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int, T: int, *,
+               tick_seconds: float = 1.0) -> bool:
     """Whether a (Q, R) reservation keeps the loop under moc second-moment
     stable: verdicts for the one budget Q."""
     return verdicts(plant, K, moc, model, [Q], R, T, tick_seconds=tick_seconds)[0]

@@ -12,7 +12,8 @@ import pytest
 from softrt.cli import main
 from softrt.errors import ConfigError
 from softrt.render import render_trace
-from softrt.simcore import Trace
+from softrt.simcore import SchedulerConfig, Trace, simulate
+from softrt.taskmodel import ReservationSpec, TaskSpec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "edf_overload_trace.csv"
 GOLDEN_COSIM_SORT = GOLDEN.with_name("cosim_tt_sort.csv")
@@ -297,6 +298,39 @@ def test_cosim_takes_lqg_feedback_except_under_tt_sort(tmp_path, capsys):
                    "not a dynamic controller\n")
 
 
+# sha256 of cosim's JSON and CSV for README's loop at --seed 7, by case
+# "kind/feedback[/moc field=value]"
+COSIM_SHA256 = {
+    "tt_hard/lqg": ("b9b31edb19c3db1caf90358a08012f7a118867fabaa988c8bdfb49ddef2fa88c",
+                    "c62fcc5ffd7bfa323ead947ee2ebb085fe7f05d2baf658ade37b8e52cb0bf8a0"),
+    "tt_hard/lqg/act_delay=0": (
+        "957bae4cc048c9ea1b38af3c31602435d38a60df1807d283ba50157c8ad1a466",
+        "02f4d195ec06f9a820c130cc41fe80083a00afba2c3793d414080db3bc0d5095"),
+    "tt_maxb/lqr": ("c592c6a7240e03fbd9736fd0a09cb8ec674c01383e16651de8bd4f0e29db4e00",
+                    "4e8e6ad4c0d97601cfb837c506a99a24e9475aac4a5abe278de8be326c6e2925"),
+    "tt_maxb/lqg": ("5511f3aa59a3dfa1c8877f8a545bf11a6e4ba1dcd942553155f41694f5f2a28d",
+                    "76dffcf105c0b57c43ba6053df2be126b2975cfffb15702f8e7717b4950b6a5c"),
+    "cs/lqg/max_delay=3": ("901e9b7f354301594bd85497f6548ac1474c8fa23a551fa9dd51be90a19deb26",
+                           "173664e4e500220fb662ffa4fcfdd6ecf3cd23a59cfb5f77aa4946c4184258d1"),
+    "tt_sort/lqr/max_delay=3": (
+        "3082f553dd0e66ff0449df7c0183985be7769369fba96058a3eda88faebbdfca",
+        "bcac17a2fd1115de7c11639ecb9cfa06caa393517abe0688fcfcc637f9d6554a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COSIM_SHA256))
+def test_cosim_output_is_pinned(tmp_path, capsys, case):
+    kind, feedback, *fields = case.split("/")
+    moc = dict(README_LOOP["moc"], kind=kind,
+               **{k: int(v) for k, v in (f.split("=") for f in fields)})
+    doc = dict(README_LOOP, moc=moc, control=dict(README_LOOP["control"], feedback=feedback))
+    cfg = write_config(tmp_path, doc)
+    for fmt, digest in zip(("json", "csv"), COSIM_SHA256[case]):
+        assert main(["cosim", "--config", cfg, "--format", fmt, "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_cosim_warns_when_the_design_interval_is_not_the_loop_interval(
         tmp_path, capsys, caplog):
     # README's loop designs for 0.5 s and runs every T * tick = 0.1 s
@@ -337,6 +371,13 @@ def test_non_integer_fields_are_config_errors(tmp_path, capsys):
     cfg = write_config(tmp_path, _with_moc(horizon=40.5))
     assert main(["cosim", "--config", cfg]) == 2
     assert "moc.horizon: must be an integer" in capsys.readouterr().err
+    # MocKind reads its own integers, in the words of every other field
+    for fields, got in (({"max_delay": 2.5}, "max_delay: must be an integer, got 2.5"),
+                        ({"max_delay": True}, "max_delay: must be an integer, got True"),
+                        ({"kind": "tt_hard", "max_delay": None, "act_delay": "1"},
+                         "act_delay: must be an integer, got '1'")):
+        assert main(["cosim", "--config", write_config(tmp_path, _with_moc(**fields))]) == 2
+        assert capsys.readouterr().err == "config error: moc.%s\n" % got
     doc = json.loads(json.dumps(CHAIN_CONFIG))
     doc["chain"]["Q"] = "1"
     assert main(["chain", "--config", write_config(tmp_path, doc)]) == 2
@@ -520,6 +561,36 @@ def test_render_svg(capsys):
     assert out.endswith("</svg>\n")
     # the overload run executes past deadlines, so late cells appear
     assert "#c62828" in out
+
+
+def test_unmatched_task_ids_and_trace_headers_are_config_errors(tmp_path, capsys):
+    # each through the library and through the command line
+    tasks = [TaskSpec(1, 1, 4, 4), TaskSpec(2, 2, 5, 5)]
+    priorities = {"kind": "fixed_priority", "horizon": 20, "priorities": {"1": 0}}
+    reservations = {"kind": "cbs_edf", "horizon": 20}
+    cases = [
+        (SchedulerConfig("fixed_priority", 20, priorities={1: 0}),
+         dict(OVERLOAD_CONFIG, scheduler=priorities), "scheduler.priorities: missing task id 2"),
+        (SchedulerConfig("cbs_edf", 20, reservations={2: ReservationSpec(1, 5)}),
+         dict(OVERLOAD_CONFIG, scheduler=reservations,
+              reservations={"2": {"budget": 1, "period": 5}}),
+         "scheduler.reservations: missing task id 1"),
+    ]
+    for scheduler, doc, message in cases:
+        with pytest.raises(ConfigError) as err:
+            simulate(tasks, scheduler)
+        assert str(err.value) == message
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == "config error: %s\n" % message
+    text = GOLDEN.read_text().replace("payload", "extra", 1)
+    assert text.startswith("tick,kind,task,extra\n")
+    message = "trace: expected header tick,kind,task,payload"
+    with pytest.raises(ConfigError) as err:
+        Trace.from_csv(text)
+    assert str(err.value) == message
+    (tmp_path / "extra.csv").write_text(text)
+    assert main(["analyze", str(tmp_path / "extra.csv")]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
 
 
 def test_config_error_exit_code(tmp_path, capsys):

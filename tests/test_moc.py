@@ -1,12 +1,16 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moc_oracle as oracle
 from softrt.controlcore import (
     ContinuousLti,
+    ControllerLti,
     DiscreteLti,
     c2d,
     dlqr,
@@ -14,6 +18,8 @@ from softrt.controlcore import (
 )
 from softrt.errors import ConfigError
 from softrt.moc import (
+    BUFFERED_KINDS,
+    MOC_KINDS,
     DelayChain,
     MocKind,
     _verdict,
@@ -34,6 +40,7 @@ from softrt.taskmodel import (
     Empirical,
     ReservationSpec,
     TaskSpec,
+    Uniform,
     sample_exec_times,
 )
 
@@ -65,6 +72,15 @@ def test_moc_kind_validation():
             MocKind(kind, max_delay, act_delay=1)
     with pytest.raises(ConfigError, match="act_delay"):
         MocKind("tt_hard", act_delay=-1)
+    # the config reader's messages, for library callers too; a boolean is no count
+    for kwargs, message in (
+            (dict(kind="cs", max_delay=2.5), "moc.max_delay: must be an integer, got 2.5"),
+            (dict(kind="tt_sort", max_delay=True), "moc.max_delay: must be an integer, got True"),
+            (dict(kind="tt_hard", act_delay=1.5), "moc.act_delay: must be an integer, got 1.5"),
+            (dict(kind="tt_hard", act_delay="1"), "moc.act_delay: must be an integer, got '1'")):
+        with pytest.raises(ConfigError) as err:
+            MocKind(**kwargs)
+        assert str(err.value) == message
 
 
 def test_service_periods():
@@ -231,9 +247,11 @@ def test_mode_tables_take_a_discrete_plant_only_over_its_own_interval():
     plant_d = DiscreteLti([[0.5]], [[1.0]], [[1.0]], [[0.0]], 2.0)
     for act_delay in (0, 2):  # the plant's interval T, or none
         assert tt_hard_modes(plant_d, [[0.1]], T=2, act_delay=act_delay).matrices
-    with pytest.raises(ConfigError, match="plant: continuous model required for tt_hard"):
+    one_tick = re.escape("plant.sample_period: 2.0 s, but this loop needs the plant over "
+                         "1 tick of 1.0 s; continuous model required")
+    with pytest.raises(ConfigError, match=one_tick):
         tt_hard_modes(plant_d, [[0.1]], T=2, act_delay=1)
-    with pytest.raises(ConfigError, match="plant: continuous model required for cs"):
+    with pytest.raises(ConfigError, match=one_tick):
         cs_modes(plant_d, [[0.1]], Empirical((1, 2)), Q=1, R=1, max_delay=2)
 
 
@@ -316,8 +334,8 @@ def test_cosim_validation():
     with pytest.raises(ConfigError):
         cosimulate(plant, [[0.4]], MocKind("tt_maxb"), Deterministic(1),
                    Q=1, R=1, T=1, n_traj=0)
-    d = c2d(plant, 1.0)
-    with pytest.raises(ConfigError):
+    d = c2d(plant, 2.0)  # a one-tick cs job needs the plant over 1 s
+    with pytest.raises(ConfigError, match="plant.sample_period"):
         cosimulate(d, [[0.4]], MocKind("cs", max_delay=1), Deterministic(1),
                    Q=1, R=1)
     # the budget must satisfy 1 <= Q <= R for every kind
@@ -339,10 +357,72 @@ def test_every_mechanism_checks_the_gain_against_the_plant():
                          ([[0.1, float("nan")]], r"tt\.K: entries must be finite")):
             with pytest.raises(ConfigError, match=match):
                 cosimulate(plant, K, moc, Empirical((1, 2)), horizon=8, n_traj=2, **kw)
-            if moc.kind != "tt_hard":  # a closed form, which reads no gain
-                with pytest.raises(ConfigError, match=match):
-                    verdicts(plant, K, moc, Empirical((1, 2)), [1], 1, 2,
-                             tick_seconds=0.01)
+            with pytest.raises(ConfigError, match=match):
+                verdicts(plant, K, moc, Empirical((1, 2)), [1], 1, 2, tick_seconds=0.01)
+
+
+def test_a_plant_sampled_at_the_loops_own_interval_is_its_continuous_plant():
+    # every interval these loops use is T = R ticks, the discrete plant's own
+    plant = ContinuousLti.from_ab([[0.2, 1.0], [0.0, -0.5]], [[0.0], [1.0]])
+    R = T = 4
+    tick = 0.05
+    plant_d, K = c2d(plant, T * tick), lqr_gain(plant, T * tick)
+    model = Empirical((1, 2, 3, 5, 8, 13))
+    for moc in (MocKind("tt_maxb"), MocKind("tt_hard", act_delay=0), MocKind("tt_hard"),
+                MocKind("tt_hard", act_delay=T), MocKind("tt_sort", 1), MocKind("cs", 1)):
+        got, want = (verdicts(p, K, moc, model, [1, 2, 3, 4], R, T, tick_seconds=tick)
+                     for p in (plant_d, plant))
+        assert np.array_equal(got, want), moc
+        got, want = (cosimulate(p, K, moc, model, 2, R, T, tick_seconds=tick, horizon=40,
+                                n_traj=5, seed=3).estimates for p in (plant_d, plant))
+        assert np.array_equal(got, want), moc
+
+
+@st.composite
+def any_loop(draw):
+    """(plant, K, moc, model, Q, R, T) at 0.1 s a tick: a continuous plant
+    or it sampled over some ticks, a static gain or a ControllerLti, right
+    or one column too wide.  Each way to be wrong is drawn rarely, so that
+    about a third of the loops run."""
+    kind = draw(st.sampled_from(MOC_KINDS))
+    R = draw(st.integers(1, 3))
+    T = R * draw(st.integers(1, 3)) if draw(st.integers(0, 4)) else draw(st.integers(1, 6))
+    moc = MocKind(kind, draw(st.integers(1, 3)) if kind in BUFFERED_KINDS else None,
+                  draw(st.none() | st.integers(0, T + 2)) if kind == "tt_hard" else None)
+    n = draw(st.integers(1, 2))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plant = ContinuousLti.from_ab(g.uniform(-1, 1, (n, n)), g.uniform(-1, 1, (n, 1)))
+    # sampled over T or over R ticks (each some kind's own), or over neither
+    sampled = draw(st.sampled_from((None, None, T, R, 2 * T + 1)))
+    if sampled is not None:
+        plant = c2d(plant, sampled * 0.1)
+    cols = n + draw(st.sampled_from((0, 0, 0, 0, 1)))
+    if draw(st.booleans()):
+        K = g.uniform(-1, 1, (1, cols))
+    else:
+        K = ControllerLti(0.5 * np.eye(2), g.uniform(-1, 1, (2, cols)), g.uniform(-1, 1, (1, 2)))
+    model = draw(st.sampled_from((Deterministic(2), Empirical((1, 3, 4)), Uniform(0.0, 5.0))))
+    Q = draw(st.sampled_from(list(range(1, R + 1)) * 4 + [0, R + 1]))
+    return plant, K, moc, model, Q, R, T
+
+
+def _rejects(run) -> bool:
+    try:
+        run()
+    except ConfigError:
+        return True
+    return False
+
+
+@given(any_loop())
+@settings(max_examples=400, deadline=None)
+def test_cosim_and_verdicts_accept_the_same_loops(loop):
+    # the verdicts' oracle runs exactly the loops they decide
+    plant, K, moc, model, Q, R, T = loop
+    cosim = _rejects(lambda: cosimulate(plant, K, moc, model, Q, R, T, tick_seconds=0.1,
+                                        horizon=8, n_traj=2))
+    exact = _rejects(lambda: verdicts(plant, K, moc, model, [Q], R, T, tick_seconds=0.1))
+    assert cosim == exact
 
 
 def test_cosim_discrete_plant_must_sample_at_the_task_period():

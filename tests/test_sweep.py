@@ -9,8 +9,9 @@ import pytest
 
 import moc_oracle as oracle
 import softrt.moc
+import softrt.sweep
 from softrt.controlcore import c2d, dlqr, second_moment_stable
-from softrt.errors import ConfigError
+from softrt.errors import ConfigError, NumericalError
 from softrt.moc import MocKind
 from softrt.sweep import SweepConfig, bandwidth_sweep, random_system, sweep_to_csv
 from softrt.taskmodel import derived_seed, max_ticks, tick_cdf
@@ -97,6 +98,31 @@ def test_sweep_hard_guarantee_needs_full_budget():
             for r in rows if r["moc"] == "tt_maxb"}
     # at b = 1 no activation can overrun, so the loop is the plain LQR loop
     assert maxb[1.0] == 1.0
+
+
+def test_a_failed_synthesis_counts_its_plant_unstabilized(monkeypatch, caplog):
+    # system 1 of 3 fails synthesis: one warning names it, and every fraction
+    # still counts over all three plants, at most one fewer than without it
+    real, calls = softrt.sweep.dlqr, []
+
+    def dlqr(*args):
+        calls.append(args)
+        if len(calls) == 2:  # systems synthesize in order: this is system 1
+            raise NumericalError("dlqr: no stabilizing solution")
+        return real(*args)
+
+    full = bandwidth_sweep(SweepConfig(**SMALL))
+    monkeypatch.setattr(softrt.sweep, "dlqr", dlqr)
+    with caplog.at_level(logging.WARNING, logger="softrt.sweep"):
+        rows = bandwidth_sweep(SweepConfig(**SMALL))
+    assert [r.getMessage() for r in caplog.records if r.name == "softrt.sweep"] == [
+        "system 1: synthesis failed, counted unstabilized (dlqr: no stabilizing solution)"]
+    assert len(calls) == 3
+    for r, f in zip(rows, full):
+        got, want = r["fraction_stabilized"] * 3, f["fraction_stabilized"] * 3
+        assert got == round(got) and round(want) - 1 <= got <= round(want), r
+    hard = {r["bandwidth"]: r["fraction_stabilized"] for r in rows if r["moc"] == "tt_hard"}
+    assert hard == {0.5: 0.0, 1.0: 2 / 3}
 
 
 def test_sweep_csv_format():

@@ -20,7 +20,7 @@ from softrt.controlcore import (ClosedLoopModes, ContinuousLti, c2d, dlqr,
                                 second_moment_stable, spectral_radius,
                                 stability_matrix)
 from softrt.moc import (MocKind, _discretiser, _operator as _moc_operator, cosimulate,
-                        service_distribution, stabilizes, tt_hard_modes)
+                        service_distribution, stabilizes, tt_hard_modes, verdicts)
 from softrt.sweep import SweepConfig, random_system
 from softrt.taskmodel import Empirical, derived_seed
 
@@ -257,8 +257,19 @@ def test_overflowing_operator_is_not_stable_and_silent():
 
 
 def test_discrete_plant_is_a_config_error():
-    # every stochastic verdict discretizes the plant itself
-    plant = c2d(ContinuousLti.from_ab([[0.2]], [[1.0]]), 1.0)
-    for moc in (MocKind("tt_maxb"), MocKind("tt_sort", 2), MocKind("cs", 2)):
+    # a discrete plant runs only over its own sample period: sampled at the
+    # loop's own 1 s, tt_maxb and tt_sort decide it as its continuous plant;
+    # cs's two-period job needs it over 2 s, and a plant sampled at 0.7 s
+    # fits no kind's interval here
+    plant = ContinuousLti.from_ab([[-0.3]], [[1.0]])
+    model, kw = Empirical((1, 1, 2, 3)), dict(R=2, T=2, tick_seconds=0.5)
+    want = {"tt_maxb": [True, True], "tt_sort": [False, True]}
+    for moc in (MocKind("tt_maxb"), MocKind("tt_sort", 2)):
+        got = verdicts(c2d(plant, 1.0), [[0.75]], moc, model, [1, 2], **kw)
+        assert got == verdicts(plant, [[0.75]], moc, model, [1, 2], **kw) == want[moc.kind]
+    with pytest.raises(ConfigError, match="continuous model required"):
+        stabilizes(c2d(plant, 1.0), [[0.75]], MocKind("cs", 2), model, 1, **kw)
+    for moc in (MocKind("tt_hard"), MocKind("tt_maxb"), MocKind("tt_sort", 2),
+                MocKind("cs", 2)):
         with pytest.raises(ConfigError, match="continuous model required"):
-            stabilizes(plant, [[0.5]], moc, Empirical((1, 2)), 1, 1, 1)
+            stabilizes(c2d(plant, 0.7), [[0.75]], moc, model, 2, **kw)
