@@ -5,7 +5,8 @@ time model.  Miss classification works from job records (arrival, deadline,
 completion) rather than from miss events, so it is independent of the
 detection mode the simulation ran with.  The records come from
 ``Trace.records``, which builds them once per trace, so asking for several
-metrics of every task reads the events once.
+metrics of every task reads the events once.  dropout_probability checks
+its (Q, R, T) by taskmodel.check_reservation, the rule moc's routines use.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from .errors import ConfigError
 from .simcore import Trace
-from .taskmodel import ExecTimeModel, _is_int, tick_cdf
+from .taskmodel import ExecTimeModel, _integer, check_reservation, tick_cdf
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,7 @@ class MissConstraint:
 
     def __post_init__(self):
         for name in ("m", "n"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError("constraint.%s: must be an integer, got %r"
-                                  % (name, getattr(self, name)))
+            _integer(getattr(self, name), "constraint." + name)
         for m, n in self.pairs:
             if n < 1:
                 raise ConfigError("constraint.n: window must be >= 1")
@@ -121,8 +120,5 @@ def dropout_probability(model: ExecTimeModel, Q: int, R: int, T: int):
     result is the upper tail of the demand distribution at that threshold.
     Exact (a Fraction) for discrete models, a float for continuous ones.
     """
-    if Q < 1 or R < Q:
-        raise ConfigError("Q: need 1 <= Q <= R")
-    if T < R or T % R != 0:
-        raise ConfigError("T: must be a positive multiple of R")
+    check_reservation(Q, R, T)
     return 1 - tick_cdf(model, Q * (T // R))

@@ -29,7 +29,7 @@ from .moc import MocKind, build_delay_chain, cosimulate
 from .simcore import SchedulerConfig
 from .sweep import SweepConfig
 from .taskmodel import (EXEC_MODELS, Activation, ReservationSpec, TaskSpec,
-                        _is_int)
+                        _integer, _is_int)
 
 
 # the routine each section configures, and the parameters its caller sets
@@ -93,13 +93,6 @@ def _get(d: dict, key: str, path: str, default=MISSING):
         v = default
     if v is MISSING:
         raise ConfigError("%s.%s: missing required field" % (path, key))
-    return v
-
-
-def _integer(v, path: str) -> int:
-    """v, if it is an integer; JSON strings, floats, booleans and null are not."""
-    if not _is_int(v):
-        raise ConfigError("%s: must be an integer, got %r" % (path, v))
     return v
 
 

@@ -40,6 +40,8 @@ its synthesis and all its mechanisms, and alone says where a DiscreteLti
 plant may run.  verdicts() is _verdict_table for one plant and
 stabilizes() its one-budget call.  cosimulate(), their oracle, draws
 demands from the same per-trajectory streams and accepts the same loops.
+Every routine here that takes a reservation (Q, R) checks it, with its
+task period T but under cs, by taskmodel.check_reservation.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ import numpy as np
 from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti, DiscreteLti,
                           _as_matrix, _half_kron, _mean_square_stable, _shaped, c2d)
 from .errors import ConfigError, NumericalError
-from .taskmodel import (ExecTimeModel, _is_int, derived_seed, max_ticks, sample_exec_times,
-                        tick_cdf)
+from .taskmodel import (ExecTimeModel, _integer, _store_ints, check_reservation, derived_seed,
+                        max_ticks, sample_exec_times, tick_cdf)
 
 MOC_KINDS = ("tt_hard", "tt_maxb", "tt_sort", "cs")
 BUFFERED_KINDS = ("tt_sort", "cs")  # the kinds that cancel past max_delay
@@ -69,8 +71,9 @@ class MocKind:
 
     def __post_init__(self):
         for name, v in (("max_delay", self.max_delay), ("act_delay", self.act_delay)):
-            if v is not None and not _is_int(v):
-                raise ConfigError("moc.%s: must be an integer, got %r" % (name, v))
+            if v is not None:
+                _integer(v, "moc." + name)
+                _store_ints(self, name)
         if self.kind not in MOC_KINDS:
             raise ConfigError("moc.kind: must be one of %s" % (MOC_KINDS,))
         if self.kind in BUFFERED_KINDS:
@@ -87,9 +90,8 @@ class MocKind:
 
 def service_periods(c: int, Q: int, R: int) -> int:
     """Reservation periods a job of c ticks occupies when granted Q per R."""
-    if Q < 1 or R < Q:
-        raise ConfigError("Q: need 1 <= Q <= R")
-    if c < 1:
+    check_reservation(Q, R)
+    if _integer(c, "c") < 1:
         raise ConfigError("c: demand must be >= 1 tick")
     return -(-c // Q)
 
@@ -100,6 +102,7 @@ def service_distribution(model: ExecTimeModel, Q: int, R: int) -> List[Tuple[int
     Exact fractions for discrete models, floats for continuous ones.
     P(s = k) = P(c <= kQ) - P(c <= (k-1)Q).
     """
+    check_reservation(Q, R)  # before the cache, whose key 2.0 would find 2's entry
     return list(_service_distribution(model, Q, R))
 
 
@@ -193,9 +196,8 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
     cancellation threshold.  The steady state solves pi P = pi by least
     squares with the normalization row appended.
     """
-    if T < R or T % R != 0:
-        raise ConfigError("T: must be a positive multiple of R")
-    if d_max < 1:
+    check_reservation(Q, R, T)
+    if _integer(d_max, "d_max") < 1:
         raise ConfigError("d_max: must be >= 1")
     F = T // R
     dist = service_distribution(model, Q, R)
@@ -363,8 +365,8 @@ def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
     0 recovers the idealized no-latency closed mode, act_delay = T the fully
     latched one.
     """
-    labels, _, matrix = _mode_table(plant, K, MocKind("tt_hard", act_delay=act_delay), None, T,
-                                    _discretiser(plant, tick_seconds))
+    labels, _, matrix = _mode_table(plant, K, MocKind("tt_hard", act_delay=act_delay), None,
+                                    _integer(T, "T"), _discretiser(plant, tick_seconds))
     return ClosedLoopModes(labels, [matrix(0)], [1.0])
 
 
@@ -426,9 +428,9 @@ def _ensemble_switched(mats, mode_idx):
 
 
 def _check_reservation(moc: MocKind, Q: int, R: int, T: Optional[int]) -> None:
-    if not 1 <= Q <= R:
-        raise ConfigError("Q: need 1 <= Q <= R")
-    if moc.kind != "cs" and (T is None or T < R or T % R != 0):
+    """check_reservation under moc: cs has no task period, every other kind needs one."""
+    check_reservation(Q, R, *(() if T is None or moc.kind == "cs" else (T,)))
+    if T is None and moc.kind != "cs":
         raise ConfigError("T: %s needs a task period that is a positive multiple "
                           "of R" % moc.kind)
 
@@ -445,9 +447,9 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
     gain or, but for tt_sort, a ControllerLti.  tt_hard has no randomness:
     all trajectories coincide, so one is run.
     """
-    if n_traj < 1:
+    if _integer(n_traj, "n_traj") < 1:
         raise ConfigError("n_traj: must be >= 1")
-    if horizon < 4:
+    if _integer(horizon, "horizon") < 4:
         raise ConfigError("horizon: must be >= 4")
     _check_reservation(moc, Q, R, T)
     disc = _discretiser(plant, tick_seconds)

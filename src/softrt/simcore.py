@@ -38,7 +38,7 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
-from .taskmodel import JobRecord, ReservationSpec, TaskSpec, _is_int
+from .taskmodel import JobRecord, ReservationSpec, TaskSpec, _is_int, _store_ints
 
 log = logging.getLogger(__name__)
 
@@ -428,6 +428,7 @@ class SchedulerConfig:
             raise ConfigError("scheduler.kind: must be edf, fixed_priority or cbs_edf")
         if not _is_int(self.horizon) or self.horizon < 1:
             raise ConfigError("scheduler.horizon: must be a positive integer")
+        _store_ints(self, "horizon")
         if self.kind == "fixed_priority" and not self.priorities:
             raise ConfigError("scheduler.priorities: required for fixed_priority")
         for tid, prio in (self.priorities or {}).items():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,9 +31,24 @@ def round_half_up(x: float) -> int:
 
 
 def _is_int(v) -> bool:
-    """Whether v is an integer and not a boolean (bool subclasses int, so a
-    JSON true would pass plain isinstance(v, int))."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """Whether v is an integer, numpy's too, and not a boolean: bool
+    subclasses int, and numpy's bool is no Integral."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _integer(v, name: str):
+    """v, if it is an integer (see _is_int); else a ConfigError naming name."""
+    if not _is_int(v):
+        raise ConfigError("%s: must be an integer, got %r" % (name, v))
+    return v
+
+
+def _store_ints(obj, *names) -> None:
+    """Store the integer fields names of the frozen obj as Python ints, so a
+    value computed with numpy (np.int64) reaches the engine and its traces
+    as the int it stands for."""
+    for name in names:
+        object.__setattr__(obj, name, operator.index(getattr(obj, name)))
 
 
 def _is_real(v) -> bool:
@@ -59,6 +75,7 @@ class Deterministic:
     def __post_init__(self):
         if not _is_int(self.ticks) or self.ticks < 1:
             raise ConfigError("exec_model.ticks: must be a positive integer")
+        _store_ints(self, "ticks")
 
 
 def _finite(model, *names) -> None:
@@ -123,7 +140,7 @@ class Empirical:
         for v in vals:
             if not _is_int(v) or v < 1:
                 raise ConfigError("exec_model.values: entries must be positive integers")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(map(operator.index, vals)))
 
     def _draw(self, rng: random.Random) -> int:
         return self.values[rng.randrange(len(self.values))]
@@ -144,7 +161,7 @@ class Scripted:
         if self.fallback is None or isinstance(self.fallback, Scripted):
             raise ConfigError("exec_model.fallback: required and must not be "
                               "another scripted model")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(map(operator.index, vals)))
 
 
 ExecTimeModel = Union[Deterministic, Uniform, Beta, Empirical, Scripted]
@@ -275,6 +292,7 @@ class TaskSpec:
         if not isinstance(self.enforce_wcet, bool):
             raise ConfigError("task.enforce_wcet: must be a boolean, got %r"
                               % (self.enforce_wcet,))
+        _store_ints(self, "id", "wcet", "rel_deadline", "period")
         if self.exec_model is None:
             object.__setattr__(self, "exec_model", Deterministic(self.wcet))
 
@@ -314,10 +332,23 @@ class ReservationSpec:
             raise ConfigError("reservation.variant: must be one of %s" % (VARIANTS,))
         if self.reclaiming not in RECLAIMING:
             raise ConfigError("reservation.reclaiming: must be one of %s" % (RECLAIMING,))
+        _store_ints(self, "budget", "period")
 
     @property
     def bandwidth(self) -> Fraction:
         return Fraction(self.budget, self.period)
+
+
+def check_reservation(Q, R, *T) -> None:
+    """The one rule for which reservations exist: a budget of Q ticks every R
+    ticks, Q and R integers with 1 <= Q <= R, serving a task whose period T,
+    when the caller has one, is a positive multiple of R.  Anything else is
+    a ConfigError naming the field."""
+    _integer(Q, "Q")
+    if not 1 <= Q <= _integer(R, "R"):
+        raise ConfigError("Q: need 1 <= Q <= R")
+    if any(_integer(t, "T") < R or t % R for t in T):
+        raise ConfigError("T: must be a positive multiple of R")
 
 
 @dataclass

@@ -214,6 +214,28 @@ def test_chain_csv(tmp_path, capsys):
     assert [float(x) for x in first[2:]] == [0.5, 0.5, 0.0]
 
 
+# sha256 of chain's JSON and CSV, by config: CHAIN_CONFIG and a Beta(0.5,
+# 0.5) demand over 0..20 ticks served 3 per 10 at T = 20
+CHAIN_BETA = {"chain": {"exec_model": {"kind": "beta", "alpha": 0.5, "beta": 0.5,
+                                       "lo": 0.0, "hi": 20.0},
+                        "Q": 3, "R": 10, "T": 20, "d_max": 6}}
+CHAIN_SHA256 = {
+    "empirical": ("20ee98d4fb8ead0111ad7c64eb5b40a03810ceb0853f9af86637211fb61dc61b",
+                  "aeb2a439ea530d83345eb0db7447ad71acdc875c33d81bf4128061e000bd4f97"),
+    "beta": ("17914080d6ed26a256f6e57ed991d27dc8dd996720ff28f0bb10db5e1068d39c",
+             "6860132997e66f31465cfcddf6be3c69207ba0c980c20b253aaccc1a5981c829"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_SHA256))
+def test_chain_output_is_pinned(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, CHAIN_CONFIG if case == "empirical" else CHAIN_BETA)
+    for fmt, digest in zip(("json", "csv"), CHAIN_SHA256[case]):
+        assert main(["chain", "--config", cfg, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_cosim_json(tmp_path, capsys):
     doc = {
         "plant": {"A": [[0.2]], "B": [[1.0]]},
@@ -777,6 +799,7 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys, cmd, doc, field):
 
 @pytest.mark.parametrize("cmd, doc, message", [
     (["chain"], {"chain": dict(CHAIN_CONFIG["chain"], Q=0)}, "chain.Q: need 1 <= Q <= R"),
+    (["chain"], {"chain": dict(CHAIN_CONFIG["chain"], R=0)}, "chain.Q: need 1 <= Q <= R"),
     (["chain"], {"chain": dict(CHAIN_CONFIG["chain"], d_max=0)}, "chain.d_max: must be >= 1"),
     (["chain"], {"chain": dict(CHAIN_CONFIG["chain"], R=2, T=3)},
      "chain.T: must be a positive multiple of R"),
@@ -794,7 +817,7 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys, cmd, doc, field):
      "constraints[1].m: need 0 <= m <= n"),
     (["analyze", str(GOLDEN)], {"constraints": {"2": {"m": 0, "n": 0}}},
      "constraints[2].n: window must be >= 1"),
-], ids=["chain-Q", "chain-d_max", "chain-T", "chain-scripted", "moc-Q", "moc-T",
+], ids=["chain-Q", "chain-R", "chain-d_max", "chain-T", "chain-scripted", "moc-Q", "moc-T",
         "moc-n_traj", "moc-horizon", "moc-act_delay", "constraint-m", "constraint-n"])
 def test_routine_value_errors_name_their_json_path(tmp_path, capsys, cmd, doc, message):
     assert main(cmd + ["--config", write_config(tmp_path, doc)]) == 2
