@@ -56,8 +56,8 @@ import numpy as np
 from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti, DiscreteLti,
                           _as_matrix, _half_kron, _mean_square_stable, _shaped, c2d)
 from .errors import ConfigError, NumericalError
-from .taskmodel import (ExecTimeModel, _integer, _store_ints, check_reservation, derived_seed,
-                        max_ticks, sample_exec_times, tick_cdf)
+from .taskmodel import (ExecTimeModel, _integer, _is_real, _store_ints, check_reservation,
+                        derived_seed, max_ticks, sample_exec_times, tick_cdf)
 
 MOC_KINDS = ("tt_hard", "tt_maxb", "tt_sort", "cs")
 BUFFERED_KINDS = ("tt_sort", "cs")  # the kinds that cancel past max_delay
@@ -234,7 +234,10 @@ def _discretiser(plant, tick_seconds: float) -> Callable:
     interval is discretised (c2d) on first use and kept, so a plant's
     synthesis, modes and operators share one discretisation per interval.
     A DiscreteLti plant is its own (A, B) over its sample_period (rel_tol
-    1e-9) and over no other interval but 0: the one rule for where it runs."""
+    1e-9) and over no other interval but 0: the one rule for where it runs.
+    tick_seconds must be a finite real > 0, as the config reader asks."""
+    if not (_is_real(tick_seconds) and 0 < tick_seconds < math.inf):
+        raise ConfigError("tick_seconds: must be a number > 0, got %r" % (tick_seconds,))
     n, p = plant.A.shape[0], plant.B.shape[1]
 
     @functools.cache
@@ -365,8 +368,10 @@ def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
     0 recovers the idealized no-latency closed mode, act_delay = T the fully
     latched one.
     """
+    if _integer(T, "T") < 1:
+        raise ConfigError("T: must be >= 1")
     labels, _, matrix = _mode_table(plant, K, MocKind("tt_hard", act_delay=act_delay), None,
-                                    _integer(T, "T"), _discretiser(plant, tick_seconds))
+                                    T, _discretiser(plant, tick_seconds))
     return ClosedLoopModes(labels, [matrix(0)], [1.0])
 
 

@@ -231,10 +231,14 @@ def tick_cdf(model: ExecTimeModel, m: int):
         span = model.hi - model.lo
         return min(1.0, max(0.0, (m + 0.5 - model.lo) / span))
     if isinstance(model, Beta):
+        z = min(1.0, max(0.0, (m + 0.5 - model.lo) / (model.hi - model.lo)))
+        if model.alpha == model.beta == 0.5:
+            # the arcsine law in closed form, equal to betainc bit for bit in
+            # this order of operations, and no scipy.special import
+            return 2 * math.asin(math.sqrt(z)) / math.pi
         from scipy.special import betainc  # the regularized incomplete beta
 
-        z = (m + 0.5 - model.lo) / (model.hi - model.lo)
-        return float(betainc(model.alpha, model.beta, min(1.0, max(0.0, z))))
+        return float(betainc(model.alpha, model.beta, z))
     raise ConfigError("exec_model: no stationary distribution for %r" % (model,))
 
 

@@ -346,6 +346,35 @@ def test_cosim_validation():
             cosimulate(plant, [[0.4]], moc, Deterministic(1), Q=Q, R=2, T=2)
 
 
+def test_tick_seconds_must_be_a_number_above_zero():
+    # one check, in the discretiser every routine builds, worded like the
+    # config reader's; numpy floats and integers pass, booleans do not
+    plant, K, model = scalar_plant(), [[0.4]], Empirical((1, 2))
+    runs = {
+        "cosimulate": lambda ts: cosimulate(plant, K, MocKind("tt_maxb"), model, Q=1, R=1, T=2,
+                                            horizon=8, n_traj=2, tick_seconds=ts),
+        "verdicts": lambda ts: verdicts(plant, K, MocKind("tt_maxb"), model, [1], 1, 2,
+                                        tick_seconds=ts),
+        "stabilizes": lambda ts: stabilizes(plant, K, MocKind("tt_hard"), model, 1, 1, 2,
+                                            tick_seconds=ts),
+        "cs_modes": lambda ts: cs_modes(plant, K, model, 1, 1, 2, tick_seconds=ts),
+        "tt_hard_modes": lambda ts: tt_hard_modes(plant, K, 2, None, tick_seconds=ts),
+    }
+    for name, run in runs.items():
+        for ts in (0, -1.0, float("nan"), float("inf"), True):
+            with pytest.raises(ConfigError) as err:
+                run(ts)
+            assert str(err.value) == "tick_seconds: must be a number > 0, got %r" % (ts,), name
+        for ts in (2, np.float64(0.5), 0.01):
+            run(ts)
+
+
+def test_tt_hard_modes_needs_a_task_period():
+    for T in (0, -2):
+        with pytest.raises(ConfigError, match=r"^T: must be >= 1$"):
+            tt_hard_modes(scalar_plant(), [[0.4]], T, None)
+
+
 def test_every_mechanism_checks_the_gain_against_the_plant():
     # a 2-state plant with a 1x3 or a non-finite gain: each co-simulation and
     # each exact verdict rejects it by name before using it

@@ -182,6 +182,36 @@ def test_tick_cdf_beta_equals_scipy_stats():
             assert tick_cdf(m, 1) == 0.0 and tick_cdf(m, 14) == 1.0
 
 
+def test_tick_cdf_arcsine_closed_form_equals_betainc():
+    # Beta(0.5, 0.5) is evaluated in closed form; betainc is its oracle, to the bit
+    from scipy.special import betainc
+
+    def z_of(model, k):
+        return min(1.0, max(0.0, (k + 0.5 - model.lo) / (model.hi - model.lo)))
+
+    # the default sweep's demand over the ticks it reads (1..21, 24, 27), z
+    # clipped to 1 from tick 20 on; and a support that clips tick 1 to 0
+    for model, ticks in ((Beta(0.5, 0.5, 0.0, 20.0), range(1, 28)),
+                         (Beta(0.5, 0.5, 2.25, 11.5), range(1, 15))):
+        for k in ticks:
+            assert tick_cdf(model, k) == float(betainc(0.5, 0.5, z_of(model, k))), (model, k)
+    assert tick_cdf(Beta(0.5, 0.5, 0.0, 20.0), 0) == 0
+    assert tick_cdf(Beta(0.5, 0.5, 0.0, 20.0), 20) == 1.0
+    assert tick_cdf(Beta(0.5, 0.5, 2.25, 11.5), 1) == 0.0
+    # a dense grid over a unit-wide support (tick 1 at z = 1.5 - lo), with
+    # points within 1e-12 of either end
+    near = [10.0 ** -e for e in range(1, 16)]
+    for z in np.concatenate([np.linspace(0.0, 1.0, 20_001), near, [1 - d for d in near]]):
+        lo = 1.5 - float(z)
+        model = Beta(0.5, 0.5, lo, lo + 1.0)
+        assert tick_cdf(model, 1) == float(betainc(0.5, 0.5, z_of(model, 1))), z
+    # and a wide one, whose tick 1 lies within 1e-12 of 0
+    for hi in (2e12, 1e13, 1e15):
+        model = Beta(0.5, 0.5, 0.0, hi)
+        assert 0 < z_of(model, 1) < 1e-12
+        assert tick_cdf(model, 1) == float(betainc(0.5, 0.5, z_of(model, 1))), hi
+
+
 def test_tick_cdf_matches_sampled_frequencies():
     for m in (Uniform(0.5, 6.5), Beta(2.0, 5.0, 0.0, 10.0), Empirical((1, 1, 4))):
         xs = sample_exec_times(m, 20_000, 7)
