@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error (diagnostic names the field),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -194,7 +195,13 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``softrt`` parser, built once per process.
+
+    Reusing it is safe: ``parse_args`` reads the parser without changing
+    it and returns a fresh namespace filled from the defaults each call.
+    """
     ap = argparse.ArgumentParser(prog="softrt",
                                  description="Reservation scheduling simulator "
                                              "and control co-design toolkit")

@@ -4,6 +4,8 @@ Execution segments are reconstructed from job_start events paired with the
 nearest following stop (preemption, completion, abort or budget
 exhaustion); a segment still open when the log ends is clamped to the
 horizon.  A tick executed at or past the running job's deadline is late.
+An arrival needs integer ``job`` and ``deadline`` payload fields and a
+job_start an integer ``job``; a trace without them is a ConfigError.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError
-from .simcore import STOP_KINDS, Trace
+from .simcore import STOP_KINDS, Trace, _payload_ints
 
 # (task, start, end, deadline of the job that ran)
 Segment = Tuple[int, int, int, Optional[int]]
@@ -22,14 +24,17 @@ def execution_segments(trace: Trace) -> List[Segment]:
     open_seg: Dict[int, list] = {}
     done: List[Segment] = []
     for e in trace.events:
-        if e.kind == "arrival":
-            deadlines[(e.task, e.payload["job"])] = e.payload["deadline"]
-        elif e.kind == "job_start":
-            open_seg[e.task] = [e.tick, e.payload["job"]]
-        elif e.kind in STOP_KINDS and e.task in open_seg:
-            start, job = open_seg.pop(e.task)
-            if e.tick > start:
-                done.append((e.task, start, e.tick, deadlines.get((e.task, job))))
+        tick, kind, task, _ = e
+        if kind == "arrival":
+            job, deadline = _payload_ints(e, "job", "deadline")
+            deadlines[(task, job)] = deadline
+        elif kind == "job_start":
+            (job,) = _payload_ints(e, "job")
+            open_seg[task] = [tick, job]
+        elif kind in STOP_KINDS and task in open_seg:
+            start, job = open_seg.pop(task)
+            if tick > start:
+                done.append((task, start, tick, deadlines.get((task, job))))
     for task, (start, job) in sorted(open_seg.items()):
         if trace.horizon > start:
             done.append((task, start, trace.horizon, deadlines.get((task, job))))
@@ -44,13 +49,14 @@ def render_ascii(trace: Trace) -> str:
     '|' a deadline boundary on an otherwise idle tick, '.' idle.
     """
     width = trace.horizon
+    segments = execution_segments(trace)  # checks every arrival's fields
     rows = {t: ["."] * width for t in trace.task_ids}
-    for e in trace.events:
-        if e.kind == "arrival":
-            d = e.payload["deadline"]
+    for _, kind, task, payload in trace.events:
+        if kind == "arrival":
+            d = payload["deadline"]
             if 0 <= d < width:
-                rows[e.task][d] = "|"
-    for task, start, end, deadline in execution_segments(trace):
+                rows[task][d] = "|"
+    for task, start, end, deadline in segments:
         for tick in range(start, min(end, width)):
             late = deadline is not None and tick >= deadline
             rows[task][tick] = "!" if late else "#"
@@ -77,22 +83,22 @@ def render_svg(trace: Trace, cell: int = 12, row_h: int = 26) -> str:
         out.append('<text x="4" y="%d">t%d</text>' % (y + row_h // 2 + 3, t))
         out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>'
                    % (left, y + row_h - 6, left + width * cell, y + row_h - 6))
-    for task, start, end, deadline in execution_segments(trace):
+    for task, start, end, deadline in execution_segments(trace):  # checks arrivals
         y = top + idx[task] * row_h
         for tick in range(start, min(end, width)):
             late = deadline is not None and tick >= deadline
             out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>'
                        % (left + tick * cell, y + 6, cell - 1, row_h - 14,
                           "#c62828" if late else "#9e9e9e"))
-    for e in trace.events:
-        y = top + idx[e.task] * row_h
-        if e.kind == "arrival":
-            x = left + e.tick * cell
+    for tick, kind, task, payload in trace.events:
+        y = top + idx[task] * row_h
+        if kind == "arrival":
+            x = left + tick * cell
             out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#1565c0"/>'
                        % (x, y + row_h - 6, x, y + 2))
             out.append('<path d="M %d %d l -3 5 l 6 0 z" fill="#1565c0"/>'
                        % (x, y + 2))
-            d = e.payload["deadline"]
+            d = payload["deadline"]
             if d <= width:
                 xd = left + d * cell
                 out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#2e7d32"/>'

@@ -12,6 +12,15 @@ two such ticks the running job and its budget drain are constant, so the
 next completion is at ``now + demand - executed`` and the next exhaustion at
 ``now + ceil(budget / drain)``; deadlines and wake-ups wait in heaps.
 
+Each event is an ``Event``, a ``(tick, kind, task, payload)`` named tuple.
+The engine and the trace readers build it with ``_event``, one C call.
+
+Building, reading and taking the records of a trace runs with the cyclic
+garbage collector paused (``_gc_paused``).  These calls allocate a
+container object or more per event and build no reference cycles, so on a
+long trace a collection finds nothing: it only walks the objects the
+process already holds, many times over.
+
 All quantities are integers.  Budgets count in units of 1/L tick, L the lcm
 of the run's reservation periods if any server reclaims and 1 otherwise, so
 a server recharges to Q*L and drains L per tick it runs, or, under
@@ -27,15 +36,17 @@ servers by (server deadline, task id); fixed priority orders by
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import logging
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, wraps
 from heapq import heappop, heappush, merge
+from itertools import starmap
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigError
 from .taskmodel import JobRecord, ReservationSpec, TaskSpec, _is_int, _store_ints
@@ -75,13 +86,13 @@ _SORT_RANK = {
 STOP_KINDS = ("preemption", "completion", "job_aborted", "budget_exhausted")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Event:
-    """One trace event, immutable.
+class Event(NamedTuple):
+    """One trace event: an immutable ``(tick, kind, task, payload)`` tuple.
 
-    ``__init__`` stores each field through its slot descriptor; the
-    generated frozen ``__init__`` calls ``object.__setattr__`` per field and
-    takes about 1.6 times as long.
+    ``payload`` is the kind's JSON object, e.g. ``{"job": 0, "late": False}``
+    for a completion.  ``_event((tick, kind, task, payload))`` builds the
+    same value as ``Event(tick, kind, task, payload)`` in one C call, where
+    the generated ``__new__`` is a Python function.
     """
 
     tick: int
@@ -89,21 +100,65 @@ class Event:
     task: int
     payload: dict
 
-    def __init__(self, tick: int, kind: str, task: int, payload: dict):
-        _set_tick(self, tick)
-        _set_kind(self, kind)
-        _set_task(self, task)
-        _set_payload(self, payload)
-
     def sort_key(self):
         return (self.tick, _SORT_RANK[self.kind], self.task)
 
 
-_set_tick, _set_kind, _set_task, _set_payload = (
-    getattr(Event, name).__set__ for name in ("tick", "kind", "task", "payload"))
+_event = partial(tuple.__new__, Event)
+
+
+def _gc_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused.
+
+    When the collector is enabled, it is disabled for the call and enabled
+    again in ``finally``, also when ``fn`` raises; when the caller has
+    disabled it, the call leaves it alone.  This is safe for the calls it
+    wraps because they build no reference cycles: every object they
+    allocate is freed by reference counting, so pausing skips collections
+    that would find nothing (tests/test_simcore.py checks that
+    ``gc.collect()`` returns 0 after each).  A cycle that does appear is
+    not leaked: the next collection after the call frees it.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+def _payload_error(event: Event, names: Sequence[str], want: type) -> ConfigError:
+    """The error for an event whose payload lacks one of ``names`` or holds
+    one whose type is not ``want`` (int or bool); it names the first such
+    field.  Called only once one of them has failed that check."""
+    tick, kind, task, payload = event
+    where = "trace: %s of task %s at tick %s" % (kind, task, tick)
+    for name in names:
+        if name not in payload:
+            return ConfigError("%s has no payload field %r" % (where, name))
+        if type(payload[name]) is not want:
+            return ConfigError("%s: payload field %r must be %s, got %r" % (
+                where, name, "an integer" if want is int else "true or false",
+                payload[name]))
+
+
+def _payload_ints(event: Event, *names: str) -> List[int]:
+    """The integer payload fields ``names`` of ``event``; a missing or
+    non-integer one is a ``ConfigError`` naming the event and the field."""
+    payload = event[3]
+    values = [payload.get(name) for name in names]
+    if any(type(v) is not int for v in values):
+        raise _payload_error(event, names, int)
+    return values
 
 
 _CSV_HEADER = "tick,kind,task,payload\n"
+# what an outcome event makes of its job; a completion reads its "late" field
+_OUTCOMES = {"completion": None, "job_aborted": "aborted", "job_skipped": "skipped"}
 # event kinds csv.writer writes without quotes
 _PLAIN_KINDS = frozenset(EVENT_KINDS)
 _encode_payload = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -131,7 +186,7 @@ class Trace:
 
     @cached_property
     def _miss_counts(self) -> Counter:
-        return Counter(e.task for e in self.events if e.kind == "deadline_miss")
+        return Counter([e.task for e in self.events if e.kind == "deadline_miss"])
 
     def miss_count(self, task: Optional[int] = None) -> int:
         counts = self._miss_counts
@@ -142,35 +197,51 @@ class Trace:
         """``job_records()``, built on first use and kept; shared, so read-only."""
         return self.job_records()
 
+    @_gc_paused
     def job_records(self) -> Dict[int, List[JobRecord]]:
         """Rebuild per-task job records from arrival/completion/outcome events.
 
         Every job an outcome event names needs its arrival event; a trace
         recorded with a ``collect`` filter that drops arrivals is rejected.
-        Each call builds the records afresh; ``records`` keeps one build.
+        The fields read must be in the payload and of their type: integer
+        ``job``, ``deadline`` and ``demand``, and a boolean ``late`` in a
+        completion; anything else is a ``ConfigError`` naming the event and
+        the field.  Each call builds the records afresh; ``records`` keeps
+        one build.
         """
         records: Dict[int, Dict[int, JobRecord]] = {t: {} for t in self.task_ids}
         for e in self.events:
-            jobs = records.setdefault(e.task, {})
-            j = e.payload.get("job")
-            if e.kind == "arrival":
-                jobs[j] = JobRecord(e.task, j, e.tick, e.payload["deadline"],
-                                    e.payload["demand"])
+            tick, kind, task, payload = e
+            jobs = records.get(task)
+            if jobs is None:
+                jobs = records[task] = {}
+            if kind == "arrival":
+                j, deadline, demand = (payload.get("job"), payload.get("deadline"),
+                                       payload.get("demand"))
+                if type(j) is not int or type(deadline) is not int \
+                        or type(demand) is not int:
+                    raise _payload_error(e, ("job", "deadline", "demand"), int)
+                jobs[j] = JobRecord(task, j, tick, deadline, demand)
                 continue
-            if e.kind not in ("completion", "job_aborted", "job_skipped"):
+            if kind not in _OUTCOMES:
                 continue
-            if j not in jobs:
+            j = payload.get("job")
+            if type(j) is not int:
+                raise _payload_error(e, ("job",), int)
+            job = jobs.get(j)
+            if job is None:
                 raise ConfigError(
                     "trace: %s of task %d job %s at tick %d has no arrival event "
                     "(was the trace recorded with a scheduler.collect filter "
-                    "that drops 'arrival'?)" % (e.kind, e.task, j, e.tick))
-            if e.kind == "completion":
-                jobs[j].completion = e.tick
-                jobs[j].outcome = "late" if e.payload["late"] else "met"
-            elif e.kind == "job_aborted":
-                jobs[j].outcome = "aborted"
+                    "that drops 'arrival'?)" % (kind, task, j, tick))
+            if kind == "completion":
+                late = payload.get("late")
+                if type(late) is not bool:
+                    raise _payload_error(e, ("late",), bool)
+                job.completion = tick
+                job.outcome = "late" if late else "met"
             else:
-                jobs[j].outcome = "skipped"
+                job.outcome = _OUTCOMES[kind]
         return {t: [jobs[k] for k in sorted(jobs)] for t, jobs in records.items()}
 
     def to_csv(self) -> str:
@@ -185,19 +256,21 @@ class Trace:
         events = self.events
         fields = _payload_fields([e.payload for e in events])
         if fields is None:
-            return _CSV_HEADER + "".join(map(_csv_row, events))
+            return _CSV_HEADER + "".join(starmap(_csv_row, events))
         return _CSV_HEADER + "".join([
-            f"{e.tick},{e.kind},{e.task},{field}\n"
-            if type(e.tick) is int and type(e.task) is int
-            and type(e.kind) is str and e.kind in _PLAIN_KINDS
-            else _csv_row(e)
-            for e, field in zip(events, fields)])
+            f"{tick},{kind},{task},{field}\n"
+            if type(tick) is int and type(task) is int
+            and type(kind) is str and kind in _PLAIN_KINDS
+            else _csv_row(tick, kind, task, payload)
+            for (tick, kind, task, payload), field in zip(events, fields)])
 
     def to_jsonl(self) -> str:
-        return "\n".join(_encode_payload({"tick": e.tick, "kind": e.kind, "task": e.task,
-                                          "payload": e.payload}) for e in self.events) + "\n"
+        return "\n".join(_encode_payload({"tick": tick, "kind": kind, "task": task,
+                                          "payload": payload})
+                         for tick, kind, task, payload in self.events) + "\n"
 
     @classmethod
+    @_gc_paused
     def from_csv(cls, text: str, horizon: Optional[int] = None) -> "Trace":
         """Read ``to_csv`` output.
 
@@ -218,10 +291,11 @@ class Trace:
         ticks, kinds, tasks, payloads = columns
         if horizon is None:
             horizon = max(ticks, default=0)
-        return cls(list(map(Event, ticks, kinds, tasks, payloads)), horizon,
+        return cls(list(map(_event, zip(ticks, kinds, tasks, payloads))), horizon,
                    sorted(set(tasks)))
 
     @classmethod
+    @_gc_paused
     def from_jsonl(cls, text: str, horizon: Optional[int] = None) -> "Trace":
         """Read ``to_jsonl`` output: one JSON object per line with an integer
         ``tick`` and ``task``, a string ``kind`` and an object ``payload``;
@@ -246,7 +320,7 @@ class Trace:
                 raise ConfigError("trace: line %d: kind must be a string" % n)
             if type(d["payload"]) is not dict:
                 raise ConfigError("trace: line %d: payload must be a JSON object" % n)
-            events.append(Event(d["tick"], d["kind"], d["task"], d["payload"]))
+            events.append(_event((d["tick"], d["kind"], d["task"], d["payload"])))
         return cls._from_events(events, horizon)
 
     @classmethod
@@ -256,10 +330,10 @@ class Trace:
         return cls(events, horizon, sorted({e.task for e in events}))
 
 
-def _csv_row(e: Event) -> str:
+def _csv_row(tick, kind, task, payload) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(
-        [e.tick, e.kind, e.task, _encode_payload(e.payload)])
+        [tick, kind, task, _encode_payload(payload)])
     return buf.getvalue()
 
 
@@ -345,7 +419,7 @@ def _checked_events(text: str) -> List[Event]:
             payload = None
         if type(payload) is not dict:
             raise ConfigError(where + "payload must be one JSON object, got %r" % row[3])
-        events.append(Event(tick, row[1], task, payload))
+        events.append(_event((tick, row[1], task, payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +534,7 @@ class _Job:
         self.outcome = None  # met | late | aborted | skipped; None while open
 
 
+@_gc_paused
 def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> Trace:
     """Run the task set to the horizon and return the sorted event trace.
 
@@ -535,9 +610,9 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
         late = t > job.deadline
         job.outcome = "late" if late else "met"
         if late and rec_miss and not on_deadline:
-            add(Event(t, "deadline_miss", job.task, {"job": job.index}))
+            add(_event((t, "deadline_miss", job.task, {"job": job.index})))
         if rec_completion:
-            add(Event(t, "completion", job.task, {"job": job.index, "late": late}))
+            add(_event((t, "completion", job.task, {"job": job.index, "late": late})))
         q = queues[job.task]
         drop(job, q)
         if late and policy[job.task] == "skip_late":
@@ -545,7 +620,7 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
                 stale = q[0]
                 stale.outcome = "skipped"
                 if rec_skipped:
-                    add(Event(t, "job_skipped", job.task, {"job": stale.index}))
+                    add(_event((t, "job_skipped", job.task, {"job": stale.index})))
                 drop(stale, q)
 
     def exhaust(tid, t):
@@ -558,7 +633,7 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
         spec = reservations[tid]
         job = q[0]
         if rec_exhausted:
-            add(Event(t, "budget_exhausted", tid, {"job": job.index}))
+            add(_event((t, "budget_exhausted", tid, {"job": job.index})))
         cbs_on_exhaustion(s, t, spec)
         if s.status == "suspended":
             if s.suspended_until > t:
@@ -566,9 +641,9 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
                 return job
             cbs_wake(s, spec)
         if rec_recharge:
-            add(Event(t, "server_recharge", tid, {"budget": spec.budget}))
+            add(_event((t, "server_recharge", tid, {"budget": spec.budget})))
         if rec_postponed:
-            add(Event(t, "deadline_postponed", tid, {"deadline": s.current_deadline}))
+            add(_event((t, "deadline_postponed", tid, {"deadline": s.current_deadline})))
         return job
 
     runner: Optional[_Job] = None  # job that executed in the tick before t
@@ -591,9 +666,10 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
             if not queues[tid]:
                 s.status = "idle"
             if rec_recharge:
-                add(Event(t, "server_recharge", tid, {"budget": spec.budget}))
+                add(_event((t, "server_recharge", tid, {"budget": spec.budget})))
             if rec_postponed:
-                add(Event(t, "deadline_postponed", tid, {"deadline": s.current_deadline}))
+                add(_event((t, "deadline_postponed", tid,
+                            {"deadline": s.current_deadline})))
 
         # 3. deadline checks and miss policies, in task id order
         while deadlines and deadlines[0][0] <= t:
@@ -601,12 +677,13 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
             if job.outcome is not None:
                 continue
             if rec_miss:
-                add(Event(t, "deadline_miss", job.task, {"job": job.index}))
+                add(_event((t, "deadline_miss", job.task, {"job": job.index})))
             if policy[job.task] == "abort":
                 job.outcome = "aborted"
                 if rec_aborted:
-                    add(Event(t, "job_aborted", job.task,
-                              {"job": job.index, "remaining": job.demand - job.executed}))
+                    remaining = job.demand - job.executed
+                    add(_event((t, "job_aborted", job.task,
+                                {"job": job.index, "remaining": remaining})))
                 drop(job, queues[job.task])
 
         if t == horizon:
@@ -620,8 +697,8 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
             coming = next(pending, (horizon,))
             job = _Job(tid, j, t, deadline, demand)
             if rec_arrival:
-                add(Event(t, "arrival", tid,
-                          {"job": j, "deadline": deadline, "demand": demand}))
+                add(_event((t, "arrival", tid,
+                            {"job": j, "deadline": deadline, "demand": demand})))
             q = queues[tid]
             was_empty = not q
             q.append(job)
@@ -633,8 +710,8 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
                 before = (s.remaining_budget, s.current_deadline)
                 cbs_on_arrival(s, t, spec)
                 if rec_recharge and (s.remaining_budget, s.current_deadline) != before:
-                    add(Event(t, "server_recharge", tid,
-                              {"budget": spec.budget, "deadline": s.current_deadline}))
+                    add(_event((t, "server_recharge", tid,
+                                {"budget": spec.budget, "deadline": s.current_deadline})))
                 if s.remaining_budget <= 0:
                     exhaust(tid, t)
 
@@ -667,10 +744,10 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
         # processor is preempted
         if rec_preempt and runner is not None and runner is not pick and \
                 runner.outcome is None and exhausted is not runner:
-            add(Event(t, "preemption", runner.task, {"job": runner.index}))
+            add(_event((t, "preemption", runner.task, {"job": runner.index})))
         if rec_start and pick is not None and (pick is not runner or exhausted is pick):
-            add(Event(t, "job_start", pick.task,
-                      {"job": pick.index, "resumed": pick.executed > 0}))
+            add(_event((t, "job_start", pick.task,
+                        {"job": pick.index, "resumed": pick.executed > 0})))
 
         # 7. run the pick up to the next tick where something can change
         nxt = coming[0]

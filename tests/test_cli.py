@@ -9,10 +9,11 @@ import sys
 
 import pytest
 
+from softrt import cli
 from softrt.cli import main
 from softrt.errors import ConfigError
 from softrt.render import render_trace
-from softrt.simcore import SchedulerConfig, Trace, simulate
+from softrt.simcore import Event, SchedulerConfig, Trace, simulate
 from softrt.taskmodel import ReservationSpec, TaskSpec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "edf_overload_trace.csv"
@@ -128,6 +129,116 @@ def test_malformed_trace_is_config_error(tmp_path, capsys):
     (tmp_path / "bad.jsonl").write_text("{\"tick\": 0,\n")
     assert main(["analyze", str(tmp_path / "bad.jsonl")]) == 2
     assert "trace: line 1: not JSON" in capsys.readouterr().err
+
+
+def test_trace_payload_fields_are_checked(tmp_path, capsys):
+    # events that are valid JSON but lack a payload field analyze or render
+    # reads, or hold it with the wrong type: exit 2 naming event and field
+    arrival = (0, "arrival", 1, {"deadline": 4, "demand": 2, "job": 0})
+    start = (0, "job_start", 1, {"job": 0, "resumed": False})
+    both, analyze, render = ("analyze", "render"), ("analyze",), ("render",)
+    cases = [
+        ([(0, "arrival", 1, {"job": 0})], both,
+         "arrival of task 1 at tick 0 has no payload field 'deadline'"),
+        ([(0, "arrival", 1, {"deadline": 4, "demand": 2, "job": [1]})], both,
+         "arrival of task 1 at tick 0: payload field 'job' must be an integer, got [1]"),
+        ([(0, "arrival", 1, {"deadline": "4", "demand": 2, "job": 0})], both,
+         "arrival of task 1 at tick 0: payload field 'deadline' must be an integer, "
+         "got '4'"),
+        ([arrival, (0, "arrival", 2, {"deadline": 4, "job": 0})], analyze,
+         "arrival of task 2 at tick 0 has no payload field 'demand'"),
+        ([arrival, start, (2, "completion", 1, {"job": 0})], analyze,
+         "completion of task 1 at tick 2 has no payload field 'late'"),
+        ([arrival, start, (2, "completion", 1, {"job": 0, "late": 0})], analyze,
+         "completion of task 1 at tick 2: payload field 'late' must be true or false, "
+         "got 0"),
+        ([arrival, (3, "job_aborted", 1, {"job": None})], analyze,
+         "job_aborted of task 1 at tick 3: payload field 'job' must be an integer, "
+         "got None"),
+        ([arrival, (0, "job_start", 1, {})], render,
+         "job_start of task 1 at tick 0 has no payload field 'job'"),
+    ]
+    for events, commands, message in cases:
+        trace = Trace([Event(*e) for e in events], 6, [1, 2])
+        for name, text in (("bad.csv", trace.to_csv()), ("bad.jsonl", trace.to_jsonl())):
+            (tmp_path / name).write_text(text)
+            for command in commands:
+                assert main([command, str(tmp_path / name)]) == 2, (message, name, command)
+                assert capsys.readouterr().err == "config error: trace: %s\n" % message
+
+
+ANALYZE_SCHEDULERS = {
+    "edf": {"kind": "edf"},
+    "fp": {"kind": "fixed_priority", "priorities": {"1": 0, "2": 1, "3": 2}},
+    "cbs_soft": {"kind": "cbs_edf"},
+    "cbs_hard": {"kind": "cbs_edf"},
+    "cbs_grub": {"kind": "cbs_edf"},
+}
+ANALYZE_RESERVATIONS = {"1": (1, 4), "2": (2, 5), "3": (2, 6)}
+
+
+def _analyze_config(kind, heavy):
+    """The overload fixture under one of five schedulers over 60 ticks, with
+    a constraint per task.  ``heavy`` makes tasks 1 and 2 overrun longer and
+    sets them to abort and skip_late, so that every job outcome reaches the
+    report."""
+    doc = json.loads(json.dumps(OVERLOAD_CONFIG))
+    doc["scheduler"] = dict(ANALYZE_SCHEDULERS[kind], horizon=60)
+    if kind.startswith("cbs"):
+        doc["reservations"] = {
+            tid: {"budget": q, "period": p,
+                  "variant": "hard_suspend" if kind == "cbs_hard" else "soft_postpone",
+                  "reclaiming": "grub" if kind == "cbs_grub" else "none"}
+            for tid, (q, p) in ANALYZE_RESERVATIONS.items()}
+    if heavy:
+        doc["tasks"][0].update(miss_policy="abort")
+        doc["tasks"][0]["exec_model"]["values"] = [3, 3, 2, 4, 1, 3]
+        doc["tasks"][1].update(miss_policy="skip_late", exec_model={
+            "kind": "scripted", "values": [4, 3, 1, 5, 2],
+            "fallback": {"kind": "deterministic", "ticks": 2}})
+    doc["constraints"] = {"1": {"m": 1, "n": 4, "conjunction": [[1, 2]]},
+                          "2": {"m": 2, "n": 5}, "3": {"m": 0, "n": 3}}
+    return doc
+
+
+# sha256 of `softrt analyze`'s JSON and CSV over the trace of each
+# _analyze_config, recorded before events became tuples
+ANALYZE_SHA256 = {
+    "cbs_grub": ("af63cb4a61a4d2c841036826196fa10ddbe828893650151605118dd4a1485f24",
+                 "da1762cc12371e3b8b16fef83801e39cfd53f43d4d0e8f6e9f15322f29f35547"),
+    "cbs_grub+heavy": ("5b3df9aff0a028e2debb1c0b7ed9fd84d5c9397a20355c3dd99c397fadd791a1",
+                       "813d00c4a9b572cbeca8e8ec745ddf517f159101992c8321ad9225c0a6bd1aa3"),
+    "cbs_hard": ("4a168f8ea7b6c27dcdf09df684935b19999ed2b2756e30b5713e3958eee47b8e",
+                 "584ccfcc0156e508e213756d6567aaf0311e1427b5e24be5f31de263fb625bdc"),
+    "cbs_hard+heavy": ("06843e0ad2b906e24b241c2ea075025d1cf258b1a235f5bba84dc6d0a4525c37",
+                       "e4e1f3246b24b8ae044543adf0ada7d19e9f0bcbd40a971b9556f35253c606f8"),
+    "cbs_soft": ("4a168f8ea7b6c27dcdf09df684935b19999ed2b2756e30b5713e3958eee47b8e",
+                 "584ccfcc0156e508e213756d6567aaf0311e1427b5e24be5f31de263fb625bdc"),
+    "cbs_soft+heavy": ("21f324e208da3fbb66387414dac0e8c9d1bdd6bf5fb75a54aa99db4dfad97e5a",
+                       "92be8b45dfeecee8c943d7a11672de08ed47e5f13064abc309f5be117bfd8baa"),
+    "edf": ("5124bf9b28d524e25048cf57f624d88dca64d39512355f4df65cf5d37a6750a6",
+            "452a0993bd6d6de229f59a1aa27770c8cede4b53643719af736023293e11da89"),
+    "edf+heavy": ("13cb3dce639ecb2238cbc20d8328d5248e8c4192de03357e08c65d6fc0390808",
+                  "5f8b32a2c0908096e53d05f85a96c8bf891b9f760e89e68735e5c28721772007"),
+    "fp": ("da1769314d96014fc065bf06b35cd2a007729bf9fd97dc1e72cedaf4a917b076",
+           "2eab18dadeeb7e3313a720dfec42fca892ab55c8259dda1e192d285102716678"),
+    "fp+heavy": ("834536b712121c3c7d4a446b621ec8c5b06514abe05ce30dc0001c39314864f7",
+                 "027d5585a78827fadf1292b7424322b4c1faa69af704ce339e395716a7f1da8d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_SHA256))
+def test_analyze_output_is_pinned(tmp_path, capsys, case):
+    kind, _, heavy = case.partition("+")
+    cfg = write_config(tmp_path, _analyze_config(kind, heavy))
+    for trace_fmt, suffix in (("csv", ".csv"), ("json", ".jsonl")):
+        trace = str(tmp_path / ("trace" + suffix))
+        assert main(["simulate", "--config", cfg, "--format", trace_fmt,
+                     "--out", trace]) == 0
+        for fmt, digest in zip(("json", "csv"), ANALYZE_SHA256[case]):
+            assert main(["analyze", trace, "--config", cfg, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (trace_fmt, fmt)
 
 
 DOUBLE_INTEGRATOR = {"plant": {"A": [[0.0, 1.0], [0.0, 0.0]],
@@ -753,6 +864,40 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "state,steady,to_0,to_1,to_2"
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # a seeded run, an argparse error, a config error and an unseeded run in
+    # one process: one parser, and each call as in a fresh interpreter
+    doc = dict(OVERLOAD_CONFIG, tasks=[dict(OVERLOAD_CONFIG["tasks"][1], exec_model={
+        "kind": "uniform", "lo": 1.0, "hi": 3.0})])
+    cfg = write_config(tmp_path, doc)
+    calls = [["simulate", "--config", cfg, "--seed", "3"],
+             ["simulate", "--config", cfg, "--seed", "x"],
+             ["simulate", "--config", str(tmp_path / "missing.json")],
+             ["simulate", "--config", cfg]]
+    cli.build_parser.cache_clear()
+    got = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        got.append((code, out.out, out.err))
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert [code for code, _, _ in got] == [0, 2, 2, 0]
+    assert got[0][1] != got[3][1]  # the seed changes this trace
+    for argv, result in zip(calls, got):
+        proc = subprocess.run([sys.executable, "-m", "softrt.cli", *argv],
+                              capture_output=True, text=True)
+        assert result == (proc.returncode, proc.stdout, proc.stderr), argv
+    # no value of one call is a default of the next
+    fresh = cli.build_parser.__wrapped__()
+    for argv in (calls[3], ["simulate", "--config", cfg, "--out", "x", "--format", "json"],
+                 calls[3], ["sweep"], ["render", "t.csv"]):
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
 def _unknown_key_cases():

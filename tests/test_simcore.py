@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import logging
 import re
 import tracemalloc
@@ -15,6 +16,7 @@ from softrt.simcore import (
     SchedulerConfig,
     ServerState,
     Trace,
+    _gc_paused,
     cbs_on_arrival,
     cbs_on_exhaustion,
     cbs_wake,
@@ -472,3 +474,83 @@ def test_each_job_is_drawn_once(monkeypatch, overload_tasks):
     jobs = [(e.task, e.payload["job"]) for e in trace.events if e.kind == "arrival"]
     assert sorted(drawn) == sorted(jobs)
     assert sorted(listed) == [t.id for t in overload_tasks]
+
+
+# ---------------------------------------------------------------------------
+# the paused cyclic collector: its premise and the caller's collector state
+
+def _gc_cases():
+    """Every call the collector is paused for, and to_csv, on the four
+    engine configurations that build the most state."""
+    tasks = make_overload_tasks()
+    res = make_overload_reservations()
+    hard_abort = [dataclasses.replace(t, miss_policy="abort") for t in tasks]
+    runs = {
+        "edf": (tasks, SchedulerConfig(kind="edf", horizon=60)),
+        "fixed_priority": (tasks, SchedulerConfig(kind="fixed_priority", horizon=60,
+                                                  priorities={1: 2, 2: 1, 3: 0})),
+        "grub": (tasks, SchedulerConfig(kind="cbs_edf", horizon=60, reservations={
+            tid: dataclasses.replace(r, reclaiming="grub") for tid, r in res.items()})),
+        "hard_abort": (hard_abort, SchedulerConfig(kind="cbs_edf", horizon=60, reservations={
+            tid: dataclasses.replace(r, variant="hard_suspend") for tid, r in res.items()})),
+    }
+    cases = [pytest.param(lambda t=t, s=s: simulate(t, s, seed=1), id="simulate " + name)
+             for name, (t, s) in runs.items()]
+    trace = simulate(*runs["hard_abort"], seed=1)
+    text, lines = trace.to_csv(), trace.to_jsonl()
+    return cases + [
+        pytest.param(lambda: Trace.from_csv(text), id="from_csv"),
+        pytest.param(lambda: Trace.from_jsonl(lines), id="from_jsonl"),
+        pytest.param(trace.job_records, id="job_records"),
+        pytest.param(trace.to_csv, id="to_csv"),
+    ]
+
+
+@pytest.mark.parametrize("call", _gc_cases())
+def test_trace_calls_leave_no_cyclic_garbage(call):
+    # the premise of pausing the collector: these calls free all they
+    # allocate by reference counting, so a collection after one finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        kept = call()
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+    assert kept is not None
+
+
+def _trace_error_cases():
+    """(name, call) pairs, each raising ConfigError inside a paused call."""
+    task = TaskSpec(id=1, wcet=1, rel_deadline=4, period=4)
+    no_arrivals = Trace.from_csv('tick,kind,task,payload\n3,job_aborted,1,"{""job"":0}"\n')
+    return [
+        ("simulate", lambda: simulate([task, task], SchedulerConfig(kind="edf", horizon=4))),
+        ("from_csv", lambda: Trace.from_csv("tick,kind\n")),
+        ("from_jsonl", lambda: Trace.from_jsonl("[]\n")),
+        ("job_records", no_arrivals.job_records),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_paused_calls_restore_the_collector_state(overload_tasks, enabled):
+    # enabled by the caller: paused during the call, enabled after; disabled
+    # by the caller: left disabled; a ConfigError leaves the state as it was
+    seen = []
+    probe = _gc_paused(lambda: seen.append(gc.isenabled()))
+    ok = [probe,
+          lambda: simulate(overload_tasks, SchedulerConfig(kind="edf", horizon=20)),
+          lambda: Trace.from_csv(GOLDEN.read_text()).job_records(),
+          lambda: Trace.from_jsonl('{"tick":0,"kind":"arrival","task":1,"payload":{}}\n')]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for call in ok:
+            call()
+            assert gc.isenabled() is enabled
+        for name, call in _trace_error_cases():
+            with pytest.raises(ConfigError):
+                call()
+            assert gc.isenabled() is enabled, name
+    finally:
+        gc.enable()
+    assert seen == [False]
