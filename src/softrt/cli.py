@@ -116,13 +116,13 @@ def cmd_control_synth(args) -> int:
     # tt_maxb's rows at the plant's own interval: a fresh command, or a drop
     labels, _, matrix = _mode_table(d, feedback, MocKind("tt_maxb"), 1, 1,
                                     _discretiser(d, d.sample_period))
-    modes = ClosedLoopModes(labels, [matrix(0), matrix(1)])
+    matrices = [matrix(0), matrix(1)]
     if args.format == "csv":
         lines = ["mu,rho"]
         for k in range(21):
             mu = k / 20
             rho = spectral_radius(stability_matrix(
-                modes.with_probabilities([1 - mu, mu])))
+                ClosedLoopModes(labels, matrices, [1 - mu, mu])))
             lines.append("%.2f,%.9f" % (mu, rho))
         _write("\n".join(lines) + "\n", args.out)
     else:
@@ -130,7 +130,7 @@ def cmd_control_synth(args) -> int:
             "discrete": {"A": d.A, "B": d.B, "C": d.C, "D": d.D,
                          "sample_period": d.sample_period},
             "K": K, "P": P,
-            "modes": {"labels": modes.labels, "matrices": modes.matrices},
+            "modes": {"labels": labels, "matrices": matrices},
         }
         if isinstance(feedback, ControllerLti):
             report["L"] = feedback.F

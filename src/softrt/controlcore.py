@@ -3,9 +3,10 @@
 Matrices are dense float64 numpy arrays throughout.  The exponential, the
 eigenvalue solver and the Riccati equation are delegated to scipy/LAPACK; the
 mean-square test is implemented here because its exact form is what the
-rest of the package is built around.  Every stochastic verdict is one
-operator on lower triangles (_half_kron) and one solve
-(_mean_square_stable); eigenvalues of stability_matrix only report rho.
+rest of the package is built around.  There is one second-moment
+operator: the map V -> sum_i p_i M_i V M_i^T on the lower triangles of
+symmetric V (_half_kron; stability_matrix for a ClosedLoopModes), and every
+stochastic verdict is one solve on it (_mean_square_stable).
 The switched loop's modes are built in moc, over the augmented state (x, z,
 u_held): z is a dynamic controller's (E, F, G) state, absent under static
 feedback u = -Kx.
@@ -166,18 +167,9 @@ class ClosedLoopModes:
     def augmented_dim(self) -> int:
         return self.matrices[0].shape[0]
 
-    def with_probabilities(self, probs: Sequence[float]) -> "ClosedLoopModes":
-        return ClosedLoopModes(list(self.labels), [M.copy() for M in self.matrices],
-                               list(probs))
-
 
 # ---------------------------------------------------------------------------
 # numerics
-
-
-def matexp(M) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, Pade core)."""
-    return scipy.linalg.expm(_square(M, "matexp.M"))
 
 
 def c2d(plant: ContinuousLti, T: float) -> DiscreteLti:
@@ -193,7 +185,7 @@ def c2d(plant: ContinuousLti, T: float) -> DiscreteLti:
     aug = np.zeros((n + p, n + p))
     aug[:n, :n] = plant.A
     aug[:n, n:] = plant.B
-    E = matexp(aug * T)
+    E = scipy.linalg.expm(aug * T)
     return DiscreteLti(E[:n, :n], E[:n, n:], plant.C.copy(), plant.D.copy(), T)
 
 
@@ -279,22 +271,6 @@ def lqg_assemble(plant_d: DiscreteLti, K, L) -> ControllerLti:
     L = _shaped(L, "lqg.L", (A.shape[0], C.shape[0]))  # (states, outputs)
     E = A - B @ K - L @ C + L @ D @ K
     return ControllerLti(E, L, -K)
-
-
-def kron(Amat, Bmat) -> np.ndarray:
-    return np.kron(_as_matrix(Amat, "kron.A"), _as_matrix(Bmat, "kron.B"))
-
-
-def stability_matrix(modes: ClosedLoopModes) -> np.ndarray:
-    """Second-moment transition matrix sum_i p_i (A_i kron A_i)."""
-    if modes.probabilities is None:
-        raise ConfigError("modes.probabilities: must be filled for stability analysis")
-    dim = modes.augmented_dim ** 2
-    out = np.zeros((dim, dim))
-    for p, M in zip(modes.probabilities, modes.matrices):
-        if p > 0:
-            out += p * np.kron(M, M)
-    return out
 
 
 def gelfand_radius(M, squarings=26) -> float:
@@ -400,12 +376,20 @@ def _mean_square_stable(op: np.ndarray, sides: Sequence[int]) -> bool:
     return True
 
 
-def second_moment_stable(modes: ClosedLoopModes) -> bool:
-    """True iff the mode-switched second moment contracts: rho(sum_i p_i
-    A_i kron A_i) < 1 - STABILITY_MARGIN, by _mean_square_stable."""
+def stability_matrix(modes: ClosedLoopModes) -> np.ndarray:
+    """The second-moment operator sum_i p_i _half_kron(M_i) over the modes
+    with p_i > 0: V -> E[M V M^T] on lower triangles.  It has the spectrum
+    of sum_i p_i (M_i kron M_i) less the eigenvalues of antisymmetric V,
+    which never set its spectral radius."""
     if modes.probabilities is None:
         raise ConfigError("modes.probabilities: must be filled for stability analysis")
+    return sum(p * _half_kron(M) for p, M in zip(modes.probabilities, modes.matrices)
+               if p > 0)
+
+
+def second_moment_stable(modes: ClosedLoopModes) -> bool:
+    """True iff the mode-switched second moment contracts:
+    rho(stability_matrix) < 1 - STABILITY_MARGIN, by _mean_square_stable."""
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite is not stable
-        op = sum(p * _half_kron(M) for p, M in zip(modes.probabilities, modes.matrices)
-                 if p > 0)
-        return _mean_square_stable(np.asfortranarray(op), [modes.augmented_dim])
+        return _mean_square_stable(np.asfortranarray(stability_matrix(modes)),
+                                   [modes.augmented_dim])

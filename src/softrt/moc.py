@@ -23,10 +23,11 @@ the input at the sample.  A row with no span (a drop or a cancel) never
 latches: z and u_held stay.  control-synth's closed/open pair is tt_maxb's
 rows at the plant's own interval.  The rows are weighted by the odds of
 each cut interval in tt_maxb_modes and cs_modes and switched by sampled s
-in cosimulate().  tt_sort takes a static gain only, and carries
-backlog memory, stepped by _backlog_step in its delay chain; its operator
-and co-simulation share one latch rule, _latch_sources, and one state: x
-and the coming periods' inputs.  That period-granular backlog never drains
+in cosimulate(); controlcore.stability_matrix of those modes is the same
+lower-triangle operator that _operator builds.  tt_sort takes a static
+gain only, and carries backlog memory, stepped by _backlog_step in its
+delay chain; its operator and co-simulation share one latch rule,
+_latch_sources, and one state: x and the coming periods' inputs.  That period-granular backlog never drains
 at T = R but by cancelling, so its verdicts can be non-monotone in Q there:
 not the engine's curve.  _verdict_table decides a whole grid of budgets
 for a list of plants of one shape by one mean-square test, VERDICT_CHUNK
@@ -357,22 +358,6 @@ def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
     keep = [i for i, p in enumerate(odds) if p > 0]
     return ClosedLoopModes([labels[i] for i in keep], [matrix(i) for i in keep],
                            [float(odds[i]) for i in keep])
-
-
-def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
-                  tick_seconds: float = 1.0) -> ClosedLoopModes:
-    """Single deterministic mode: sample at kT, actuate at kT + act_delay.
-
-    The row (act_delay, T): the old command drives the first act_delay
-    ticks, the fresh one (-K x(kT) for a static gain) the rest.  act_delay =
-    0 recovers the idealized no-latency closed mode, act_delay = T the fully
-    latched one.
-    """
-    if _integer(T, "T") < 1:
-        raise ConfigError("T: must be >= 1")
-    labels, _, matrix = _mode_table(plant, K, MocKind("tt_hard", act_delay=act_delay), None,
-                                    T, _discretiser(plant, tick_seconds))
-    return ClosedLoopModes(labels, [matrix(0)], [1.0])
 
 
 # ---------------------------------------------------------------------------

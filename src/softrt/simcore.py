@@ -201,8 +201,9 @@ class Trace:
     def job_records(self) -> Dict[int, List[JobRecord]]:
         """Rebuild per-task job records from arrival/completion/outcome events.
 
-        Every job an outcome event names needs its arrival event; a trace
-        recorded with a ``collect`` filter that drops arrivals is rejected.
+        Every job an outcome event names needs its arrival event, and one
+        only; a trace recorded with a ``collect`` filter that drops arrivals,
+        or naming one job in two arrivals, is rejected.
         The fields read must be in the payload and of their type: integer
         ``job``, ``deadline`` and ``demand``, and a boolean ``late`` in a
         completion; anything else is a ``ConfigError`` naming the event and
@@ -221,6 +222,10 @@ class Trace:
                 if type(j) is not int or type(deadline) is not int \
                         or type(demand) is not int:
                     raise _payload_error(e, ("job", "deadline", "demand"), int)
+                if j in jobs:
+                    raise ConfigError("trace: arrival of task %d job %d at tick %d repeats "
+                                      "its arrival at tick %d" % (task, j, tick,
+                                                                  jobs[j].arrival))
                 jobs[j] = JobRecord(task, j, tick, deadline, demand)
                 continue
             if kind not in _OUTCOMES:

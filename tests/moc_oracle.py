@@ -5,12 +5,15 @@ the differential test in test_moc_differential.py.  build_modes, the
 closed/open pair at one interval for a static gain or a ControllerLti,
 was controlcore's before the mode table took dynamic controllers too.
 
+tt_hard_modes, moc's public wrapper of one tt_hard mode-table row, is kept
+here verbatim too, since no package code calls it.
+
 Here the tt_maxb drop rule, the cs service-length rule and the tt_sort
 backlog recursion are each written out where they are used, as they were;
 _cosim_tt_sort is the trajectory-vectorised loop, so tt_sort estimates can
-be compared bit for bit.  Only the types, the unchanged helpers
-(tt_hard_modes, the ensemble loop, the verdict rule, the reservation check)
-and the demand streams come from the package.
+be compared bit for bit.  Only the types, the unchanged helpers (the mode
+table, the ensemble loop, the verdict rule, the reservation check) and the
+demand streams come from the package.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import numpy as np
 from softrt.controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti,
                                 DiscreteLti, _as_matrix, _shaped, c2d)
 from softrt.errors import ConfigError, NumericalError
-from softrt.moc import (CoSimResult, DelayChain, MocKind, _check_reservation,
-                        _ensemble_switched, _verdict, service_periods, tt_hard_modes)
-from softrt.taskmodel import ExecTimeModel, derived_seed, max_ticks, sample_exec_times, tick_cdf
+from softrt.moc import (CoSimResult, DelayChain, MocKind, _check_reservation, _discretiser,
+                        _ensemble_switched, _mode_table, _verdict, service_periods)
+from softrt.taskmodel import (ExecTimeModel, _integer, derived_seed, max_ticks,
+                              sample_exec_times, tick_cdf)
 
 
 def service_distribution(model: ExecTimeModel, Q: int, R: int) -> List[Tuple[int, object]]:
@@ -157,7 +161,23 @@ def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,
 
     mu = float(dropout_probability(model, Q, R, T))
     modes = build_modes(plant_d, K, hold_strategy="hold")
-    return modes.with_probabilities([1.0 - mu, mu])
+    return ClosedLoopModes(modes.labels, modes.matrices, [1.0 - mu, mu])
+
+
+def tt_hard_modes(plant: ContinuousLti, K, T: int, act_delay: int,
+                  tick_seconds: float = 1.0) -> ClosedLoopModes:
+    """Single deterministic mode: sample at kT, actuate at kT + act_delay.
+
+    The row (act_delay, T): the old command drives the first act_delay
+    ticks, the fresh one (-K x(kT) for a static gain) the rest.  act_delay =
+    0 recovers the idealized no-latency closed mode, act_delay = T the fully
+    latched one.
+    """
+    if _integer(T, "T") < 1:
+        raise ConfigError("T: must be >= 1")
+    labels, _, matrix = _mode_table(plant, K, MocKind("tt_hard", act_delay=act_delay), None,
+                                    T, _discretiser(plant, tick_seconds))
+    return ClosedLoopModes(labels, [matrix(0)], [1.0])
 
 
 def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,

@@ -167,6 +167,22 @@ def test_trace_payload_fields_are_checked(tmp_path, capsys):
                 assert capsys.readouterr().err == "config error: trace: %s\n" % message
 
 
+def test_analyze_rejects_a_job_that_arrives_twice(tmp_path, capsys):
+    # a second arrival of one (task, job) used to replace the first, so the
+    # report counted one instance and exited 0
+    events = [(0, "arrival", 1, {"deadline": 4, "demand": 2, "job": 0}),
+              (0, "job_start", 1, {"job": 0, "resumed": False}),
+              (2, "completion", 1, {"job": 0, "late": False}),
+              (4, "arrival", 1, {"deadline": 8, "demand": 1, "job": 0}),
+              (5, "completion", 1, {"job": 0, "late": False})]
+    trace = Trace([Event(*e) for e in events], 8, [1])
+    for name, text in (("twice.csv", trace.to_csv()), ("twice.jsonl", trace.to_jsonl())):
+        (tmp_path / name).write_text(text)
+        assert main(["analyze", str(tmp_path / name)]) == 2, name
+        assert capsys.readouterr().err == ("config error: trace: arrival of task 1 job 0 "
+                                           "at tick 4 repeats its arrival at tick 0\n")
+
+
 ANALYZE_SCHEDULERS = {
     "edf": {"kind": "edf"},
     "fp": {"kind": "fixed_priority", "priorities": {"1": 0, "2": 1, "3": 2}},

@@ -7,19 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import moc_oracle as oracle
+import verdict_oracle
 from softrt.controlcore import (
     ClosedLoopModes,
     ContinuousLti,
     ControllerLti,
     CostWeights,
     DiscreteLti,
+    _half_kron,
+    _tril,
     c2d,
     dlqr,
     gelfand_radius,
     kalman_gain,
-    kron,
     lqg_assemble,
-    matexp,
     second_moment_stable,
     spectral_radius,
     stability_matrix,
@@ -74,17 +75,24 @@ def test_plant_shapes_must_agree():
             DiscreteLti(**args, sample_period=1.0)
 
 
-def test_matexp_basics():
-    assert np.allclose(matexp(np.zeros((3, 3))), np.eye(3))
+def c2d_without_input(A, T=1.0):
+    """c2d of dx/dt = A x with a B of zeros: A_d = expm(A T), B_d = 0."""
+    d = c2d(ContinuousLti.from_ab(A, np.zeros((len(A), 1))), T)
+    assert not d.B.any()
+    return d.A
+
+
+def test_c2d_without_input_basics():
+    assert np.allclose(c2d_without_input(np.zeros((3, 3))), np.eye(3))
     D = np.diag([1.0, -0.5, 0.0])
-    assert np.allclose(matexp(D), np.diag(np.exp([1.0, -0.5, 0.0])))
+    assert np.allclose(c2d_without_input(D, 2.0), np.diag(np.exp([2.0, -1.0, 0.0])))
 
 
-def test_matexp_matches_power_series():
+def test_c2d_without_input_matches_power_series():
     rng = np.random.default_rng(3)
     for _ in range(20):
         M = rng.uniform(-1.0, 1.0, size=(4, 4))
-        assert np.allclose(matexp(M), taylor_expm(M), atol=1e-10)
+        assert np.allclose(c2d_without_input(M), taylor_expm(M), atol=1e-10)
 
 
 def test_c2d_integrator_chain():
@@ -348,12 +356,14 @@ def test_controller_lti_validation():
 
 
 def test_kron_identities():
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
+    # V -> A V A^T on symmetric V: the identity for A = I, and the products
+    # lambda_i lambda_j, i <= j, of A's eigenvalues for its spectrum
+    assert np.array_equal(_half_kron(np.eye(3)), np.eye(6))
     rng = np.random.default_rng(6)
     A = rng.uniform(-1.0, 1.0, size=(3, 3))
-    B = rng.uniform(-1.0, 1.0, size=(2, 2))
-    got = np.sort_complex(np.linalg.eigvals(kron(A, B)))
-    pairs = [la * lb for la in np.linalg.eigvals(A) for lb in np.linalg.eigvals(B)]
+    got = np.sort_complex(np.linalg.eigvals(_half_kron(A)))
+    lam = np.linalg.eigvals(A)
+    pairs = [lam[i] * lam[j] for i in range(3) for j in range(i, 3)]
     assert np.allclose(got, np.sort_complex(np.array(pairs)), atol=1e-9)
 
 
@@ -365,7 +375,7 @@ def test_stability_matrix_scalar_mixture():
     assert M.shape == (1, 1)
     assert M[0, 0] == pytest.approx(0.8 * 0.25 + 0.2 * 1.44, abs=1e-15)
     assert second_moment_stable(modes)  # 0.488 < 1
-    always_open = modes.with_probabilities([0.0, 1.0])
+    always_open = ClosedLoopModes(modes.labels, modes.matrices, [0.0, 1.0])
     assert stability_matrix(always_open)[0, 0] == pytest.approx(1.44)
     assert not second_moment_stable(always_open)
 
@@ -375,9 +385,9 @@ def test_stability_matrix_requires_probabilities():
     with pytest.raises(ConfigError):
         stability_matrix(modes)
     with pytest.raises(ConfigError):
-        modes.with_probabilities([0.5, 0.5])
+        ClosedLoopModes(["only"], [np.eye(2)], [0.5, 0.5])
     with pytest.raises(ConfigError):
-        modes.with_probabilities([0.7])
+        ClosedLoopModes(["only"], [np.eye(2)], [0.7])
 
 
 def test_non_finite_probabilities_are_config_errors():
@@ -385,9 +395,8 @@ def test_non_finite_probabilities_are_config_errors():
     # the sum is off" would let it through
     with pytest.raises(ConfigError, match="modes.probabilities"):
         ClosedLoopModes(["a"], [[[5.0]]], [math.nan])
-    modes = ClosedLoopModes(["a", "b"], [np.eye(1), np.eye(1)])
     with pytest.raises(ConfigError, match="modes.probabilities"):
-        modes.with_probabilities([math.nan, 0.0])
+        ClosedLoopModes(["a", "b"], [np.eye(1), np.eye(1)], [math.nan, 0.0])
 
 
 @st.composite
@@ -416,15 +425,33 @@ def mode_sets(draw):
         modes = oracle.build_modes(plant, feedback, draw(st.sampled_from(("hold", "zero"))))
     weights = draw(st.lists(st.integers(0, 4), min_size=len(modes.matrices),
                             max_size=len(modes.matrices)).filter(any))
-    return modes.with_probabilities([w / sum(weights) for w in weights])
+    return ClosedLoopModes(modes.labels, modes.matrices, [w / sum(weights) for w in weights])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode_sets(), st.integers(0, 2**32 - 1))
+def test_stability_matrix_maps_v_to_its_expected_square(modes, seed):
+    # on the lower triangle of a symmetric V, exactly sum_i p_i M_i V M_i^T,
+    # which the full Kronecker sum computes on all of V
+    dim = modes.augmented_dim
+    V = np.random.default_rng(seed).uniform(-1.0, 1.0, (dim, dim))
+    V += V.T
+    tril = _tril(dim)
+    want = sum(p * M @ V @ M.T for p, M in zip(modes.probabilities, modes.matrices))
+    full = (verdict_oracle.stability_matrix(modes) @ V.ravel()).reshape(dim, dim)
+    got = stability_matrix(modes) @ V[tril]
+    scale = 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert np.allclose(got, want[tril], rtol=0, atol=scale)
+    assert np.allclose(got, full[tril], rtol=0, atol=scale)
 
 
 @settings(max_examples=300, deadline=None)
 @given(mode_sets())
 def test_second_moment_stable_matches_eigenvalue_rule(modes):
     # the mean-square solve against the eigenvalues of the full Kronecker
-    # sum, away from the boundary where either may round either way
-    rho = spectral_radius(stability_matrix(modes))
+    # sum (the oracle's), away from the boundary where either may round
+    # either way
+    rho = spectral_radius(verdict_oracle.stability_matrix(modes))
     if abs(rho - 1.0) >= 1e-6:
         assert second_moment_stable(modes) == (rho < 1.0 - 1e-9)
 
@@ -434,8 +461,8 @@ def test_second_moment_stable_eigenvalue_one_is_not_stable():
     for dim in (1, 4):
         assert not second_moment_stable(ClosedLoopModes(["id"], [np.eye(dim)], [1.0]))
     # a job that never finishes leaves the held input in place
-    always_open = maxb_rows(DiscreteLti([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0),
-                            [[0.4]]).with_probabilities([0.0, 1.0])
+    rows = maxb_rows(DiscreteLti([[0.5]], [[1.0]], [[1.0]], [[0.0]], 1.0), [[0.4]])
+    always_open = ClosedLoopModes(rows.labels, rows.matrices, [0.0, 1.0])
     assert spectral_radius(stability_matrix(always_open)) == 1.0
     assert not second_moment_stable(always_open)
 
@@ -475,5 +502,5 @@ def test_gelfand_agrees_with_eigensolver():
 def test_kron_square_law():
     rng = np.random.default_rng(10)
     M = rng.uniform(-1.0, 1.0, size=(4, 4))
-    assert spectral_radius(kron(M, M)) == pytest.approx(
+    assert spectral_radius(_half_kron(M)) == pytest.approx(
         spectral_radius(M) ** 2, rel=1e-9)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moc_oracle as oracle
+from moc_oracle import tt_hard_modes
 from softrt.controlcore import (
     ContinuousLti,
     ControllerLti,
@@ -29,7 +30,6 @@ from softrt.moc import (
     service_distribution,
     service_periods,
     stabilizes,
-    tt_hard_modes,
     tt_maxb_modes,
     verdicts,
 )

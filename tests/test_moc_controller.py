@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import moc_oracle as oracle
+from moc_oracle import tt_hard_modes
 from softrt.controlcore import (ContinuousLti, ControllerLti, c2d, dlqr,
                                 kalman_gain, lqg_assemble, spectral_radius,
                                 stability_matrix)
 from softrt.errors import ConfigError, NumericalError
 from softrt.moc import (MocKind, _discretiser, _mode_table, cosimulate, cs_modes,
-                        tt_hard_modes, tt_maxb_modes, verdicts)
+                        tt_maxb_modes, verdicts)
 from softrt.sweep import SweepConfig, random_system
 from softrt.taskmodel import Deterministic, derived_seed
 

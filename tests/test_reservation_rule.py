@@ -11,7 +11,7 @@ from softrt.analysis import MissConstraint, dropout_probability
 from softrt.controlcore import ContinuousLti, c2d
 from softrt.errors import ConfigError
 from softrt.moc import (MOC_KINDS, MocKind, build_delay_chain, cosimulate, cs_modes,
-                        service_distribution, service_periods, tt_hard_modes, tt_maxb_modes,
+                        service_distribution, service_periods, stabilizes, tt_maxb_modes,
                         verdicts)
 from softrt.simcore import SchedulerConfig, simulate
 from softrt.sweep import SweepConfig, bandwidth_sweep, sweep_to_csv
@@ -104,7 +104,7 @@ def test_tick_and_count_arguments_are_integers():
             (lambda: build_delay_chain(MODEL, 1, 1, 2, d_max=2.5),
              "d_max: must be an integer, got 2.5"),
             (lambda: service_periods(2.5, 1, 2), "c: must be an integer, got 2.5"),
-            (lambda: tt_hard_modes(PLANT, K, T=2.5, act_delay=None),
+            (lambda: stabilizes(PLANT, K, _moc("tt_hard"), MODEL, 1, 1, 2.5),
              "T: must be an integer, got 2.5")):
         assert _error(call) == message
     # numpy integers are integers here too

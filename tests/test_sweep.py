@@ -10,7 +10,7 @@ import pytest
 import moc_oracle as oracle
 import softrt.moc
 import softrt.sweep
-from softrt.controlcore import c2d, dlqr, second_moment_stable
+from softrt.controlcore import ClosedLoopModes, c2d, dlqr, second_moment_stable
 from softrt.errors import ConfigError, NumericalError
 from softrt.moc import MocKind
 from softrt.sweep import SweepConfig, bandwidth_sweep, random_system, sweep_to_csv
@@ -178,7 +178,8 @@ def test_stochastic_verdicts_need_no_eigenvalues(monkeypatch):
         got = softrt.moc.verdicts(plant, K, moc, cfg.exec_model, budgets, cfg.R, cfg.T,
                                   tick_seconds=cfg.tick_seconds)
         assert len(got) == len(budgets) and got[-1]
-    assert second_moment_stable(oracle.build_modes(d, K).with_probabilities([0.9, 0.1]))
+    pair = oracle.build_modes(d, K)
+    assert second_moment_stable(ClosedLoopModes(pair.labels, pair.matrices, [0.9, 0.1]))
 
 
 def test_sweep_reads_each_budgets_service_odds_once(monkeypatch):

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moc_oracle import tt_hard_modes
 from softrt.errors import ConfigError, NumericalError
 from softrt.controlcore import (ClosedLoopModes, ContinuousLti, c2d, dlqr,
                                 second_moment_stable, spectral_radius,
                                 stability_matrix)
 from softrt.moc import (MocKind, _discretiser, _operator as _moc_operator, cosimulate,
-                        service_distribution, stabilizes, tt_hard_modes, verdicts)
+                        service_distribution, stabilizes, verdicts)
 from softrt.sweep import SweepConfig, random_system
 from softrt.taskmodel import Empirical, derived_seed
 
@@ -154,7 +155,10 @@ def _rho(c):
 @given(cells(no_backlog=True))
 def test_no_backlog_reduces_to_the_iid_modes(c):
     # with s <= F always the buffer never carries work: each job latches
-    # s*R ticks into its own task period, the tt_hard mode of that delay
+    # s*R ticks into its own task period, the tt_hard mode of that delay.
+    # Backlog 0's (x, w_0) are the tt_hard modes' (x, u_held), in the same
+    # lower-triangle order, so the two operators agree entry for entry up
+    # to the order of their sums
     s_draws = [-(-v // c["Q"]) for v in c["model"].values]
     s_vals = sorted(set(s_draws))
     modes = ClosedLoopModes(
@@ -162,8 +166,11 @@ def test_no_backlog_reduces_to_the_iid_modes(c):
         [tt_hard_modes(c["plant"], c["K"], c["T"], s * c["R"], c["tick_seconds"]).matrices[0]
          for s in s_vals],
         [s_draws.count(s) / len(s_draws) for s in s_vals])
-    rho = spectral_radius(stability_matrix(modes))
-    assert _rho(c) == pytest.approx(rho, rel=1e-7)
+    want = stability_matrix(modes)
+    op, _ = _one_operator(c["plant"], c["K"], c["moc"], c["R"], c["T"], c["tick_seconds"],
+                          service_distribution(c["model"], c["Q"], c["R"]))
+    np.testing.assert_allclose(op, want, rtol=0, atol=1e-9 * np.max(np.abs(want)))
+    rho = spectral_radius(want)
     if abs(rho - 1.0) >= 1e-6:
         assert _verdict(c) == second_moment_stable(modes)
 

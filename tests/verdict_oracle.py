@@ -10,8 +10,10 @@ the public mode builders and the eigenvalue rule rho(stability_matrix) <
 1 - 1e-9, written out here so that it does not share the package's
 mean-square solve; tt_sort through the full-square operator (every entry of
 each V_d, not its lower triangle) solved as (I - op)V = I, without the 1e-9
-margin.  Only the mode builders, the Kronecker sum, the eigenvalue solver,
-the backlog recursion and the discretisation come from the package.
+margin.  stability_matrix is the full n^2 x n^2 Kronecker sum controlcore
+built before its operator acted on lower triangles, kept verbatim as the
+reference for that operator.  Only the mode builders, the eigenvalue
+solver, the backlog recursion and the discretisation come from the package.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Callable, List, Tuple
 import numpy as np
 from scipy.linalg.lapack import dgesv, dpotrf
 
-from softrt.controlcore import (ContinuousLti, DiscreteLti, _half_kron, _shaped, c2d,
-                                spectral_radius, stability_matrix)
+from softrt.controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti, _half_kron,
+                                _shaped, c2d, spectral_radius)
 from softrt.errors import ConfigError
 from softrt.moc import (MocKind, _backlog_step, _check_reservation, _discretiser,
                         _latch_sources, _mode_table, _reachable_backlogs, _tt_sort_setup,
@@ -66,6 +68,18 @@ def _tt_sort_operator(plant, K, max_delay, model, Q, R, T,
             op[at[d_next], at[d]] += np.einsum("ik,jl->ijkl", prob * M, M).reshape(
                 len(M) ** 2, side ** 2)  # prob * kron(M, M)
     return op, sides
+
+
+def stability_matrix(modes: ClosedLoopModes) -> np.ndarray:
+    """Second-moment transition matrix sum_i p_i (A_i kron A_i)."""
+    if modes.probabilities is None:
+        raise ConfigError("modes.probabilities: must be filled for stability analysis")
+    dim = modes.augmented_dim ** 2
+    out = np.zeros((dim, dim))
+    for p, M in zip(modes.probabilities, modes.matrices):
+        if p > 0:
+            out += p * np.kron(M, M)
+    return out
 
 
 def second_moment_stable(modes) -> bool:
