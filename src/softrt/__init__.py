@@ -8,9 +8,8 @@ from .taskmodel import (Activation, Beta, Deterministic, Empirical, JobRecord,
 from .simcore import SchedulerConfig, ServerState, Trace, simulate
 from .analysis import MissConstraint, check_mn, dropout_probability, tardiness
 from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti,
-                          CostWeights, DiscreteLti, c2d, dlqr, kalman_gain,
-                          lqg_assemble, second_moment_stable, spectral_radius,
-                          stability_matrix)
+                          DiscreteLti, c2d, dlqr, kalman_gain, lqg_assemble,
+                          second_moment_stable, spectral_radius, stability_matrix)
 from .moc import (CoSimResult, DelayChain, MocKind, build_delay_chain,
                   cosimulate, cs_modes, service_periods, stabilizes,
                   tt_maxb_modes, verdicts)

@@ -29,7 +29,7 @@ from .moc import MocKind, build_delay_chain, cosimulate
 from .simcore import SchedulerConfig
 from .sweep import SweepConfig
 from .taskmodel import (EXEC_MODELS, Activation, ReservationSpec, TaskSpec,
-                        _integer, _is_int)
+                        _integer, _is_int, _positive)
 
 
 # the routine each section configures, and the parameters its caller sets
@@ -93,13 +93,6 @@ def _get(d: dict, key: str, path: str, default=MISSING):
         v = default
     if v is MISSING:
         raise ConfigError("%s.%s: missing required field" % (path, key))
-    return v
-
-
-def _duration(v, path: str):
-    """v, if it is None or a finite number > 0 (a duration), not a string."""
-    if v is not None and not (type(v) in (int, float) and 0 < v < float("inf")):
-        raise ConfigError("%s: must be a number > 0, got %r" % (path, v))
     return v
 
 
@@ -183,7 +176,7 @@ def parse_exec_model(d, path: str):
 
 
 # the reader of a routine argument's JSON value, by its parameter's annotation
-_READERS = {"int": _integer, "Optional[int]": _integer, "float": _duration,
+_READERS = {"int": _integer, "Optional[int]": _integer, "float": _positive,
             "ExecTimeModel": parse_exec_model}
 
 
@@ -283,8 +276,10 @@ def parse_control(doc: dict) -> dict:
     """Controller synthesis settings: period, weights, feedback structure."""
     raw = _object(doc.get("control", {}), "control",
                   ("sample_seconds", "feedback", "weights"))
-    out = {  # sample_seconds None: the caller picks
-        "sample_seconds": _duration(raw.get("sample_seconds"), "control.sample_seconds"),
+    seconds = raw.get("sample_seconds")  # None: the caller picks
+    out = {
+        "sample_seconds": None if seconds is None else
+        _positive(seconds, "control.sample_seconds"),
         "feedback": raw.get("feedback", "lqr"),
     }
     if out["feedback"] not in ("lqr", "lqg"):

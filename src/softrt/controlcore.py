@@ -25,6 +25,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgesv, dpotrf
 
 from .errors import ConfigError, NumericalError
+from .taskmodel import _positive
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -93,8 +94,7 @@ class DiscreteLti:
 
     def __post_init__(self):
         _check_plant(self)
-        if not self.sample_period > 0:
-            raise ConfigError("sample_period: must be > 0")
+        _positive(self.sample_period, "plant.sample_period")
 
 
 @dataclass
@@ -112,16 +112,6 @@ class ControllerLti:
         q = self.E.shape[0]
         if self.F.shape[0] != q or self.G.shape[1] != q:
             raise ConfigError("controller.F: state dimensions must agree with E")
-
-
-@dataclass
-class CostWeights:
-    Qx: np.ndarray
-    Ru: np.ndarray
-
-    def __post_init__(self):
-        self.Qx = _weight(self.Qx, "weights.Qx")
-        self.Ru = _weight(self.Ru, "weights.Ru", definite=True)
 
 
 def _weight(M, name: str, n=None, definite=False) -> np.ndarray:
@@ -179,8 +169,7 @@ def c2d(plant: ContinuousLti, T: float) -> DiscreteLti:
     [[A, B], [0, 0]] * T, which evaluates both e^{AT} and the held-input
     integral at once.
     """
-    if not T > 0:
-        raise ConfigError("T: sampling period must be > 0")
+    _positive(T, "T")
     n, p = plant.A.shape[0], plant.B.shape[1]
     aug = np.zeros((n + p, n + p))
     aug[:n, :n] = plant.A
@@ -199,17 +188,18 @@ def dlqr(A, B, Qx, Ru) -> Tuple[np.ndarray, np.ndarray]:
     """
     A = _square(A, "dlqr.A")
     B = _as_matrix(B, "dlqr.B")
-    w = CostWeights(Qx, Ru)
+    Qx = _weight(Qx, "weights.Qx")
+    Ru = _weight(Ru, "weights.Ru", definite=True)
     n, p = B.shape
     if n != A.shape[0]:
         raise ConfigError("dlqr.B: row count must match A")
-    _shaped(w.Qx, "weights.Qx", (n, n))
-    _shaped(w.Ru, "weights.Ru", (p, p))
+    _shaped(Qx, "weights.Qx", (n, n))
+    _shaped(Ru, "weights.Ru", (p, p))
     try:
-        P = scipy.linalg.solve_discrete_are(A, B, w.Qx, w.Ru)
-        K = np.linalg.solve(w.Ru + B.T @ P @ B, B.T @ P @ A)
+        P = scipy.linalg.solve_discrete_are(A, B, Qx, Ru)
+        K = np.linalg.solve(Ru + B.T @ P @ B, B.T @ P @ A)
         # valid solutions for nearly uncontrollable plants (|P| ~ 1e9) leave ~1e-7
-        residual = np.max(np.abs(w.Qx + A.T @ P @ (A - B @ K) - P))
+        residual = np.max(np.abs(Qx + A.T @ P @ (A - B @ K) - P))
         if residual <= 1e-6 * max(1.0, np.max(np.abs(P))) and \
                 spectral_radius(A - B @ K) < 1.0:
             return K, P

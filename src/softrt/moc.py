@@ -13,9 +13,9 @@ past max_delay reservation periods.
 
 All the stochastic timing derives from one quantity: a job of demand c
 ticks served by a budget-Q reservation occupies s = ceil(c/Q) reservation
-periods.  tt_hard, tt_maxb and cs differ only in when a job's command
-takes effect, so each maps s through one table (_mode_table) of cuts on s
-and rows (held, span) over the state (x, z, u_held), z the state of a
+periods.  tt_hard, tt_maxb and cs differ only in when a job's command takes
+effect, so each maps s through one table (_mode_table) of cuts on s and
+rows (held, span) over the state (x, z, u_held), z the state of a
 ControllerLti (E, F, G) and absent for a static gain K.  A job samples its
 command c (-K x, or G z) at its start; u_held drives the first held ticks
 and c the rest of span, then u_held' = c and z' = E z + F (C x + D u), u
@@ -24,25 +24,25 @@ latches: z and u_held stay.  control-synth's closed/open pair is tt_maxb's
 rows at the plant's own interval.  The rows are weighted by the odds of
 each cut interval in tt_maxb_modes and cs_modes and switched by sampled s
 in cosimulate(); controlcore.stability_matrix of those modes is the same
-lower-triangle operator that _operator builds.  tt_sort takes a static
-gain only, and carries backlog memory, stepped by _backlog_step in its
-delay chain; its operator and co-simulation share one latch rule,
-_latch_sources, and one state: x and the coming periods' inputs.  That period-granular backlog never drains
-at T = R but by cancelling, so its verdicts can be non-monotone in Q there:
-not the engine's curve.  _verdict_table decides a whole grid of budgets
-for a list of plants of one shape by one mean-square test, VERDICT_CHUNK
-plants at a time: _operator builds each mechanism's jump-system operator
-from blocks that do not depend on Q, each (state, key) block once for the
-whole chunk as one stacked array; a budget only sums the chunk's blocks,
-weighted by its odds, into one stack whose slices are the plants'
-operators, and one solve per plant decides it.
-Each plant's discretiser (_discretiser) keeps one c2d per interval for
-its synthesis and all its mechanisms, and alone says where a DiscreteLti
-plant may run.  verdicts() is _verdict_table for one plant and
-stabilizes() its one-budget call.  cosimulate(), their oracle, draws
-demands from the same per-trajectory streams and accepts the same loops.
-Every routine here that takes a reservation (Q, R) checks it, with its
-task period T but under cs, by taskmodel.check_reservation.
+lower-triangle operator that _operator builds.  tt_sort takes a static gain
+only, and carries backlog memory, stepped by _backlog_step in its delay
+chain; its operator and co-simulation share one latch rule, _latch_sources,
+and one state: x and the coming periods' inputs.  That period-granular
+backlog never drains at T = R but by cancelling, so its verdicts can be
+non-monotone in Q there: not the engine's curve.  _verdict_table decides a
+whole grid of budgets for a list of plants of one shape by one mean-square
+test, VERDICT_CHUNK plants at a time: _operator builds each mechanism's
+jump-system operator from blocks that do not depend on Q, each (state, key)
+block once for the whole chunk as one stacked array; a budget only sums the
+chunk's blocks, weighted by its odds, into one stack whose slices are the
+plants' operators, and one solve per plant decides it.  Each plant's
+discretiser (_discretiser) keeps one c2d per interval for its synthesis and
+all its mechanisms, and alone says where a DiscreteLti plant may run.
+verdicts() is _verdict_table for one plant and stabilizes() its one-budget
+call.  cosimulate(), their oracle, draws demands from the same
+per-trajectory streams and accepts the same loops.  Every routine here
+checks a reservation (Q, R, and T but under cs), a duration and a demand
+model by taskmodel's rules: check_reservation, _positive and _model.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ import numpy as np
 from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti, DiscreteLti,
                           _as_matrix, _half_kron, _mean_square_stable, _shaped, c2d)
 from .errors import ConfigError, NumericalError
-from .taskmodel import (ExecTimeModel, _integer, _is_real, _store_ints, check_reservation,
-                        derived_seed, max_ticks, sample_exec_times, tick_cdf)
+from .taskmodel import (ExecTimeModel, _integer, _model, _positive, _store_ints,
+                        check_reservation, derived_seed, max_ticks, sample_exec_times,
+                        tick_cdf)
 
 MOC_KINDS = ("tt_hard", "tt_maxb", "tt_sort", "cs")
 BUFFERED_KINDS = ("tt_sort", "cs")  # the kinds that cancel past max_delay
@@ -104,7 +105,7 @@ def service_distribution(model: ExecTimeModel, Q: int, R: int) -> List[Tuple[int
     P(s = k) = P(c <= kQ) - P(c <= (k-1)Q).
     """
     check_reservation(Q, R)  # before the cache, whose key 2.0 would find 2's entry
-    return list(_service_distribution(model, Q, R))
+    return list(_service_distribution(_model(model), Q, R))
 
 
 @functools.lru_cache(maxsize=1024)  # every plant of a sweep reads the same odds
@@ -235,10 +236,8 @@ def _discretiser(plant, tick_seconds: float) -> Callable:
     interval is discretised (c2d) on first use and kept, so a plant's
     synthesis, modes and operators share one discretisation per interval.
     A DiscreteLti plant is its own (A, B) over its sample_period (rel_tol
-    1e-9) and over no other interval but 0: the one rule for where it runs.
-    tick_seconds must be a finite real > 0, as the config reader asks."""
-    if not (_is_real(tick_seconds) and 0 < tick_seconds < math.inf):
-        raise ConfigError("tick_seconds: must be a number > 0, got %r" % (tick_seconds,))
+    1e-9) and over no other interval but 0: the one rule for where it runs."""
+    _positive(tick_seconds, "tick_seconds")
     n, p = plant.A.shape[0], plant.B.shape[1]
 
     @functools.cache
@@ -333,6 +332,9 @@ def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,
     """
     moc = MocKind("tt_maxb")
     _check_reservation(moc, Q, R, T)
+    if not isinstance(plant_d, DiscreteLti):
+        raise ConfigError("plant: tt_maxb_modes needs a DiscreteLti, got %s"
+                          % type(plant_d).__name__)
     disc = _discretiser(plant_d, plant_d.sample_period / T)  # its own interval: T ticks
     labels, cuts, matrix = _mode_table(plant_d, K, moc, R, T, disc)
     return ClosedLoopModes(labels, [matrix(0), matrix(1)],
@@ -442,6 +444,7 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
     if _integer(horizon, "horizon") < 4:
         raise ConfigError("horizon: must be >= 4")
     _check_reservation(moc, Q, R, T)
+    _model(model)
     disc = _discretiser(plant, tick_seconds)
     if moc.kind == "tt_sort":
         return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, disc, horizon,
@@ -606,7 +609,7 @@ def _verdict_table(plants, gains, discs, moc: MocKind, model: ExecTimeModel,
             _mode_table(plant, K, moc, R, T, disc)
         table[:] = [Q * (T // R) >= max_ticks(model) for Q in budgets]
         return table, 0
-    dists = [_service_distribution(model, Q, R) for Q in budgets]
+    dists = [service_distribution(model, Q, R) for Q in budgets]
     unknowns = 0
     for lo in range(0, len(plants), VERDICT_CHUNK):
         chunk = slice(lo, lo + VERDICT_CHUNK)

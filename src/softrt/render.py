@@ -5,7 +5,8 @@ nearest following stop (preemption, completion, abort or budget
 exhaustion); a segment still open when the log ends is clamped to the
 horizon.  A tick executed at or past the running job's deadline is late.
 An arrival needs integer ``job`` and ``deadline`` payload fields and a
-job_start an integer ``job``; a trace without them is a ConfigError.
+job_start an integer ``job``; a trace without them, or in which one job
+arrives twice, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError
-from .simcore import STOP_KINDS, Trace, _payload_ints
+from .simcore import STOP_KINDS, Trace, _payload_ints, _repeated_arrival
 
 # (task, start, end, deadline of the job that ran)
 Segment = Tuple[int, int, int, Optional[int]]
@@ -21,13 +22,16 @@ Segment = Tuple[int, int, int, Optional[int]]
 
 def execution_segments(trace: Trace) -> List[Segment]:
     deadlines: Dict[Tuple[int, int], int] = {}
+    arrived: Dict[Tuple[int, int], int] = {}  # each job's arrival tick
     open_seg: Dict[int, list] = {}
     done: List[Segment] = []
     for e in trace.events:
         tick, kind, task, _ = e
         if kind == "arrival":
             job, deadline = _payload_ints(e, "job", "deadline")
-            deadlines[(task, job)] = deadline
+            if (task, job) in arrived:
+                raise _repeated_arrival(task, job, tick, arrived[task, job])
+            deadlines[task, job], arrived[task, job] = deadline, tick
         elif kind == "job_start":
             (job,) = _payload_ints(e, "job")
             open_seg[task] = [tick, job]

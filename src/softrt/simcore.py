@@ -146,6 +146,12 @@ def _payload_error(event: Event, names: Sequence[str], want: type) -> ConfigErro
                 payload[name]))
 
 
+def _repeated_arrival(task: int, job: int, tick: int, first: int) -> ConfigError:
+    """The error for a second arrival of one job, at tick, after that at first."""
+    return ConfigError("trace: arrival of task %d job %d at tick %d repeats its arrival "
+                       "at tick %d" % (task, job, tick, first))
+
+
 def _payload_ints(event: Event, *names: str) -> List[int]:
     """The integer payload fields ``names`` of ``event``; a missing or
     non-integer one is a ``ConfigError`` naming the event and the field."""
@@ -223,9 +229,7 @@ class Trace:
                         or type(demand) is not int:
                     raise _payload_error(e, ("job", "deadline", "demand"), int)
                 if j in jobs:
-                    raise ConfigError("trace: arrival of task %d job %d at tick %d repeats "
-                                      "its arrival at tick %d" % (task, j, tick,
-                                                                  jobs[j].arrival))
+                    raise _repeated_arrival(task, j, tick, jobs[j].arrival)
                 jobs[j] = JobRecord(task, j, tick, deadline, demand)
                 continue
             if kind not in _OUTCOMES:

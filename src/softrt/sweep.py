@@ -29,7 +29,7 @@ import numpy as np
 from .controlcore import ContinuousLti, dlqr
 from .errors import ConfigError, NumericalError
 from .moc import BUFFERED_KINDS, MOC_KINDS, MocKind, _discretiser, _verdict_table
-from .taskmodel import Beta, _is_int, _is_real, derived_seed
+from .taskmodel import Beta, _is_int, _is_real, _positive, derived_seed
 
 log = logging.getLogger(__name__)
 
@@ -62,9 +62,7 @@ class SweepConfig:
         if self.T % self.R != 0:
             raise ConfigError("sweep.T: must be a positive multiple of R")
         for name in ("beta_alpha", "beta_beta", "tick_seconds"):
-            v = getattr(self, name)
-            if not (_is_real(v) and 0 < v < float("inf")):
-                raise ConfigError("sweep.%s: must be a number > 0, got %r" % (name, v))
+            _positive(getattr(self, name), "sweep." + name)
         if not (_is_int(self.seed) or isinstance(self.seed, str)):
             raise ConfigError("sweep.seed: must be an integer or a string, got %r"
                               % (self.seed,))

@@ -56,6 +56,14 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _positive(v, name: str):
+    """The one rule for a duration (seconds) or a shape parameter: v, if it
+    is a finite real > 0 (see _is_real); else a ConfigError naming name."""
+    if not (_is_real(v) and 0 < v < math.inf):
+        raise ConfigError("%s: must be a number > 0, got %r" % (name, v))
+    return v
+
+
 def derived_seed(*parts) -> int:
     """64-bit integer seed derived from the given parts (for numpy)."""
     import hashlib
@@ -120,8 +128,8 @@ class Beta:
 
     def __post_init__(self):
         _finite(self, "alpha", "beta", "lo", "hi")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("exec_model.alpha/beta: shape parameters must be > 0")
+        _positive(self.alpha, "exec_model.alpha")
+        _positive(self.beta, "exec_model.beta")
         _span(self)
 
     def _draw(self, rng: random.Random) -> int:
@@ -170,6 +178,14 @@ EXEC_MODELS = {"deterministic": Deterministic, "uniform": Uniform, "beta": Beta,
                "empirical": Empirical, "scripted": Scripted}
 
 
+def _model(model):
+    """The one rule for a demand model: model, if of a class in EXEC_MODELS.
+    A Scripted fallback is checked where it is read, not at construction."""
+    if not isinstance(model, tuple(EXEC_MODELS.values())):
+        raise ConfigError("exec_model: unknown model type %r" % (model,))
+    return model
+
+
 def sample_exec_time(model: ExecTimeModel, job_index: int, key: str) -> int:
     """One demand draw in ticks from ``random.Random(key)``.
 
@@ -187,13 +203,14 @@ def sample_exec_time(model: ExecTimeModel, job_index: int, key: str) -> int:
         return model.ticks
     try:
         draw = model._draw
-    except AttributeError:
-        raise ConfigError("exec_model: unknown model type %r" % (model,)) from None
+    except AttributeError:  # every model but those two draws: the rule raises
+        draw = _model(model)._draw
     return draw(random.Random(key))
 
 
 def sample_exec_times(model: ExecTimeModel, n: int, seed) -> np.ndarray:
     """Vectorised batch of n demand draws (its own stream, not the per-job one)."""
+    _model(model)
     g = np.random.default_rng(derived_seed(seed, "bulk"))
     if isinstance(model, Deterministic):
         return np.full(n, model.ticks, dtype=np.int64)
@@ -207,10 +224,8 @@ def sample_exec_times(model: ExecTimeModel, n: int, seed) -> np.ndarray:
         return g.choice(np.asarray(model.values, dtype=np.int64), size=n)
     if isinstance(model, Uniform):
         x = g.uniform(model.lo, model.hi, size=n)
-    elif isinstance(model, Beta):
+    else:  # Beta
         x = model.lo + (model.hi - model.lo) * g.beta(model.alpha, model.beta, size=n)
-    else:
-        raise ConfigError("exec_model: unknown model type %r" % (model,))
     return np.maximum(1, np.floor(x + 0.5).astype(np.int64))
 
 
@@ -221,6 +236,7 @@ def tick_cdf(model: ExecTimeModel, m: int):
     samples land on tick k iff the raw value falls in [k-0.5, k+0.5), except
     that everything below 1 clips up to one tick.
     """
+    _model(model)
     if m < 1:
         return Fraction(0)
     if isinstance(model, Deterministic):
@@ -244,6 +260,7 @@ def tick_cdf(model: ExecTimeModel, m: int):
 
 def max_ticks(model: ExecTimeModel) -> int:
     """Upper bound on any sampled demand in ticks."""
+    _model(model)
     if isinstance(model, Deterministic):
         return model.ticks
     if isinstance(model, Empirical):

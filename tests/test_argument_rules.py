@@ -1,0 +1,177 @@
+"""taskmodel._positive is the one rule for a duration in seconds (and a
+shape parameter), taskmodel._model the one rule for a demand model, and
+every routine that takes one accepts exactly what its rule accepts.  A
+duration is a finite real > 0, Python's or numpy's, never a boolean; a
+demand model is an instance of one of the five model classes.  Anything
+else is a ConfigError with the rule's message, never another exception."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from softrt.analysis import dropout_probability
+from softrt.cli import main
+from softrt.controlcore import ContinuousLti, DiscreteLti, c2d
+from softrt.errors import ConfigError
+from softrt.moc import (MOC_KINDS, MocKind, build_delay_chain, cosimulate, cs_modes,
+                        service_distribution, stabilizes, verdicts)
+from softrt.sweep import SweepConfig, bandwidth_sweep, sweep_to_csv
+from softrt.taskmodel import (Beta, Empirical, Scripted, max_ticks, sample_exec_time,
+                              sample_exec_times, tick_cdf)
+
+SCRIPTED = Scripted((1,), 5)  # a model class whose fallback is no model
+VALUES = (1, 0.5, np.float64(0.5), 0, -1, math.inf, math.nan, True, np.True_, "0.5",
+          None, [1], SCRIPTED)
+SECONDS = VALUES[:3]  # the durations among VALUES
+PLANT = ContinuousLti.from_ab([[0.2]], [[1.0]])
+K = [[0.4]]
+MODEL = Empirical((1, 3))
+
+
+def _error(call):
+    """The message of the ConfigError call raises, None if it returns; any
+    other exception fails the test."""
+    try:
+        call()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def _moc(kind):
+    return MocKind(kind, max_delay=2 if kind in ("tt_sort", "cs") else None)
+
+
+def _loop(routine, kind, model=MODEL, seconds=0.1):
+    """routine (cosimulate, verdicts or stabilizes) on a small loop under
+    kind, as a value that compares by content."""
+    if routine is cosimulate:
+        return cosimulate(PLANT, K, _moc(kind), model, 1, 2, 4, tick_seconds=seconds,
+                          horizon=4, n_traj=2).estimates.tolist()
+    budgets = 1 if routine is stabilizes else [1, 2]
+    return routine(PLANT, K, _moc(kind), model, budgets, 2, 4, tick_seconds=seconds)
+
+
+def _duration_routines():
+    """(name, the argument's name in the rule's message, call(seconds))."""
+    yield "c2d", "T", lambda s: c2d(PLANT, s).A.tolist() + [c2d(PLANT, s).sample_period]
+    yield ("DiscreteLti", "plant.sample_period",
+           lambda s: DiscreteLti([[1.0]], [[1.0]], [[1.0]], [[0.0]], s).sample_period)
+    for routine in (cosimulate, verdicts, stabilizes):
+        for kind in MOC_KINDS:
+            yield ("%s/%s" % (routine.__name__, kind), "tick_seconds",
+                   lambda s, routine=routine, kind=kind: _loop(routine, kind, seconds=s))
+    yield ("cs_modes", "tick_seconds",
+           lambda s: [M.tolist() for M in cs_modes(PLANT, K, MODEL, 1, 2, 2, s).matrices])
+    for field in ("beta_alpha", "beta_beta", "tick_seconds"):
+        yield ("SweepConfig." + field, "sweep." + field,
+               lambda s, field=field: sweep_to_csv(bandwidth_sweep(SweepConfig(
+                   n_systems=2, mocs=("tt_hard", "tt_maxb"), **{field: s}))))
+
+
+@pytest.mark.parametrize("name, arg, call", list(_duration_routines()),
+                         ids=[name for name, *_ in _duration_routines()])
+def test_every_routine_takes_exactly_the_rules_durations(name, arg, call):
+    for v in SECONDS:  # the result of the plain float, which every routine took
+        assert _error(lambda: call(v)) is None, v
+        assert call(v) == call(float(v)), v
+    for v in VALUES[len(SECONDS):]:
+        assert _error(lambda: call(v)) == "%s: must be a number > 0, got %r" % (arg, v), v
+
+
+FALLBACK = "exec_model: unknown model type 5"  # SCRIPTED past its one value
+STATIONARY = "exec_model: no stationary distribution for %r" % (SCRIPTED,)
+SAME = object()  # SCRIPTED gives what MODEL gives: the routine reads no demand
+
+
+def _model_routines():
+    """(name, call(model), what call(SCRIPTED) gives: the message of its
+    ConfigError, its result, or SAME)."""
+    yield "sample_exec_time/job0", lambda m: sample_exec_time(m, 0, "0/exec/1/0"), 1
+    yield "sample_exec_time/job1", lambda m: sample_exec_time(m, 1, "0/exec/1/1"), FALLBACK
+    yield "sample_exec_times/n1", lambda m: sample_exec_times(m, 1, 0).tolist(), [1]
+    yield "sample_exec_times/n2", lambda m: sample_exec_times(m, 2, 0).tolist(), FALLBACK
+    yield "tick_cdf/m0", lambda m: tick_cdf(m, 0), 0
+    yield "tick_cdf/m2", lambda m: tick_cdf(m, 2), STATIONARY
+    yield "max_ticks", max_ticks, FALLBACK
+    yield "service_distribution", lambda m: service_distribution(m, 1, 2), FALLBACK
+    yield ("build_delay_chain",
+           lambda m: build_delay_chain(m, 1, 2, 4, 2).steady.tolist(), FALLBACK)
+    yield "dropout_probability", lambda m: dropout_probability(m, 1, 2, 4), STATIONARY
+    for routine in (verdicts, stabilizes, cosimulate):
+        for kind in MOC_KINDS:
+            # cosimulate under tt_hard draws no demand
+            scripted = SAME if routine is cosimulate and kind == "tt_hard" else FALLBACK
+            yield ("%s/%s" % (routine.__name__, kind),
+                   lambda m, routine=routine, kind=kind: _loop(routine, kind, model=m),
+                   scripted)
+
+
+@pytest.mark.parametrize("name, call, scripted", list(_model_routines()),
+                         ids=[name for name, *_ in _model_routines()])
+def test_every_routine_takes_exactly_the_rules_models(name, call, scripted):
+    assert _error(lambda: call(MODEL)) is None
+    for v in VALUES:
+        if v is not SCRIPTED:
+            assert _error(lambda: call(v)) == "exec_model: unknown model type %r" % (v,), v
+        elif isinstance(scripted, str):
+            assert _error(lambda: call(v)) == scripted
+        else:
+            assert call(v) == (call(MODEL) if scripted is SAME else scripted)
+
+
+def test_beta_shape_parameters_follow_the_duration_rule():
+    # after the finite check, which keeps its own words
+    for field, v, words in (("alpha", 0, "must be a number > 0, got 0"),
+                            ("beta", -1.5, "must be a number > 0, got -1.5"),
+                            ("alpha", True, "must be a finite number, got True"),
+                            ("beta", math.inf, "must be a finite number, got inf")):
+        args = dict(dict(alpha=0.5, beta=0.5, lo=0.0, hi=4.0), **{field: v})
+        assert _error(lambda: Beta(**args)) == "exec_model.%s: %s" % (field, words)
+
+
+COSIM = {"plant": {"A": [[0.2]], "B": [[1.0]]}, "control": {"sample_seconds": 0.2},
+         "moc": {"kind": "tt_maxb", "exec_model": {"kind": "empirical", "values": [1, 3]},
+                 "Q": 1, "R": 2, "T": 4, "tick_seconds": 0.05, "horizon": 8, "n_traj": 2}}
+ABSENT = object()
+
+
+def _cosim(tmp_path, capsys, field, v):
+    """(exit code, stdout, stderr) of softrt cosim with field set to v, or
+    left out for ABSENT."""
+    section, key = field.split(".")
+    doc = json.loads(json.dumps(COSIM))
+    del doc[section][key]
+    if v is not ABSENT:
+        doc[section][key] = v
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["cosim", "--config", str(path), "--format", "json"])
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("field", ["control.sample_seconds", "moc.tick_seconds"])
+def test_the_cli_names_a_durations_json_path(tmp_path, capsys, field):
+    for v in (1, 0.5):
+        assert _cosim(tmp_path, capsys, field, v)[:2] == \
+            _cosim(tmp_path, capsys, field, float(v))[:2], v
+    # a null is the default, as the key's absence is
+    absent = _cosim(tmp_path, capsys, field, ABSENT)[:2]
+    assert absent[0] == 0 and _cosim(tmp_path, capsys, field, None)[:2] == absent
+    for v in (0, -1, math.inf, math.nan, True, "0.5", [1]):
+        code, _, err = _cosim(tmp_path, capsys, field, v)
+        assert (code, err) == (2, "config error: %s: must be a number > 0, got %r\n"
+                               % (field, v)), v
+
+
+def test_the_rules_words():
+    from softrt.taskmodel import _model, _positive
+
+    assert _positive(np.float64(0.5), "T") == 0.5
+    assert _model(MODEL) is MODEL
+    for v in (0, math.nan, np.True_, "1"):
+        assert _error(lambda: _positive(v, "a")) == "a: must be a number > 0, got %r" % (v,)
+    for v in (None, 3, Empirical):
+        assert _error(lambda: _model(v)) == "exec_model: unknown model type %r" % (v,)

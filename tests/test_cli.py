@@ -178,9 +178,12 @@ def test_analyze_rejects_a_job_that_arrives_twice(tmp_path, capsys):
     trace = Trace([Event(*e) for e in events], 8, [1])
     for name, text in (("twice.csv", trace.to_csv()), ("twice.jsonl", trace.to_jsonl())):
         (tmp_path / name).write_text(text)
-        assert main(["analyze", str(tmp_path / name)]) == 2, name
-        assert capsys.readouterr().err == ("config error: trace: arrival of task 1 job 0 "
-                                           "at tick 4 repeats its arrival at tick 0\n")
+        # render used to keep the second arrival's deadline and draw the job late
+        for cmd in (["analyze"], ["render"], ["render", "--format", "svg"]):
+            assert main(cmd + [str(tmp_path / name)]) == 2, (cmd, name)
+            assert capsys.readouterr().err == ("config error: trace: arrival of task 1 "
+                                               "job 0 at tick 4 repeats its arrival at "
+                                               "tick 0\n")
 
 
 ANALYZE_SCHEDULERS = {

@@ -12,7 +12,6 @@ from softrt.controlcore import (
     ClosedLoopModes,
     ContinuousLti,
     ControllerLti,
-    CostWeights,
     DiscreteLti,
     _half_kron,
     _tril,
@@ -216,10 +215,11 @@ def test_dlqr_rejects_mis_sized_weights():
 
 
 def test_cost_weight_validation():
-    with pytest.raises(ConfigError):
-        CostWeights([[1.0, 2.0], [0.0, 1.0]], np.eye(2))
-    with pytest.raises(ConfigError):
-        CostWeights(np.eye(2), [[0.0, 0.0], [0.0, 1.0]])
+    A, B = np.eye(2), np.eye(2)
+    with pytest.raises(ConfigError, match=r"weights\.Qx: must be symmetric"):
+        dlqr(A, B, [[1.0, 2.0], [0.0, 1.0]], np.eye(2))
+    with pytest.raises(ConfigError, match=r"weights\.Ru: must be positive definite"):
+        dlqr(A, B, np.eye(2), [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_kalman_scalar_and_duality():

@@ -171,6 +171,13 @@ def test_delay_chain_rejects_non_finite_steady_state():
         DelayChain(np.eye(2), [math.nan, math.nan])
 
 
+def test_tt_maxb_modes_needs_a_discrete_plant():
+    # a continuous plant used to fail on its missing sample_period
+    with pytest.raises(ConfigError) as err:
+        tt_maxb_modes(scalar_plant(), [[0.3]], Empirical((1, 2)), Q=1, R=1, T=2)
+    assert str(err.value) == "plant: tt_maxb_modes needs a DiscreteLti, got ContinuousLti"
+
+
 def test_tt_maxb_modes_probabilities():
     plant_d = DiscreteLti([[0.9]], [[1.0]], [[1.0]], [[0.0]], 1.0)
     modes = tt_maxb_modes(plant_d, [[0.3]], Empirical((1, 2, 3)), Q=1, R=1, T=2)

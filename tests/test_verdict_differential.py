@@ -6,9 +6,11 @@ tt_maxb and cs are decided by the mean-square solve on the lower triangles
 here and by the eigenvalues of the full Kronecker sum there, both with the
 1e-9 margin; their verdicts must be identical.  tt_sort solves on the lower
 triangles of the V_d with the 1e-9 margin and the oracle without it, so its
-verdict may differ only where the operator's spectral radius is within 1e-6
-of 1.  And every entry of a
-many-budget call must equal the one-budget stabilizes call.
+verdict may differ where the operator's spectral radius is within 1e-6 of 1,
+and where the oracle's solve is ill-conditioned (an eigenvalue at 1 beside
+a larger one) and rounding passes it: there the verdict must be rho < 1 for
+the oracle's own operator.  And every entry of a many-budget call must
+equal the one-budget stabilizes call.
 """
 
 import numpy as np
@@ -85,7 +87,9 @@ def _check(c):
                 assert moc.kind == "tt_sort", (moc.kind, Q)
                 op, _ = oracle._tt_sort_operator(c["plant"], c["K"], c["max_delay"],
                                                  c["model"], Q, c["R"], c["T"], c["tick"])
-                assert abs(spectral_radius(op) - 1.0) < 1e-6, Q
+                rho = spectral_radius(op)
+                if abs(rho - 1.0) >= 1e-6:
+                    assert verdict == (rho < 1.0), (Q, rho)
 
 
 @example(_sweep_case(0))
@@ -95,6 +99,14 @@ def _check(c):
 # ... or none does: tt_maxb always drops, cs always cancels, and no tt_sort
 # command ever latches, so its operator has eigenvalue 1 exactly
 @example(_case(2, 2, 5, 1.0, True, 3, 1, [1, 3, 1], 0.05, 2, Deterministic(40)))
+# tt_sort's operator has rho 1.2207 and an eigenvalue at 1, so I - op has
+# condition number 1.8e17 and the oracle's unmargined solve passes its
+# Cholesky by rounding: "stable" there, "unstable" here and in cosimulate
+@example(dict(plant=ContinuousLti.from_ab(
+    [[0.3895742122801167, 0.40433270005163235], [0.37317694550357416, 0.11667074246450493]],
+    [[-0.8404633069732452], [0.17950153219091747]]),
+    K=np.array([[-2.6450295248063798, -2.4268669190605103]]), model=Uniform(4.0, 7.5),
+    budgets=[2], R=3, T=3, tick=0.05, max_delay=1))
 @given(cases())
 @settings(max_examples=120, deadline=None)
 def test_verdicts_match_one_budget_reference(case):
