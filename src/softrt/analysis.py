@@ -19,6 +19,15 @@ from .simcore import Trace
 from .taskmodel import ExecTimeModel, _integer, check_reservation, tick_cdf
 
 
+def _pair(m, n, m_name: str, n_name: str) -> Tuple[int, int]:
+    """(m, n) as ints, if they are counts m >= 0 and n >= 1 with m <= n;
+    else a ConfigError naming the field at fault."""
+    m, n = _integer(m, m_name, 0), _integer(n, n_name, 1)
+    if m > n:
+        raise ConfigError("%s: need 0 <= m <= n" % m_name)
+    return m, n
+
+
 @dataclass(frozen=True)
 class MissConstraint:
     """Weakly-hard bound: at most m misses in any n consecutive instances.
@@ -33,17 +42,16 @@ class MissConstraint:
     conjunction: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        for name in ("m", "n"):
-            _integer(getattr(self, name), "constraint." + name)
-        for m, n in self.pairs:
-            if n < 1:
-                raise ConfigError("constraint.n: window must be >= 1")
-            if not 0 <= m <= n:
-                raise ConfigError("constraint.m: need 0 <= m <= n")
+        m, n = _pair(self.m, self.n, "constraint.m", "constraint.n")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "conjunction", tuple(
+            _pair(m, n, *["constraint.conjunction[%d]" % i] * 2)
+            for i, (m, n) in enumerate(self.conjunction)))
 
     @property
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        return ((self.m, self.n),) + tuple(self.conjunction)
+        return ((self.m, self.n),) + self.conjunction
 
 
 @dataclass(frozen=True)

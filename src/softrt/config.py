@@ -7,7 +7,7 @@ parts, a reservation, the scheduler, a constraint, the sweep) takes exactly
 that dataclass's fields, with its defaults; a section that configures a
 routine (moc, chain) takes that routine's parameters, with theirs.  Every
 diagnostic names the offending field with its path, e.g. "tasks[1].period:
-must be >= 1"; a key that is not a field is an error too.  A null is the
+must be >= 1, got 0"; a key that is not a field is an error too.  A null is the
 default where that is None or a fraction; elsewhere it is a (wrong) value.
 """
 
@@ -28,8 +28,8 @@ from .errors import ConfigError
 from .moc import MocKind, build_delay_chain, cosimulate
 from .simcore import SchedulerConfig
 from .sweep import SweepConfig
-from .taskmodel import (EXEC_MODELS, Activation, ReservationSpec, TaskSpec,
-                        _integer, _is_int, _positive)
+from .taskmodel import (EXEC_MODELS, Activation, ReservationSpec, TaskSpec, _choice,
+                        _integer, _positive)
 
 
 # the routine each section configures, and the parameters its caller sets
@@ -244,12 +244,12 @@ def parse_constraints(doc: dict) -> Dict[int, MissConstraint]:
 
 
 def _pairs(raw, path: str) -> Tuple[Tuple[int, int], ...]:
-    """raw, if it is a JSON array of [m, n] pairs of integers, as tuples."""
+    """raw, if it is a JSON array of [m, n] pairs, as tuples; MissConstraint
+    checks the counts."""
     pairs = _json(raw, path, list)
     for i, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
-            raise ConfigError("%s[%d]: expected an [m, n] pair of integers, got %r"
-                              % (path, i, pair))
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError("%s[%d]: expected an [m, n] pair, got %r" % (path, i, pair))
     return tuple(map(tuple, pairs))
 
 
@@ -280,10 +280,8 @@ def parse_control(doc: dict) -> dict:
     out = {
         "sample_seconds": None if seconds is None else
         _positive(seconds, "control.sample_seconds"),
-        "feedback": raw.get("feedback", "lqr"),
+        "feedback": _choice(raw.get("feedback", "lqr"), "control.feedback", ("lqr", "lqg")),
     }
-    if out["feedback"] not in ("lqr", "lqg"):
-        raise ConfigError("control.feedback: must be lqr or lqg")
     w = _object(raw.get("weights", {}), "control.weights", ("Qx", "Ru"))
     out["Qx"] = _matrix(w["Qx"], "control.weights.Qx") if "Qx" in w else None
     out["Ru"] = _matrix(w["Ru"], "control.weights.Ru") if "Ru" in w else None

@@ -42,7 +42,8 @@ verdicts() is _verdict_table for one plant and stabilizes() its one-budget
 call.  cosimulate(), their oracle, draws demands from the same
 per-trajectory streams and accepts the same loops.  Every routine here
 checks a reservation (Q, R, and T but under cs), a duration and a demand
-model by taskmodel's rules: check_reservation, _positive and _model.
+model by taskmodel's rules: check_reservation, _positive and _model, and
+a count by _integer.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti, DiscreteLti,
                           _as_matrix, _half_kron, _mean_square_stable, _shaped, c2d)
 from .errors import ConfigError, NumericalError
-from .taskmodel import (ExecTimeModel, _integer, _model, _positive, _store_ints,
+from .taskmodel import (ExecTimeModel, _choice, _counts, _integer, _model, _positive,
                         check_reservation, derived_seed, max_ticks, sample_exec_times,
                         tick_cdf)
 
@@ -72,30 +73,21 @@ class MocKind:
     act_delay: Optional[int] = None  # ticks, default T; tt_hard only
 
     def __post_init__(self):
-        for name, v in (("max_delay", self.max_delay), ("act_delay", self.act_delay)):
-            if v is not None:
-                _integer(v, "moc." + name)
-                _store_ints(self, name)
-        if self.kind not in MOC_KINDS:
-            raise ConfigError("moc.kind: must be one of %s" % (MOC_KINDS,))
+        _choice(self.kind, "moc.kind", MOC_KINDS)
         if self.kind in BUFFERED_KINDS:
-            if self.max_delay is None or self.max_delay < 1:
-                raise ConfigError("moc.max_delay: required and >= 1 for %s" % self.kind)
+            _counts(self, "moc.", max_delay=1)
         elif self.max_delay is not None:
             raise ConfigError("moc.max_delay: not applicable to %s" % self.kind)
         if self.act_delay is not None:
             if self.kind != "tt_hard":
                 raise ConfigError("moc.act_delay: not applicable to %s" % self.kind)
-            if self.act_delay < 0:
-                raise ConfigError("moc.act_delay: must be >= 0")
+            _counts(self, "moc.", act_delay=0)
 
 
 def service_periods(c: int, Q: int, R: int) -> int:
     """Reservation periods a job of c ticks occupies when granted Q per R."""
     check_reservation(Q, R)
-    if _integer(c, "c") < 1:
-        raise ConfigError("c: demand must be >= 1 tick")
-    return -(-c // Q)
+    return -(-_integer(c, "c", 1) // Q)
 
 
 def service_distribution(model: ExecTimeModel, Q: int, R: int) -> List[Tuple[int, object]]:
@@ -199,8 +191,7 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
     squares with the normalization row appended.
     """
     check_reservation(Q, R, T)
-    if _integer(d_max, "d_max") < 1:
-        raise ConfigError("d_max: must be >= 1")
+    d_max = _integer(d_max, "d_max", 1)
     F = T // R
     dist = service_distribution(model, Q, R)
     n = d_max + 1
@@ -439,10 +430,7 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
     gain or, but for tt_sort, a ControllerLti.  tt_hard has no randomness:
     all trajectories coincide, so one is run.
     """
-    if _integer(n_traj, "n_traj") < 1:
-        raise ConfigError("n_traj: must be >= 1")
-    if _integer(horizon, "horizon") < 4:
-        raise ConfigError("horizon: must be >= 4")
+    n_traj, horizon = _integer(n_traj, "n_traj", 1), _integer(horizon, "horizon", 4)
     _check_reservation(moc, Q, R, T)
     _model(model)
     disc = _discretiser(plant, tick_seconds)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ConfigError
 from .simcore import STOP_KINDS, Trace, _payload_ints, _repeated_arrival
+from .taskmodel import _choice, _integer
 
 # (task, start, end, deadline of the job that ran)
 Segment = Tuple[int, int, int, Optional[int]]
@@ -113,11 +113,9 @@ def render_svg(trace: Trace, cell: int = 12, row_h: int = 26) -> str:
     return "\n".join(out) + "\n"
 
 
+_RENDERERS = {"ascii": render_ascii, "svg": render_svg}
+
+
 def render_trace(trace: Trace, format: str = "ascii") -> str:
-    if trace.horizon < 0:
-        raise ConfigError("horizon: must be >= 0, got %r" % (trace.horizon,))
-    if format == "ascii":
-        return render_ascii(trace)
-    if format == "svg":
-        return render_svg(trace)
-    raise ConfigError("format: must be ascii or svg")
+    _integer(trace.horizon, "horizon", 0)
+    return _RENDERERS[_choice(format, "format", _RENDERERS)](trace)

@@ -49,7 +49,7 @@ from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigError
-from .taskmodel import JobRecord, ReservationSpec, TaskSpec, _is_int, _store_ints
+from .taskmodel import JobRecord, ReservationSpec, TaskSpec, _choice, _counts, _integer
 
 log = logging.getLogger(__name__)
 
@@ -284,8 +284,8 @@ class Trace:
         """Read ``to_csv`` output.
 
         A malformed row (not four fields, a tick or task that is not an
-        integer, a payload that is not one JSON object) is a ``ConfigError``
-        naming its line.
+        integer, a kind not in ``EVENT_KINDS``, a payload that is not one
+        JSON object) is a ``ConfigError`` naming its line.
         """
         reader = csv.reader(io.StringIO(text))
         try:
@@ -307,9 +307,9 @@ class Trace:
     @_gc_paused
     def from_jsonl(cls, text: str, horizon: Optional[int] = None) -> "Trace":
         """Read ``to_jsonl`` output: one JSON object per line with an integer
-        ``tick`` and ``task``, a string ``kind`` and an object ``payload``;
-        blank lines are skipped.  Anything else is a ``ConfigError`` naming
-        the line."""
+        ``tick`` and ``task``, a ``kind`` in ``EVENT_KINDS`` and an object
+        ``payload``; blank lines are skipped.  Anything else is a
+        ``ConfigError`` naming the line."""
         events = []
         for n, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -325,8 +325,7 @@ class Trace:
                 raise ConfigError("trace: line %d: missing key %r" % (n, missing[0]))
             if type(d["tick"]) is not int or type(d["task"]) is not int:
                 raise ConfigError("trace: line %d: tick and task must be integers" % n)
-            if type(d["kind"]) is not str:
-                raise ConfigError("trace: line %d: kind must be a string" % n)
+            _choice(d["kind"], "trace: line %d: kind" % n, EVENT_KINDS)
             if type(d["payload"]) is not dict:
                 raise ConfigError("trace: line %d: payload must be a JSON object" % n)
             events.append(_event((d["tick"], d["kind"], d["task"], d["payload"])))
@@ -367,8 +366,9 @@ def _bulk_columns(rows: Iterable[List[str]]) -> Optional[Tuple[list, list, list,
     """The tick, kind, task and payload columns of CSV rows, ticks and tasks
     as ints and every payload decoded by one ``json.loads``.
 
-    Returns None unless every row has four fields and integer tick and task
-    and the payloads pass the check below; ``_checked_events`` reads the rest.
+    Returns None unless every row has four fields, integer tick and task and
+    a kind in ``EVENT_KINDS``, and the payloads pass the check below;
+    ``_checked_events`` reads the rest.
 
     The n payloads are joined by ",\\n" and decoded as one JSON array.  The
     join must hold n - 1 newlines, so no payload holds one, and n "{", one
@@ -396,7 +396,8 @@ def _bulk_columns(rows: Iterable[List[str]]) -> Optional[Tuple[list, list, list,
         values = json.loads("[%s]" % joined)
     except (ValueError, RecursionError, csv.Error):
         return None
-    if len(values) != n or set(map(type, values)) != {dict}:
+    if len(values) != n or set(map(type, values)) != {dict} \
+            or not _PLAIN_KINDS.issuperset(kinds):
         return None
     return ticks, kinds, tasks, values
 
@@ -428,7 +429,8 @@ def _checked_events(text: str) -> List[Event]:
             payload = None
         if type(payload) is not dict:
             raise ConfigError(where + "payload must be one JSON object, got %r" % row[3])
-        events.append(_event((tick, row[1], task, payload)))
+        events.append(_event((tick, _choice(row[1], where + "kind", EVENT_KINDS), task,
+                              payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +509,17 @@ class SchedulerConfig:
     collect: Optional[frozenset] = None  # record only these kinds when set
 
     def __post_init__(self):
-        if self.kind not in ("edf", "fixed_priority", "cbs_edf"):
-            raise ConfigError("scheduler.kind: must be edf, fixed_priority or cbs_edf")
-        if not _is_int(self.horizon) or self.horizon < 1:
-            raise ConfigError("scheduler.horizon: must be a positive integer")
-        _store_ints(self, "horizon")
+        _choice(self.kind, "scheduler.kind", ("edf", "fixed_priority", "cbs_edf"))
+        _counts(self, "scheduler.", horizon=1)
         if self.kind == "fixed_priority" and not self.priorities:
             raise ConfigError("scheduler.priorities: required for fixed_priority")
-        for tid, prio in (self.priorities or {}).items():
-            if not _is_int(prio):
-                raise ConfigError("scheduler.priorities[%s]: must be an integer, got %r"
-                                  % (tid, prio))
+        if self.priorities is not None:
+            object.__setattr__(self, "priorities", {
+                tid: _integer(prio, "scheduler.priorities[%s]" % tid)
+                for tid, prio in self.priorities.items()})
         if self.kind == "cbs_edf" and not self.reservations:
             raise ConfigError("scheduler.reservations: required for cbs_edf")
-        if self.miss_detection not in ("deadline", "completion"):
-            raise ConfigError("scheduler.miss_detection: must be deadline or completion")
+        _choice(self.miss_detection, "scheduler.miss_detection", ("deadline", "completion"))
         if self.collect is not None:
             unknown = sorted(set(self.collect) - set(EVENT_KINDS))
             if unknown:
@@ -551,8 +549,8 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     byte-identical trace.  Per-job demand and arrival-gap draws are keyed by
     (seed, task id, job index), so one task's stochastic model never perturbs
     another task's samples, and each job is drawn when the engine reaches its
-    arrival: beside each task's arrival ticks, memory grows with the open jobs
-    and the recorded events, not with the horizon.
+    arrival: memory grows with the open jobs and the recorded events, not
+    with the horizon.
 
     Each visited tick runs the per-tick steps in a fixed order: completion of
     the previous tick's work, hard-server wake-ups, deadline checks, arrivals,

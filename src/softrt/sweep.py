@@ -29,7 +29,7 @@ import numpy as np
 from .controlcore import ContinuousLti, dlqr
 from .errors import ConfigError, NumericalError
 from .moc import BUFFERED_KINDS, MOC_KINDS, MocKind, _discretiser, _verdict_table
-from .taskmodel import Beta, _is_int, _is_real, _positive, derived_seed
+from .taskmodel import Beta, _counts, _integer, _is_int, _is_real, _positive, derived_seed
 
 log = logging.getLogger(__name__)
 
@@ -53,12 +53,7 @@ class SweepConfig:
 
     def __post_init__(self):
         # messages name each field by its path in a config document
-        for name in ("n_systems", "state_dim", "R", "T", "max_delay"):
-            v = getattr(self, name)
-            if not _is_int(v):
-                raise ConfigError("sweep.%s: must be an integer, got %r" % (name, v))
-            if v < 1:
-                raise ConfigError("sweep.%s: must be >= 1" % name)
+        _counts(self, "sweep.", n_systems=1, state_dim=1, R=1, T=1, max_delay=1)
         if self.T % self.R != 0:
             raise ConfigError("sweep.T: must be a positive multiple of R")
         for name in ("beta_alpha", "beta_beta", "tick_seconds"):
@@ -102,8 +97,7 @@ def random_system(state_dim: int, seed, retries: int = 50) -> ContinuousLti:
     spreads eigenvalues across both half-planes, so the batch contains
     stable and unstable plants.
     """
-    if state_dim < 1:
-        raise ConfigError("state_dim: must be >= 1")
+    state_dim = _integer(state_dim, "state_dim", 1)
     g = np.random.default_rng(derived_seed(seed, "plant"))
     for _ in range(retries):
         A = g.uniform(-1.0, 1.0, (state_dim, state_dim))

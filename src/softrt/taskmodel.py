@@ -15,7 +15,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,19 +36,32 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _integer(v, name: str):
-    """v, if it is an integer (see _is_int); else a ConfigError naming name."""
+def _integer(v, name: str, low=None) -> int:
+    """The one rule for a count: v as a Python int, if it is an integer (see
+    _is_int) and, when low is given, v >= low; else a ConfigError naming
+    name.  The int lets a value computed with numpy (np.int64) reach the
+    engine and its traces as the int it stands for."""
     if not _is_int(v):
         raise ConfigError("%s: must be an integer, got %r" % (name, v))
+    v = operator.index(v)
+    if low is not None and v < low:
+        raise ConfigError("%s: must be >= %d, got %r" % (name, low, v))
     return v
 
 
-def _store_ints(obj, *names) -> None:
-    """Store the integer fields names of the frozen obj as Python ints, so a
-    value computed with numpy (np.int64) reaches the engine and its traces
-    as the int it stands for."""
-    for name in names:
-        object.__setattr__(obj, name, operator.index(getattr(obj, name)))
+def _counts(obj, prefix: str, **lows) -> None:
+    """Check each field of the frozen obj that lows names by the count rule,
+    with its low bound, named prefix + field, and store the int."""
+    for name, low in lows.items():
+        object.__setattr__(obj, name, _integer(getattr(obj, name), prefix + name, low))
+
+
+def _choice(v, name: str, options):
+    """The one rule for a named option: v, if it is a str in options; else
+    a ConfigError naming name."""
+    if not (isinstance(v, str) and v in options):
+        raise ConfigError("%s: must be one of %s, got %r" % (name, ", ".join(options), v))
+    return v
 
 
 def _is_real(v) -> bool:
@@ -81,9 +94,7 @@ class Deterministic:
     ticks: int
 
     def __post_init__(self):
-        if not _is_int(self.ticks) or self.ticks < 1:
-            raise ConfigError("exec_model.ticks: must be a positive integer")
-        _store_ints(self, "ticks")
+        _counts(self, "exec_model.", ticks=1)
 
 
 def _finite(model, *names) -> None:
@@ -137,18 +148,20 @@ class Beta:
         return max(1, round_half_up(x))
 
 
+def _values(model) -> None:
+    """Store model's per-job demands as a tuple of ints, each a count >= 1."""
+    object.__setattr__(model, "values", tuple(
+        _integer(v, "exec_model.values", 1) for v in model.values))
+
+
 @dataclass(frozen=True)
 class Empirical:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(self.values)
-        if not vals:
+        _values(self)
+        if not self.values:
             raise ConfigError("exec_model.values: empirical list must be non-empty")
-        for v in vals:
-            if not _is_int(v) or v < 1:
-                raise ConfigError("exec_model.values: entries must be positive integers")
-        object.__setattr__(self, "values", tuple(map(operator.index, vals)))
 
     def _draw(self, rng: random.Random) -> int:
         return self.values[rng.randrange(len(self.values))]
@@ -162,14 +175,10 @@ class Scripted:
     fallback: "ExecTimeModel"
 
     def __post_init__(self):
-        vals = tuple(self.values)
-        for v in vals:
-            if not _is_int(v) or v < 1:
-                raise ConfigError("exec_model.values: entries must be positive integers")
+        _values(self)
         if self.fallback is None or isinstance(self.fallback, Scripted):
             raise ConfigError("exec_model.fallback: required and must not be "
                               "another scripted model")
-        object.__setattr__(self, "values", tuple(map(operator.index, vals)))
 
 
 ExecTimeModel = Union[Deterministic, Uniform, Beta, Empirical, Scripted]
@@ -281,8 +290,7 @@ class Activation:
     gap_model: Optional[ExecTimeModel] = None  # sporadic only; gap below period clips up
 
     def __post_init__(self):
-        if self.kind not in ("periodic", "sporadic"):
-            raise ConfigError("activation.kind: must be 'periodic' or 'sporadic'")
+        _choice(self.kind, "activation.kind", ("periodic", "sporadic"))
         if self.kind == "periodic" and self.gap_model is not None:
             raise ConfigError("activation.gap_model: only valid for sporadic tasks")
 
@@ -302,18 +310,11 @@ class TaskSpec:
     enforce_wcet: bool = False
 
     def __post_init__(self):
-        if not _is_int(self.id) or self.id < 0:
-            raise ConfigError("task.id: must be a non-negative integer")
-        for name in ("wcet", "rel_deadline", "period"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 1:
-                raise ConfigError("task.%s: must be a positive integer (ticks)" % name)
-        if self.miss_policy not in MISS_POLICIES:
-            raise ConfigError("task.miss_policy: must be one of %s" % (MISS_POLICIES,))
+        _counts(self, "task.", id=0, wcet=1, rel_deadline=1, period=1)
+        _choice(self.miss_policy, "task.miss_policy", MISS_POLICIES)
         if not isinstance(self.enforce_wcet, bool):
             raise ConfigError("task.enforce_wcet: must be a boolean, got %r"
                               % (self.enforce_wcet,))
-        _store_ints(self, "id", "wcet", "rel_deadline", "period")
         if self.exec_model is None:
             object.__setattr__(self, "exec_model", Deterministic(self.wcet))
 
@@ -323,18 +324,19 @@ class TaskSpec:
                              "%s/exec/%s/%s" % (seed, self.id, job_index))
         return self.wcet if self.enforce_wcet and c > self.wcet else c
 
-    def arrivals(self, horizon: int, seed) -> list:
-        """Activation ticks in [0, horizon)."""
+    def arrivals(self, horizon: int, seed) -> Iterator[int]:
+        """Activation ticks in [0, horizon), in order, each gap drawn when
+        the tick after it is asked for."""
         if self.activation.kind == "periodic":
-            return list(range(0, horizon, self.period))
+            yield from range(0, horizon, self.period)
+            return
         gap_model = self.activation.gap_model or Uniform(self.period, 2 * self.period)
-        out, t, j = [], 0, 0
+        t, j = 0, 0
         while t < horizon:
-            out.append(t)
+            yield t
             gap = sample_exec_time(gap_model, j, "%s/gap/%s/%s" % (seed, self.id, j))
             t += max(self.period, gap)  # period is the minimum inter-arrival gap
             j += 1
-        return out
 
 
 @dataclass(frozen=True)
@@ -345,15 +347,10 @@ class ReservationSpec:
     reclaiming: str = "none"
 
     def __post_init__(self):
-        if not _is_int(self.budget) or self.budget < 1:
-            raise ConfigError("reservation.budget: must be a positive integer (ticks)")
-        if not _is_int(self.period) or self.period < self.budget:
-            raise ConfigError("reservation.period: must be an integer >= budget")
-        if self.variant not in VARIANTS:
-            raise ConfigError("reservation.variant: must be one of %s" % (VARIANTS,))
-        if self.reclaiming not in RECLAIMING:
-            raise ConfigError("reservation.reclaiming: must be one of %s" % (RECLAIMING,))
-        _store_ints(self, "budget", "period")
+        _counts(self, "reservation.", budget=1)
+        _counts(self, "reservation.", period=self.budget)
+        _choice(self.variant, "reservation.variant", VARIANTS)
+        _choice(self.reclaiming, "reservation.reclaiming", RECLAIMING)
 
     @property
     def bandwidth(self) -> Fraction:

@@ -1,9 +1,13 @@
 """taskmodel._positive is the one rule for a duration in seconds (and a
-shape parameter), taskmodel._model the one rule for a demand model, and
-every routine that takes one accepts exactly what its rule accepts.  A
-duration is a finite real > 0, Python's or numpy's, never a boolean; a
-demand model is an instance of one of the five model classes.  Anything
-else is a ConfigError with the rule's message, never another exception."""
+shape parameter), taskmodel._model the one rule for a demand model,
+taskmodel._integer the one rule for a count and taskmodel._choice the one
+rule for a named option, and every routine that takes one accepts exactly
+what its rule accepts.  A duration is a finite real > 0, Python's or
+numpy's, never a boolean; a demand model is an instance of one of the five
+model classes; a count is an integer, Python's or numpy's, never a boolean,
+at least its caller's bound, and is stored as a Python int; an option is a
+string among its caller's options.  Anything else is a ConfigError with the
+rule's message, never another exception."""
 
 import json
 import math
@@ -11,15 +15,20 @@ import math
 import numpy as np
 import pytest
 
-from softrt.analysis import dropout_probability
+from softrt.analysis import MissConstraint, dropout_probability
 from softrt.cli import main
+from softrt.config import parse_control
 from softrt.controlcore import ContinuousLti, DiscreteLti, c2d
 from softrt.errors import ConfigError
-from softrt.moc import (MOC_KINDS, MocKind, build_delay_chain, cosimulate, cs_modes,
-                        service_distribution, stabilizes, verdicts)
-from softrt.sweep import SweepConfig, bandwidth_sweep, sweep_to_csv
-from softrt.taskmodel import (Beta, Empirical, Scripted, max_ticks, sample_exec_time,
-                              sample_exec_times, tick_cdf)
+from softrt.moc import (BUFFERED_KINDS, MOC_KINDS, MocKind, build_delay_chain, cosimulate,
+                        cs_modes, service_distribution, service_periods, stabilizes,
+                        verdicts)
+from softrt.render import render_trace
+from softrt.simcore import SchedulerConfig, Trace
+from softrt.sweep import SweepConfig, bandwidth_sweep, random_system, sweep_to_csv
+from softrt.taskmodel import (MISS_POLICIES, RECLAIMING, VARIANTS, Activation, Beta,
+                              Deterministic, Empirical, ReservationSpec, Scripted, TaskSpec,
+                              max_ticks, sample_exec_time, sample_exec_times, tick_cdf)
 
 SCRIPTED = Scripted((1,), 5)  # a model class whose fallback is no model
 VALUES = (1, 0.5, np.float64(0.5), 0, -1, math.inf, math.nan, True, np.True_, "0.5",
@@ -175,3 +184,120 @@ def test_the_rules_words():
         assert _error(lambda: _positive(v, "a")) == "a: must be a number > 0, got %r" % (v,)
     for v in (None, 3, Empirical):
         assert _error(lambda: _model(v)) == "exec_model: unknown model type %r" % (v,)
+
+
+COUNTS = (1, np.int64(1), 0, -1, 2.5, True, np.True_, "1", None, "bogus", [1])
+TASK = dict(id=1, wcet=1, rel_deadline=4, period=4)
+
+
+def _sweep(**fields):
+    return SweepConfig(**dict(dict(R=1, T=1, grid=(1.0,)), **fields))
+
+
+def _loop_counts(**counts):
+    return cosimulate(PLANT, K, _moc("tt_maxb"), MODEL, 1, 2, 4,
+                      **dict(dict(horizon=4, n_traj=2), **counts))
+
+
+def _count_callers():
+    """(name, the count's name in the rule's message, its bound, call(v),
+    whether call returns the count as stored).  An act_delay of None is no
+    count but the default, the task period."""
+    yield "Deterministic.ticks", "exec_model.ticks", 1, lambda v: Deterministic(v).ticks, True
+    yield ("Empirical.values", "exec_model.values", 1,
+           lambda v: Empirical((3, v)).values[1], True)
+    yield ("Scripted.values", "exec_model.values", 1,
+           lambda v: Scripted((3, v), Deterministic(1)).values[1], True)
+    for field, low in (("id", 0), ("wcet", 1), ("rel_deadline", 1), ("period", 1)):
+        yield ("TaskSpec." + field, "task." + field, low,
+               lambda v, field=field: getattr(TaskSpec(**dict(TASK, **{field: v})), field),
+               True)
+    yield ("ReservationSpec.budget", "reservation.budget", 1,
+           lambda v: ReservationSpec(v, 4).budget, True)
+    yield ("ReservationSpec.period", "reservation.period", 2,
+           lambda v: ReservationSpec(2, v).period, True)
+    yield ("SchedulerConfig.horizon", "scheduler.horizon", 1,
+           lambda v: SchedulerConfig("edf", v).horizon, True)
+    yield ("SchedulerConfig.priorities", "scheduler.priorities[1]", None,
+           lambda v: SchedulerConfig("fixed_priority", 8, priorities={1: v}).priorities[1],
+           True)
+    for field in ("n_systems", "state_dim", "R", "T", "max_delay"):
+        yield ("SweepConfig." + field, "sweep." + field, 1,
+               lambda v, field=field: getattr(_sweep(**{field: v}), field), True)
+    yield ("random_system", "state_dim", 1, lambda v: random_system(v, 0).A.tolist(), False)
+    yield "MocKind.max_delay", "moc.max_delay", 1, lambda v: MocKind("cs", v).max_delay, True
+    yield ("MocKind.act_delay", "moc.act_delay", 0,
+           lambda v: MocKind("tt_hard", act_delay=v).act_delay, True)
+    yield "service_periods", "c", 1, lambda v: service_periods(v, 1, 2), True
+    yield ("build_delay_chain", "d_max", 1,
+           lambda v: build_delay_chain(MODEL, 1, 2, 4, v).steady.tolist(), False)
+    yield "cosimulate.n_traj", "n_traj", 1, lambda v: _loop_counts(n_traj=v).n_traj, True
+    yield ("cosimulate.horizon", "horizon", 4,
+           lambda v: _loop_counts(horizon=v).estimates.tolist(), False)
+    yield "MissConstraint.m", "constraint.m", 0, lambda v: MissConstraint(v, 2).m, True
+    yield "MissConstraint.n", "constraint.n", 1, lambda v: MissConstraint(0, v).n, True
+    yield ("MissConstraint.conjunction.m", "constraint.conjunction[0]", 0,
+           lambda v: MissConstraint(0, 2, ((v, 2),)).conjunction[0][0], True)
+    yield ("MissConstraint.conjunction.n", "constraint.conjunction[0]", 1,
+           lambda v: MissConstraint(0, 2, ((0, v),)).conjunction[0][1], True)
+    yield ("render_trace.horizon", "horizon", 0,
+           lambda v: render_trace(Trace([], v, [])), False)
+
+
+def _count_error(arg, low, v):
+    """The count rule's message for v under bound low, None if it holds."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        return "%s: must be an integer, got %r" % (arg, v)
+    if low is not None and v < low:
+        return "%s: must be >= %d, got %d" % (arg, low, v)
+    return None
+
+
+@pytest.mark.parametrize("name, arg, low, call, stores", list(_count_callers()),
+                         ids=[name for name, *_ in _count_callers()])
+def test_every_caller_takes_exactly_the_rules_counts(name, arg, low, call, stores):
+    bounds = () if low is None else (low, np.int64(low), low - 1)
+    for v in COUNTS + bounds:
+        if v is None and name == "MocKind.act_delay":
+            assert call(v) is None
+            continue
+        want = _count_error(arg, low, v)
+        assert _error(lambda: call(v)) == want, v
+        if want is None:
+            got = call(v)
+            assert got == call(int(v)), v
+            assert not stores or type(got) is int, v
+
+
+def _option_callers():
+    """(name, the option's name in the rule's message, its options, call(v))."""
+    yield ("TaskSpec.miss_policy", "task.miss_policy", MISS_POLICIES,
+           lambda v: TaskSpec(**TASK, miss_policy=v).miss_policy)
+    yield ("ReservationSpec.variant", "reservation.variant", VARIANTS,
+           lambda v: ReservationSpec(1, 2, variant=v).variant)
+    yield ("ReservationSpec.reclaiming", "reservation.reclaiming", RECLAIMING,
+           lambda v: ReservationSpec(1, 2, reclaiming=v).reclaiming)
+    yield ("Activation.kind", "activation.kind", ("periodic", "sporadic"),
+           lambda v: Activation(v).kind)
+    yield ("SchedulerConfig.kind", "scheduler.kind", ("edf", "fixed_priority", "cbs_edf"),
+           lambda v: SchedulerConfig(v, 8, priorities={1: 0},
+                                     reservations={1: ReservationSpec(1, 2)}).kind)
+    yield ("SchedulerConfig.miss_detection", "scheduler.miss_detection",
+           ("deadline", "completion"),
+           lambda v: SchedulerConfig("edf", 8, miss_detection=v).miss_detection)
+    yield ("MocKind.kind", "moc.kind", MOC_KINDS,
+           lambda v: MocKind(v, 2 if v in BUFFERED_KINDS else None).kind)
+    yield "render_trace.format", "format", ("ascii", "svg"), \
+        lambda v: render_trace(Trace([], 1, []), v)[:4]
+    yield ("parse_control.feedback", "control.feedback", ("lqr", "lqg"),
+           lambda v: parse_control({"control": {"feedback": v}})["feedback"])
+
+
+@pytest.mark.parametrize("name, arg, options, call", list(_option_callers()),
+                         ids=[name for name, *_ in _option_callers()])
+def test_every_caller_takes_exactly_the_rules_options(name, arg, options, call):
+    for v in options:
+        assert _error(lambda: call(v)) is None, v
+    for v in COUNTS:
+        assert _error(lambda: call(v)) == "%s: must be one of %s, got %r" % (
+            arg, ", ".join(options), v), v

@@ -13,7 +13,7 @@ from softrt import cli
 from softrt.cli import main
 from softrt.errors import ConfigError
 from softrt.render import render_trace
-from softrt.simcore import Event, SchedulerConfig, Trace, simulate
+from softrt.simcore import EVENT_KINDS, Event, SchedulerConfig, Trace, simulate
 from softrt.taskmodel import ReservationSpec, TaskSpec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "edf_overload_trace.csv"
@@ -185,6 +185,22 @@ def test_analyze_rejects_a_job_that_arrives_twice(tmp_path, capsys):
                                                "job 0 at tick 4 repeats its arrival at "
                                                "tick 0\n")
 
+
+def test_trace_readers_reject_an_unknown_event_kind(tmp_path, capsys):
+    # a misspelt kind used to be read and ignored, so analyze counted every
+    # job whose completion it names a miss, with exit 0
+    text = GOLDEN.read_text()
+    # the first completion is on line 6 of the CSV, after its header, and 5 of the JSONL
+    cases = [("misspelt.csv", 6, text.replace(",completion,", ",completon,")),
+             ("misspelt.jsonl", 5, Trace.from_csv(text).to_jsonl().replace(
+                 '"kind":"completion"', '"kind":"completon"'))]
+    for name, line, misspelt in cases:
+        (tmp_path / name).write_text(misspelt)
+        for cmd in (["analyze"], ["render"]):
+            assert main(cmd + [str(tmp_path / name)]) == 2, (cmd, name)
+            assert capsys.readouterr().err == (
+                "config error: trace: line %d: kind: must be one of %s, got 'completon'\n"
+                % (line, ", ".join(EVENT_KINDS)))
 
 ANALYZE_SCHEDULERS = {
     "edf": {"kind": "edf"},
@@ -787,14 +803,14 @@ def test_value_errors_name_their_json_path(tmp_path, capsys):
            "reservations": {str(t["id"]): {"budget": 1, "period": 4} for t in tasks}}
     cases = [
         (dict(OVERLOAD_CONFIG, tasks=[tasks[1], dict(tasks[2], period=0)]),
-         "tasks[1].period: must be a positive integer"),
+         "tasks[1].period: must be >= 1, got 0"),
         (dict(OVERLOAD_CONFIG, tasks=[dict(tasks[1], exec_model={
             "kind": "uniform", "lo": 3, "hi": 2})]), "tasks[0].exec_model.hi: must be > lo"),
         (dict(OVERLOAD_CONFIG, tasks=[dict(tasks[1], activation={"kind": "bursty"})]),
          "tasks[0].activation.kind: must be"),
         (dict(cbs, reservations=dict(cbs["reservations"], **{"2": {"budget": 0,
                                                                    "period": 4}})),
-         "reservations[2].budget: must be a positive integer"),
+         "reservations[2].budget: must be >= 1, got 0"),
     ]
     for doc, want in cases:
         assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 2, want
@@ -980,7 +996,7 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys, cmd, doc, field):
     (["analyze", str(GOLDEN)], {"constraints": {"1": {"m": 3, "n": 2}}},
      "constraints[1].m: need 0 <= m <= n"),
     (["analyze", str(GOLDEN)], {"constraints": {"2": {"m": 0, "n": 0}}},
-     "constraints[2].n: window must be >= 1"),
+     "constraints[2].n: must be >= 1, got 0"),
 ], ids=["chain-Q", "chain-R", "chain-d_max", "chain-T", "chain-scripted", "moc-Q", "moc-T",
         "moc-n_traj", "moc-horizon", "moc-act_delay", "constraint-m", "constraint-n"])
 def test_routine_value_errors_name_their_json_path(tmp_path, capsys, cmd, doc, message):

@@ -23,6 +23,7 @@ from softrt.simcore import (
     simulate,
 )
 from softrt.taskmodel import (
+    Activation,
     Deterministic,
     Empirical,
     ReservationSpec,
@@ -433,10 +434,10 @@ def test_engine_skips_event_free_ticks(caplog):
 
 
 def test_memory_grows_with_recorded_events_not_jobs():
-    # a criterion-6-shaped run: one hard-CBS task, misses only.  Beside its
-    # arrival ticks, the engine holds one pending job per task, so the
-    # traced peak above what the run leaves behind stays small per job (a
-    # job table built before the first tick cost about 170 B per job)
+    # a criterion-6-shaped run: one hard-CBS task, misses only.  The engine
+    # holds one pending job per task, so the traced peak above what the run
+    # leaves behind stays small per job (a job table built before the first
+    # tick cost about 170 B per job)
     n_jobs = 10_000
     task = TaskSpec(id=1, wcet=5, rel_deadline=4, period=4, miss_policy="abort",
                     exec_model=Empirical((1, 2, 3, 5)))
@@ -453,6 +454,38 @@ def test_memory_grows_with_recorded_events_not_jobs():
         tracemalloc.stop()
     assert trace.miss_count() > 0
     assert (peak - retained) / n_jobs < 100
+
+
+def _peak_above_retained(activation, n_jobs: int) -> int:
+    """Bytes by which simulate's traced peak exceeds the trace it returns,
+    for one hard-CBS task over n_jobs of its periods that records no event
+    (an aborting task skips none), so that only the engine's own state
+    counts."""
+    task = TaskSpec(id=1, wcet=5, rel_deadline=4, period=4, activation=activation,
+                    miss_policy="abort", exec_model=Empirical((1, 2, 3, 5)))
+    cfg = SchedulerConfig(
+        kind="cbs_edf", horizon=n_jobs * 4,
+        reservations={1: ReservationSpec(budget=2, period=2, variant="hard_suspend")},
+        collect=frozenset({"job_skipped"}))
+    tracemalloc.start()
+    try:
+        trace = simulate([task], cfg, seed=3)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.events == []
+    return peak - retained
+
+
+@pytest.mark.parametrize("activation", [Activation("periodic"),
+                                        Activation("sporadic", Deterministic(4))],
+                         ids=["periodic", "sporadic"])
+def test_memory_does_not_grow_with_the_horizon(activation):
+    # arrival ticks are made as the engine reaches them: a list of them
+    # grew the peak by 26-40 B per job
+    growth = _peak_above_retained(activation, 4_000) - \
+        _peak_above_retained(activation, 2_000)
+    assert growth / 2_000 < 1
 
 
 def test_each_job_is_drawn_once(monkeypatch, overload_tasks):

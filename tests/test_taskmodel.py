@@ -116,7 +116,7 @@ def test_unknown_model_types_are_config_errors(model):
         task.demand(1, seed=0)
     act = Activation("sporadic", gap_model=model)
     with pytest.raises(ConfigError, match=r"exec_model: unknown model type"):
-        TaskSpec(id=1, wcet=1, rel_deadline=4, period=4, activation=act).arrivals(9, 0)
+        list(TaskSpec(id=1, wcet=1, rel_deadline=4, period=4, activation=act).arrivals(9, 0))
 
 
 def test_scripted_plays_values_then_fallback():
@@ -259,16 +259,16 @@ def test_enforce_wcet_clips_overruns():
 
 def test_periodic_arrivals():
     t = TaskSpec(id=1, wcet=1, rel_deadline=4, period=4)
-    assert t.arrivals(20, seed=0) == [0, 4, 8, 12, 16]
+    assert list(t.arrivals(20, seed=0)) == [0, 4, 8, 12, 16]
 
 
 def test_sporadic_min_gap():
     short = Activation("sporadic", gap_model=Deterministic(1))
     t = TaskSpec(id=1, wcet=1, rel_deadline=3, period=3, activation=short)
-    assert t.arrivals(12, seed=0) == [0, 3, 6, 9]  # gap clips up to the period
+    assert list(t.arrivals(12, seed=0)) == [0, 3, 6, 9]  # gap clips up to the period
     wide = Activation("sporadic", gap_model=Deterministic(7))
     t2 = TaskSpec(id=1, wcet=1, rel_deadline=3, period=3, activation=wide)
-    assert t2.arrivals(20, seed=0) == [0, 7, 14]
+    assert list(t2.arrivals(20, seed=0)) == [0, 7, 14]
 
 
 def test_reservation_validation_and_bandwidth():
@@ -318,8 +318,8 @@ def test_tick_cdf_monotone_and_saturates(model):
 def test_sporadic_gaps_respect_period(period, seed, horizon):
     act = Activation("sporadic", gap_model=Uniform(0.5, 3.0 * period))
     t = TaskSpec(id=1, wcet=1, rel_deadline=period, period=period, activation=act)
-    arr = t.arrivals(horizon, seed)
-    assert arr == t.arrivals(horizon, seed)
+    arr = list(t.arrivals(horizon, seed))
+    assert arr == list(t.arrivals(horizon, seed))
     assert arr[0] == 0
     assert all(b - a >= period for a, b in zip(arr, arr[1:]))
     assert all(0 <= a < horizon for a in arr)
@@ -402,4 +402,4 @@ def test_keyed_draws_match_seed_string_streams(model, gap_model, enforce, wcet,
                     exec_model=model, enforce_wcet=enforce)
     assert [task.demand(j, seed) for j in range(8)] == \
         [_reference_demand(task, j, seed) for j in range(8)]
-    assert task.arrivals(40, seed) == _reference_arrivals(task, 40, seed)
+    assert list(task.arrivals(40, seed)) == _reference_arrivals(task, 40, seed)

@@ -81,8 +81,14 @@ def _check_io(trace):
             _read_like_oracle(Trace.from_jsonl, oracle.from_jsonl, trace.to_jsonl(),
                               horizon)
         else:
-            # the reference took any JSON value for a tick or task
-            with pytest.raises(ConfigError, match="tick and task must be integers"):
+            # the reference took any JSON value for a tick or task; the
+            # package names the first line with one, or with an unknown kind
+            n, e = next((n, e) for n, e in enumerate(trace.events, start=1)
+                        if not (type(e.tick) is int and type(e.task) is int
+                                and e.kind in EVENT_KINDS))
+            why = "kind: must be one of" if type(e.tick) is int and type(e.task) is int \
+                else "tick and task must be integers"
+            with pytest.raises(ConfigError, match="^trace: line %d: %s" % (n, why)):
                 Trace.from_jsonl(trace.to_jsonl(), horizon)
 
 

@@ -2,7 +2,8 @@
 job-record builder and the per-task metrics softrt shipped before the trace
 path was made single-pass (to_jsonl: before it reused one JSON encoder),
 kept verbatim as the oracle for the differential test in
-test_trace_io_differential.py.
+test_trace_io_differential.py, but that the readers now reject an event
+kind outside EVENT_KINDS, as the package's do.
 
 Each function takes the trace (or the text) it used to be a method or
 argument of.  Only the output types (Event, Trace, JobRecord, CheckResult)
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional
 
 from softrt.analysis import CheckResult, MissConstraint
 from softrt.errors import ConfigError
-from softrt.simcore import Event, Trace
+from softrt.simcore import EVENT_KINDS, Event, Trace
 from softrt.taskmodel import JobRecord
 
 
@@ -77,7 +78,7 @@ def from_csv(text: str, horizon: Optional[int] = None) -> Trace:
     if not rows or rows[0] != ["tick", "kind", "task", "payload"]:
         raise ConfigError("trace: expected header tick,kind,task,payload")
     events = [Event(int(r[0]), r[1], int(r[2]), json.loads(r[3])) for r in rows[1:]]
-    return _from_events(events, horizon)
+    return _from_events(_known_kinds(events), horizon)
 
 
 def from_jsonl(text: str, horizon: Optional[int] = None) -> Trace:
@@ -87,7 +88,14 @@ def from_jsonl(text: str, horizon: Optional[int] = None) -> Trace:
             continue
         d = json.loads(line)
         events.append(Event(d["tick"], d["kind"], d["task"], d["payload"]))
-    return _from_events(events, horizon)
+    return _from_events(_known_kinds(events), horizon)
+
+
+def _known_kinds(events):
+    for e in events:
+        if e.kind not in EVENT_KINDS:
+            raise ConfigError("trace: unknown event kind %r" % (e.kind,))
+    return events
 
 
 def _from_events(events, horizon):
