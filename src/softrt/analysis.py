@@ -16,13 +16,17 @@ from typing import List, Optional, Tuple
 
 from .errors import ConfigError
 from .simcore import Trace
-from .taskmodel import ExecTimeModel, _integer, check_reservation, tick_cdf
+from .taskmodel import ExecTimeModel, _integer, _items, check_reservation, tick_cdf
 
 
-def _pair(m, n, m_name: str, n_name: str) -> Tuple[int, int]:
-    """(m, n) as ints, if they are counts m >= 0 and n >= 1 with m <= n;
-    else a ConfigError naming the field at fault."""
-    m, n = _integer(m, m_name, 0), _integer(n, n_name, 1)
+def _pair(pair, m_name: str, n_name: str) -> Tuple[int, int]:
+    """pair as (m, n) ints, if it is a collection (see _items) of two counts
+    m >= 0 and n >= 1 with m <= n; else a ConfigError naming the field at
+    fault."""
+    items = _items(pair, m_name)
+    if len(items) != 2:
+        raise ConfigError("%s: must be a pair (m, n), got %r" % (m_name, pair))
+    m, n = _integer(items[0], m_name, 0), _integer(items[1], n_name, 1)
     if m > n:
         raise ConfigError("%s: need 0 <= m <= n" % m_name)
     return m, n
@@ -42,12 +46,12 @@ class MissConstraint:
     conjunction: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        m, n = _pair(self.m, self.n, "constraint.m", "constraint.n")
+        m, n = _pair((self.m, self.n), "constraint.m", "constraint.n")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "conjunction", tuple(
-            _pair(m, n, *["constraint.conjunction[%d]" % i] * 2)
-            for i, (m, n) in enumerate(self.conjunction)))
+            _pair(pair, *["constraint.conjunction[%d]" % i] * 2)
+            for i, pair in enumerate(_items(self.conjunction, "constraint.conjunction"))))
 
     @property
     def pairs(self) -> Tuple[Tuple[int, int], ...]:

@@ -18,12 +18,12 @@ import dataclasses
 import inspect
 import json
 from dataclasses import MISSING
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from .analysis import MissConstraint
-from .controlcore import ContinuousLti
+from .controlcore import ContinuousLti, _as_matrix
 from .errors import ConfigError
 from .moc import MocKind, build_delay_chain, cosimulate
 from .simcore import SchedulerConfig
@@ -59,11 +59,10 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _json(value, path: str, kind=dict):
-    """value, if it is a JSON object (kind dict) or array (kind list)."""
-    if not isinstance(value, kind):
-        raise ConfigError("%s: expected a JSON %s"
-                          % (path, "object" if kind is dict else "array"))
+def _json(value, path: str) -> dict:
+    """value, if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError("%s: expected a JSON object" % path)
     return value
 
 
@@ -171,18 +170,12 @@ def parse_exec_model(d, path: str):
     cls = EXEC_MODELS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError("%s.kind: unknown execution-time model %r" % (path, kind))
-    return _build(cls, d, path, "exec_model", keys=("kind",), values=_tuple,
-                  fallback=parse_exec_model)
+    return _build(cls, d, path, "exec_model", keys=("kind",), fallback=parse_exec_model)
 
 
 # the reader of a routine argument's JSON value, by its parameter's annotation
 _READERS = {"int": _integer, "Optional[int]": _integer, "float": _positive,
             "ExecTimeModel": parse_exec_model}
-
-
-def _tuple(raw, path: str) -> tuple:
-    """raw, if it is a JSON array, as a tuple."""
-    return tuple(_json(raw, path, list))
 
 
 def parse_task(d, path: str) -> TaskSpec:
@@ -214,7 +207,7 @@ def parse_scheduler(doc: dict) -> SchedulerConfig:
     kwargs = _kwargs(SchedulerConfig, _get(doc, "scheduler", "config"), "scheduler",
                      {"reservations": "not a scheduler field; reservations is a "
                                       "top-level section"},
-                     priorities=_priorities, collect=_kinds)
+                     priorities=_priorities)
     if kwargs["kind"] == "cbs_edf":
         kwargs["reservations"] = parse_reservations(doc)
     return SchedulerConfig(**kwargs)
@@ -224,50 +217,22 @@ def _priorities(raw, path: str) -> Dict[int, object]:
     return {_task_id(k, path): v for k, v in _json(raw, path).items()}
 
 
-def _kinds(raw, path: str) -> frozenset:
-    """raw, if it is a JSON array of strings (event kinds), as a frozenset."""
-    kinds = _json(raw, path, list)
-    for i, kind in enumerate(kinds):
-        if not isinstance(kind, str):
-            raise ConfigError("%s[%d]: expected an event kind string, got %r"
-                              % (path, i, kind))
-    return frozenset(kinds)
-
-
 def parse_constraints(doc: dict) -> Dict[int, MissConstraint]:
     out = {}
     for key, c in _json(doc.get("constraints", {}), "constraints").items():
         path = "constraints[%s]" % key
-        out[_task_id(key, "constraints")] = _build(MissConstraint, c, path,
-                                                   "constraint", conjunction=_pairs)
+        out[_task_id(key, "constraints")] = _build(MissConstraint, c, path, "constraint")
     return out
-
-
-def _pairs(raw, path: str) -> Tuple[Tuple[int, int], ...]:
-    """raw, if it is a JSON array of [m, n] pairs, as tuples; MissConstraint
-    checks the counts."""
-    pairs = _json(raw, path, list)
-    for i, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError("%s[%d]: expected an [m, n] pair, got %r" % (path, i, pair))
-    return tuple(map(tuple, pairs))
-
-
-def _matrix(raw, path: str) -> np.ndarray:
-    try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("%s: expected a numeric matrix (list of rows)" % path)
 
 
 def parse_plant(doc: dict) -> ContinuousLti:
     raw = _object(_get(doc, "plant", "config"), "plant", ("A", "B", "C", "D"))
-    A = _matrix(_get(raw, "A", "plant"), "plant.A")
-    B = _matrix(_get(raw, "B", "plant"), "plant.B")
+    A = _as_matrix(_get(raw, "A", "plant"), "plant.A")
+    B = _as_matrix(_get(raw, "B", "plant"), "plant.B")
     if "C" in raw or "D" in raw:
-        n, p = A.shape[0], B.shape[1] if B.ndim == 2 else 1
-        C = _matrix(raw["C"], "plant.C") if "C" in raw else np.eye(n)
-        D = _matrix(raw["D"], "plant.D") if "D" in raw else np.zeros((C.shape[0], p))
+        n, p = A.shape[0], B.shape[1]
+        C = _as_matrix(raw["C"], "plant.C") if "C" in raw else np.eye(n)
+        D = _as_matrix(raw["D"], "plant.D") if "D" in raw else np.zeros((C.shape[0], p))
         return ContinuousLti(A, B, C, D)
     return ContinuousLti.from_ab(A, B)
 
@@ -283,8 +248,8 @@ def parse_control(doc: dict) -> dict:
         "feedback": _choice(raw.get("feedback", "lqr"), "control.feedback", ("lqr", "lqg")),
     }
     w = _object(raw.get("weights", {}), "control.weights", ("Qx", "Ru"))
-    out["Qx"] = _matrix(w["Qx"], "control.weights.Qx") if "Qx" in w else None
-    out["Ru"] = _matrix(w["Ru"], "control.weights.Ru") if "Ru" in w else None
+    out["Qx"] = _as_matrix(w["Qx"], "control.weights.Qx") if "Qx" in w else None
+    out["Ru"] = _as_matrix(w["Ru"], "control.weights.Ru") if "Ru" in w else None
     return out
 
 
@@ -307,5 +272,5 @@ def parse_chain(doc: dict) -> dict:
 def parse_sweep(doc: dict, seed=None) -> SweepConfig:
     exact = "not a sweep field; verdicts are exact"
     sweep = _build(SweepConfig, doc.get("sweep", {}), "sweep", "sweep",
-                   {"horizon": exact, "n_traj": exact}, grid=_tuple, mocs=_tuple)
+                   {"horizon": exact, "n_traj": exact})
     return sweep if seed is None else dataclasses.replace(sweep, seed=seed)

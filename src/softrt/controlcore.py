@@ -29,7 +29,12 @@ from .taskmodel import _positive
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
-    A = np.asarray(M, dtype=float)
+    """The one rule for a matrix: M as a 2-d float array of finite entries;
+    else a ConfigError naming name."""
+    try:
+        A = np.asarray(M, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or an entry that is no number
+        raise ConfigError("%s: expected a numeric matrix (list of rows)" % name) from None
     if A.ndim != 2:
         raise ConfigError("%s: expected a 2-d matrix, got shape %s" % (name, A.shape))
     if not np.isfinite(A).all():

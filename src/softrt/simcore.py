@@ -14,6 +14,9 @@ next completion is at ``now + demand - executed`` and the next exhaustion at
 
 Each event is an ``Event``, a ``(tick, kind, task, payload)`` named tuple.
 The engine and the trace readers build it with ``_event``, one C call.
+A trace is sorted by (tick, the kind's position in ``EVENT_KINDS``, task).
+Both trace readers check a row by one rule, ``_row``, and ``SchedulerConfig``
+its fields by taskmodel's rules (``collect`` by ``_items`` and ``_choice``).
 
 Building, reading and taking the records of a trace runs with the cyclic
 garbage collector paused (``_gc_paused``).  These calls allocate a
@@ -49,13 +52,16 @@ from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigError
-from .taskmodel import JobRecord, ReservationSpec, TaskSpec, _choice, _counts, _integer
+from .taskmodel import (JobRecord, ReservationSpec, TaskSpec, _choice, _counts, _integer,
+                        _items)
 
 log = logging.getLogger(__name__)
 
+# Every event kind, in the order its events take within one tick: what ends or
+# accounts for the previous tick's execution comes before the job_start of the
+# next dispatch, so a stop and a restart of one task read in causal order.
 EVENT_KINDS = (
     "arrival",
-    "job_start",
     "preemption",
     "completion",
     "deadline_miss",
@@ -64,23 +70,9 @@ EVENT_KINDS = (
     "server_recharge",
     "job_aborted",
     "job_skipped",
+    "job_start",
 )
-
-# Within one tick, everything that ends or accounts for the previous tick's
-# execution sorts before the job_start of the next dispatch, so a stop and a
-# restart of the same task in one tick read in causal order.
-_SORT_RANK = {
-    "arrival": 0,
-    "preemption": 1,
-    "completion": 2,
-    "deadline_miss": 3,
-    "budget_exhausted": 4,
-    "deadline_postponed": 5,
-    "server_recharge": 6,
-    "job_aborted": 7,
-    "job_skipped": 8,
-    "job_start": 9,
-}
+_SORT_RANK = {kind: rank for rank, kind in enumerate(EVENT_KINDS)}
 
 # kinds that terminate an execution segment of the running job
 STOP_KINDS = ("preemption", "completion", "job_aborted", "budget_exhausted")
@@ -165,8 +157,6 @@ def _payload_ints(event: Event, *names: str) -> List[int]:
 _CSV_HEADER = "tick,kind,task,payload\n"
 # what an outcome event makes of its job; a completion reads its "late" field
 _OUTCOMES = {"completion": None, "job_aborted": "aborted", "job_skipped": "skipped"}
-# event kinds csv.writer writes without quotes
-_PLAIN_KINDS = frozenset(EVENT_KINDS)
 _encode_payload = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -269,7 +259,7 @@ class Trace:
         return _CSV_HEADER + "".join([
             f"{tick},{kind},{task},{field}\n"
             if type(tick) is int and type(task) is int
-            and type(kind) is str and kind in _PLAIN_KINDS
+            and type(kind) is str and kind in _SORT_RANK
             else _csv_row(tick, kind, task, payload)
             for (tick, kind, task, payload), field in zip(events, fields)])
 
@@ -323,12 +313,8 @@ class Trace:
             missing = [k for k in ("tick", "kind", "task", "payload") if k not in d]
             if missing:
                 raise ConfigError("trace: line %d: missing key %r" % (n, missing[0]))
-            if type(d["tick"]) is not int or type(d["task"]) is not int:
-                raise ConfigError("trace: line %d: tick and task must be integers" % n)
-            _choice(d["kind"], "trace: line %d: kind" % n, EVENT_KINDS)
-            if type(d["payload"]) is not dict:
-                raise ConfigError("trace: line %d: payload must be a JSON object" % n)
-            events.append(_event((d["tick"], d["kind"], d["task"], d["payload"])))
+            events.append(_row("trace: line %d: " % n, d["tick"], d["kind"], d["task"],
+                               d["payload"]))
         return cls._from_events(events, horizon)
 
     @classmethod
@@ -397,7 +383,7 @@ def _bulk_columns(rows: Iterable[List[str]]) -> Optional[Tuple[list, list, list,
     except (ValueError, RecursionError, csv.Error):
         return None
     if len(values) != n or set(map(type, values)) != {dict} \
-            or not _PLAIN_KINDS.issuperset(kinds):
+            or not _SORT_RANK.keys() >= set(kinds):
         return None
     return ticks, kinds, tasks, values
 
@@ -421,16 +407,26 @@ def _checked_events(text: str) -> List[Event]:
         try:
             tick, task = int(row[0]), int(row[2])
         except ValueError:
-            raise ConfigError(where + "tick and task must be integers, got %r and %r"
-                              % (row[0], row[2]))
+            tick, task = row[0], row[2]
         try:
             payload = json.loads(row[3])
         except (ValueError, RecursionError):
             payload = None
-        if type(payload) is not dict:
-            raise ConfigError(where + "payload must be one JSON object, got %r" % row[3])
-        events.append(_event((tick, _choice(row[1], where + "kind", EVENT_KINDS), task,
-                              payload)))
+        events.append(_row(where, tick, row[1], task,
+                           payload if type(payload) is dict else row[3]))
+
+
+def _row(where: str, tick, kind, task, payload) -> Event:
+    """The event of one row of a trace file: tick and task must be ints, kind
+    one of EVENT_KINDS and payload a dict, or else a ConfigError that starts
+    with where, checked in that order."""
+    if type(tick) is not int or type(task) is not int:
+        raise ConfigError(where + "tick and task must be integers, got %r and %r"
+                          % (tick, task))
+    _choice(kind, where + "kind", EVENT_KINDS)
+    if type(payload) is not dict:
+        raise ConfigError(where + "payload must be one JSON object, got %r" % (payload,))
+    return _event((tick, kind, task, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +509,25 @@ class SchedulerConfig:
         _counts(self, "scheduler.", horizon=1)
         if self.kind == "fixed_priority" and not self.priorities:
             raise ConfigError("scheduler.priorities: required for fixed_priority")
+        for name in ("priorities", "reservations"):  # dicts by task id
+            if not isinstance(getattr(self, name), (dict, type(None))):
+                raise ConfigError("scheduler.%s: must be a dict by task id, got %r"
+                                  % (name, getattr(self, name)))
         if self.priorities is not None:
             object.__setattr__(self, "priorities", {
                 tid: _integer(prio, "scheduler.priorities[%s]" % tid)
                 for tid, prio in self.priorities.items()})
         if self.kind == "cbs_edf" and not self.reservations:
             raise ConfigError("scheduler.reservations: required for cbs_edf")
+        for tid, spec in (self.reservations or {}).items():
+            if not isinstance(spec, ReservationSpec):
+                raise ConfigError("scheduler.reservations[%s]: must be a ReservationSpec, "
+                                  "got %r" % (tid, spec))
         _choice(self.miss_detection, "scheduler.miss_detection", ("deadline", "completion"))
         if self.collect is not None:
-            unknown = sorted(set(self.collect) - set(EVENT_KINDS))
-            if unknown:
-                raise ConfigError("scheduler.collect: unknown event kind %r (expected "
-                                  "some of %s)" % (unknown[0], ", ".join(EVENT_KINDS)))
+            object.__setattr__(self, "collect", frozenset(
+                _choice(kind, "scheduler.collect[%d]" % i, EVENT_KINDS)
+                for i, kind in enumerate(_items(self.collect, "scheduler.collect"))))
 
 
 class _Job:
@@ -584,8 +587,8 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     # collect filter drops.
     debug = log.isEnabledFor(logging.DEBUG)
     keep = EVENT_KINDS if collect is None or debug else collect
-    (rec_arrival, rec_start, rec_preempt, rec_completion, rec_miss, rec_exhausted,
-     rec_postponed, rec_recharge, rec_aborted, rec_skipped) = \
+    (rec_arrival, rec_preempt, rec_completion, rec_miss, rec_exhausted, rec_postponed,
+     rec_recharge, rec_aborted, rec_skipped, rec_start) = \
         (kind in keep for kind in EVENT_KINDS)
     events: List[Event] = []
     add = events.append

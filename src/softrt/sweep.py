@@ -29,7 +29,8 @@ import numpy as np
 from .controlcore import ContinuousLti, dlqr
 from .errors import ConfigError, NumericalError
 from .moc import BUFFERED_KINDS, MOC_KINDS, MocKind, _discretiser, _verdict_table
-from .taskmodel import Beta, _counts, _integer, _is_int, _is_real, _positive, derived_seed
+from .taskmodel import (Beta, _choice, _counts, _integer, _is_int, _is_real, _items,
+                        _positive, derived_seed)
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +62,7 @@ class SweepConfig:
         if not (_is_int(self.seed) or isinstance(self.seed, str)):
             raise ConfigError("sweep.seed: must be an integer or a string, got %r"
                               % (self.seed,))
+        object.__setattr__(self, "grid", _items(self.grid, "sweep.grid"))
         for i, b in enumerate(self.grid):
             if not _is_real(b):
                 raise ConfigError("sweep.grid[%d]: must be a number, got %r" % (i, b))
@@ -76,11 +78,9 @@ class SweepConfig:
         if not self.grid or list(self.grid) != sorted(self.grid):
             raise ConfigError("sweep.grid: bandwidth grid must be non-empty and "
                               "sorted ascending")
+        object.__setattr__(self, "mocs", _items(self.mocs, "sweep.mocs"))
         for i, m in enumerate(self.mocs):
-            if m not in MOC_KINDS:
-                raise ConfigError("sweep.mocs[%d]: unknown model of computation %r"
-                                  % (i, m))
-            if m in self.mocs[:i]:
+            if _choice(m, "sweep.mocs[%d]" % i, MOC_KINDS) in self.mocs[:i]:
                 raise ConfigError("sweep.mocs[%d]: %r is listed twice" % (i, m))
 
     @property

@@ -5,6 +5,11 @@ All times are integer scheduler ticks.  Continuous execution-time models
 tick, and clipped to a minimum of one tick; ``tick_cdf`` describes exactly
 that rounded distribution so analytic results stay consistent with what the
 samplers produce.
+
+The input rules live here, one per kind of value, each raising a ConfigError
+that starts with the name of the value at fault: ``_integer`` (a count),
+``_choice`` (a named option), ``_positive`` (a duration), ``_items`` (a
+collection), ``_model`` (a demand model) and ``check_reservation``.
 """
 
 from __future__ import annotations
@@ -62,6 +67,17 @@ def _choice(v, name: str, options):
     if not (isinstance(v, str) and v in options):
         raise ConfigError("%s: must be one of %s, got %r" % (name, ", ".join(options), v))
     return v
+
+
+def _items(v, name: str) -> tuple:
+    """The one rule for a collection: the items of a list, tuple, set or
+    frozenset v as a tuple, a set's in sorted-repr order so that a message
+    names the same item under any hash seed; else (a str too) a ConfigError."""
+    if isinstance(v, (set, frozenset)):
+        return tuple(sorted(v, key=repr))
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError("%s: must be a list, got %r" % (name, v))
+    return tuple(v)
 
 
 def _is_real(v) -> bool:
@@ -151,7 +167,8 @@ class Beta:
 def _values(model) -> None:
     """Store model's per-job demands as a tuple of ints, each a count >= 1."""
     object.__setattr__(model, "values", tuple(
-        _integer(v, "exec_model.values", 1) for v in model.values))
+        _integer(v, "exec_model.values", 1)
+        for v in _items(model.values, "exec_model.values")))
 
 
 @dataclass(frozen=True)
@@ -187,11 +204,12 @@ EXEC_MODELS = {"deterministic": Deterministic, "uniform": Uniform, "beta": Beta,
                "empirical": Empirical, "scripted": Scripted}
 
 
-def _model(model):
-    """The one rule for a demand model: model, if of a class in EXEC_MODELS.
-    A Scripted fallback is checked where it is read, not at construction."""
+def _model(model, name: str = "exec_model"):
+    """The one rule for a demand model: model, if of a class in EXEC_MODELS;
+    else a ConfigError naming name.  A Scripted fallback is checked where it
+    is read, not at construction."""
     if not isinstance(model, tuple(EXEC_MODELS.values())):
-        raise ConfigError("exec_model: unknown model type %r" % (model,))
+        raise ConfigError("%s: unknown model type %r" % (name, model))
     return model
 
 
@@ -293,6 +311,8 @@ class Activation:
         _choice(self.kind, "activation.kind", ("periodic", "sporadic"))
         if self.kind == "periodic" and self.gap_model is not None:
             raise ConfigError("activation.gap_model: only valid for sporadic tasks")
+        if self.gap_model is not None:
+            _model(self.gap_model, "activation.gap_model")
 
 
 PERIODIC = Activation("periodic")
@@ -317,6 +337,7 @@ class TaskSpec:
                               % (self.enforce_wcet,))
         if self.exec_model is None:
             object.__setattr__(self, "exec_model", Deterministic(self.wcet))
+        _model(self.exec_model, "task.exec_model")
 
     def demand(self, job_index: int, seed) -> int:
         """Job job_index's demand, keyed by "seed/exec/task id/job index"."""

@@ -1,20 +1,30 @@
 """taskmodel._positive is the one rule for a duration in seconds (and a
 shape parameter), taskmodel._model the one rule for a demand model,
 taskmodel._integer the one rule for a count and taskmodel._choice the one
-rule for a named option, and every routine that takes one accepts exactly
-what its rule accepts.  A duration is a finite real > 0, Python's or
-numpy's, never a boolean; a demand model is an instance of one of the five
-model classes; a count is an integer, Python's or numpy's, never a boolean,
-at least its caller's bound, and is stored as a Python int; an option is a
-string among its caller's options.  Anything else is a ConfigError with the
-rule's message, never another exception."""
+rule for a named option, taskmodel._items the one rule for a collection and
+controlcore._as_matrix the one rule for a matrix, and every routine that
+takes one accepts exactly what its rule accepts.  A duration is a finite
+real > 0, Python's or numpy's, never a boolean; a demand model is an
+instance of one of the five model classes; a count is an integer, Python's
+or numpy's, never a boolean, at least its caller's bound, and is stored as a
+Python int; an option is a string among its caller's options; a collection
+is a list, tuple, set or frozenset, stored as a tuple (collect as a
+frozenset).  Anything else is a ConfigError with the rule's message, never
+another exception."""
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import softrt
 from softrt.analysis import MissConstraint, dropout_probability
 from softrt.cli import main
 from softrt.config import parse_control
@@ -24,7 +34,7 @@ from softrt.moc import (BUFFERED_KINDS, MOC_KINDS, MocKind, build_delay_chain, c
                         cs_modes, service_distribution, service_periods, stabilizes,
                         verdicts)
 from softrt.render import render_trace
-from softrt.simcore import SchedulerConfig, Trace
+from softrt.simcore import EVENT_KINDS, SchedulerConfig, Trace
 from softrt.sweep import SweepConfig, bandwidth_sweep, random_system, sweep_to_csv
 from softrt.taskmodel import (MISS_POLICIES, RECLAIMING, VARIANTS, Activation, Beta,
                               Deterministic, Empirical, ReservationSpec, Scripted, TaskSpec,
@@ -301,3 +311,104 @@ def test_every_caller_takes_exactly_the_rules_options(name, arg, options, call):
     for v in COUNTS:
         assert _error(lambda: call(v)) == "%s: must be one of %s, got %r" % (
             arg, ", ".join(options), v), v
+
+
+def _malformed():
+    """(name, call, the path of the field at fault) for every malformed
+    collection or mapping value a config class or a plant takes."""
+    yield ("collect-mixed-set",
+           lambda: SchedulerConfig("edf", 8, collect=frozenset({3, "bogus"})),
+           "scheduler.collect[0]")
+    yield "collect-scalar", lambda: SchedulerConfig("edf", 8, collect=5), "scheduler.collect"
+    yield ("collect-string", lambda: SchedulerConfig("edf", 8, collect="arrival"),
+           "scheduler.collect")
+    yield ("collect-nested", lambda: SchedulerConfig("edf", 8, collect=[[1]]),
+           "scheduler.collect[0]")
+    yield "grid-scalar", lambda: SweepConfig(grid=0.5), "sweep.grid"
+    yield "mocs-scalar", lambda: SweepConfig(mocs=5), "sweep.mocs"
+    yield "mocs-string", lambda: SweepConfig(mocs="cs"), "sweep.mocs"
+    yield ("conjunction-triple", lambda: MissConstraint(1, 2, conjunction=((1, 2, 3),)),
+           "constraint.conjunction[0]")
+    yield ("conjunction-scalar-pair", lambda: MissConstraint(1, 2, conjunction=(3,)),
+           "constraint.conjunction[0]")
+    yield ("conjunction-scalar", lambda: MissConstraint(1, 2, conjunction=3),
+           "constraint.conjunction")
+    yield "empirical-scalar", lambda: Empirical(3), "exec_model.values"
+    yield "scripted-scalar", lambda: Scripted(3, Deterministic(1)), "exec_model.values"
+    yield ("matrix-ragged", lambda: ContinuousLti.from_ab([[1, 2], [3]], [[1], [1]]),
+           "plant.A")
+    yield "matrix-string", lambda: ContinuousLti.from_ab("ab", [[1]]), "plant.A"
+    yield ("priorities-list", lambda: SchedulerConfig("fixed_priority", 8, priorities=[1]),
+           "scheduler.priorities")
+    yield ("reservations-list", lambda: SchedulerConfig("cbs_edf", 8, reservations=[1]),
+           "scheduler.reservations")
+    yield ("reservations-value", lambda: SchedulerConfig("cbs_edf", 8, reservations={1: 5}),
+           "scheduler.reservations[1]")
+    yield "exec-model", lambda: TaskSpec(**TASK, exec_model=5), "task.exec_model"
+    yield "gap-model", lambda: Activation("sporadic", gap_model=5), "activation.gap_model"
+
+
+@pytest.mark.parametrize("name, call, field", list(_malformed()),
+                         ids=[name for name, *_ in _malformed()])
+def test_every_malformed_collection_names_its_field(name, call, field):
+    msg = _error(call)
+    assert msg is not None and msg.startswith(field + ": "), msg
+
+
+def test_collections_are_stored_as_tuples():
+    assert SweepConfig(grid=[0.5, 1.0], mocs=["cs"]).grid == (0.5, 1.0)
+    assert SweepConfig(grid={1.0, 0.5}, mocs={"cs"}).mocs == ("cs",)
+    assert MissConstraint(1, 2, conjunction=[[0, 1]]).conjunction == ((0, 1),)
+    assert Empirical([2, 1]).values == (2, 1)
+    assert SchedulerConfig("edf", 8, collect=["arrival"]).collect == frozenset({"arrival"})
+    # a set's items are checked in sorted-repr order, the same in every run
+    assert _error(lambda: SweepConfig(mocs={"x", "cs"})) == \
+        "sweep.mocs[1]: must be one of %s, got 'x'" % ", ".join(MOC_KINDS)
+
+
+kinds = st.one_of(st.sampled_from(EVENT_KINDS), st.text(max_size=3), st.integers())
+
+
+@given(st.one_of(kinds, st.lists(kinds), st.sets(kinds), st.frozensets(kinds)))
+@settings(max_examples=300, deadline=None)
+def test_collect_is_a_set_of_event_kinds_or_a_config_error(collect):
+    try:
+        got = SchedulerConfig("edf", 8, collect=collect).collect
+    except ConfigError as exc:
+        assert str(exc).startswith("scheduler.collect")
+        return
+    assert type(got) is frozenset and got <= set(EVENT_KINDS)
+    assert got == set(collect)
+
+
+def test_a_sets_error_names_the_same_item_under_any_hash_seed():
+    code = ("from softrt.simcore import SchedulerConfig\n"
+            "print(list(frozenset({'x', 'y'})))\n"
+            "try:\n"
+            "    SchedulerConfig('edf', 8, collect=frozenset({'x', 'y'}))\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    src = str(pathlib.Path(softrt.__file__).parents[1])
+    orders, messages = set(), set()
+    for seed in ("0", "1"):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONHASHSEED=seed,
+                                                  PYTHONPATH=src)).stdout.splitlines()
+        orders.add(out[0])
+        messages.add(out[1])
+    assert len(orders) == 2  # the two seeds iterate the set in different orders
+    assert messages == {"ConfigError scheduler.collect[0]: must be one of %s, got 'x'"
+                        % ", ".join(EVENT_KINDS)}
+
+
+SRC = pathlib.Path(softrt.__file__).parent
+
+
+def test_each_rule_has_one_wording():
+    text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    for words in ("must be an integer, got", "must be one of", "must be a number > 0",
+                  "must be a list, got", "expected a numeric matrix"):
+        assert text.count(words) == 1, words
+    for words in ("unknown event kind", "expected an event kind",
+                  "unknown model of computation", "expected an [m, n] pair"):
+        assert words not in text, words

@@ -111,6 +111,15 @@ def test_enforce_wcet_must_be_a_boolean():
 @pytest.mark.parametrize("model", [3, Scripted((1,), fallback="uniform")],
                          ids=["plain", "fallback"])
 def test_unknown_model_types_are_config_errors(model):
+    # a value of no model class is refused where the task or its activation
+    # is built; a Scripted fallback is checked where a draw reads it
+    if not isinstance(model, Scripted):
+        with pytest.raises(ConfigError, match=r"^task\.exec_model: unknown model type 3$"):
+            TaskSpec(id=1, wcet=1, rel_deadline=4, period=4, exec_model=model)
+        with pytest.raises(ConfigError,
+                           match=r"^activation\.gap_model: unknown model type 3$"):
+            Activation("sporadic", gap_model=model)
+        return
     task = TaskSpec(id=1, wcet=1, rel_deadline=4, period=4, exec_model=model)
     with pytest.raises(ConfigError, match=r"exec_model: unknown model type"):
         task.demand(1, seed=0)
