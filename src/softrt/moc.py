@@ -1,8 +1,8 @@
 """Models of computation coupling a reservation-served task to a plant.
 
 Four timing disciplines are supported.  tt_hard samples at every period kT
-and actuates a fixed delay later; the reservation is assumed large enough
-that jobs always finish.  tt_maxb also samples at kT but cancels any job
+and actuates a fixed delay later; it needs a reservation large enough that
+jobs always finish.  tt_maxb also samples at kT but cancels any job
 that would overrun the period, holding the previous command.  tt_sort
 buffers activations: late jobs keep computing while new samples queue up,
 outputs latch at reservation-period boundaries, and a job whose finishing
@@ -31,13 +31,15 @@ and one state: x and the coming periods' inputs.  That period-granular
 backlog never drains at T = R but by cancelling, so its verdicts can be
 non-monotone in Q there: not the engine's curve.  _verdict_table decides a
 whole grid of budgets for a list of plants of one shape by one mean-square
-test, VERDICT_CHUNK plants at a time: _operator builds each mechanism's
-jump-system operator from blocks that do not depend on Q, each (state, key)
-block once for the whole chunk as one stacked array; a budget only sums the
-chunk's blocks, weighted by its odds, into one stack whose slices are the
-plants' operators, and one solve per plant decides it.  Each plant's
-discretiser (_discretiser) keeps one c2d per interval for its synthesis and
-all its mechanisms, and alone says where a DiscreteLti plant may run.
+test for all four mechanisms, VERDICT_CHUNK plants at a time: _operator
+builds each mechanism's jump-system operator from blocks that do not depend
+on Q, each (state, key) block once for the whole chunk as one stacked
+array; a budget only sums the chunk's blocks, weighted by its odds, into
+one stack whose slices are the plants' operators, and one solve per plant
+decides it.  Only tt_hard's budgets are first gated, by schedulability.
+Each plant's discretiser (_discretiser) keeps one c2d per interval for its
+synthesis and all its mechanisms, and alone says where a DiscreteLti plant
+may run.
 verdicts() is _verdict_table for one plant and stabilizes() its one-budget
 call.  cosimulate(), their oracle, draws demands from the same
 per-trajectory streams and accepts the same loops.  Every routine here
@@ -58,9 +60,9 @@ import numpy as np
 from .controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti, DiscreteLti,
                           _as_matrix, _half_kron, _mean_square_stable, _shaped, c2d)
 from .errors import ConfigError, NumericalError
-from .taskmodel import (ExecTimeModel, _choice, _counts, _integer, _model, _positive,
-                        check_reservation, derived_seed, max_ticks, sample_exec_times,
-                        tick_cdf)
+from .taskmodel import (ExecTimeModel, _choice, _counts, _integer, _items, _model,
+                        _positive, check_reservation, derived_seed, max_ticks,
+                        sample_exec_times, tick_cdf)
 
 MOC_KINDS = ("tt_hard", "tt_maxb", "tt_sort", "cs")
 BUFFERED_KINDS = ("tt_sort", "cs")  # the kinds that cancel past max_delay
@@ -583,26 +585,23 @@ def _verdict_table(plants, gains, discs, moc: MocKind, model: ExecTimeModel,
     """(table, unknowns): table[i, j] is whether a (budgets[j], R)
     reservation keeps loop i (_operator's plants, gains and discs) under moc
     second-moment stable, and unknowns the size of the largest operator
-    solved (0 for tt_hard).  tt_hard: Q * (T // R) >= max_ticks, the loop
-    checked by its mode table.  tt_maxb, cs and tt_sort: _mean_square_stable
-    on the operators of VERDICT_CHUNK loops at a time, whose blocks
-    _operator builds once per chunk; each budget only weights them by its
-    own odds.
+    solved.  Every mechanism is decided by _mean_square_stable on the
+    operators of VERDICT_CHUNK loops at a time, whose blocks _operator
+    builds once per chunk; each budget only weights them by its own odds.
+    tt_hard's budgets are first gated by schedulability, Q * (T // R) >=
+    max_ticks: one that fails it is unstable and not solved.
     """
+    budgets = _items(budgets, "budgets")
     for Q in budgets:
         _check_reservation(moc, Q, R, T)
+    solved = [(j, service_distribution(model, Q, R)) for j, Q in enumerate(budgets)
+              if moc.kind != "tt_hard" or Q * (T // R) >= max_ticks(model)]
     table = np.zeros((len(plants), len(budgets)), dtype=bool)
-    if moc.kind == "tt_hard":
-        for plant, K, disc in zip(plants, gains, discs):
-            _mode_table(plant, K, moc, R, T, disc)
-        table[:] = [Q * (T // R) >= max_ticks(model) for Q in budgets]
-        return table, 0
-    dists = [service_distribution(model, Q, R) for Q in budgets]
     unknowns = 0
     for lo in range(0, len(plants), VERDICT_CHUNK):
         chunk = slice(lo, lo + VERDICT_CHUNK)
         operator = _operator(plants[chunk], gains[chunk], discs[chunk], moc, R, T)
-        for j, dist in enumerate(dists):
+        for j, dist in solved:
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite is not stable
                 opT, sides = operator(dist)
                 table[chunk, j] = [_mean_square_stable(op.T, sides) for op in opT]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .simcore import STOP_KINDS, Trace, _payload_ints, _repeated_arrival
-from .taskmodel import _choice, _integer
+from .taskmodel import _choice
 
 # (task, start, end, deadline of the job that ran)
 Segment = Tuple[int, int, int, Optional[int]]
@@ -117,5 +117,4 @@ _RENDERERS = {"ascii": render_ascii, "svg": render_svg}
 
 
 def render_trace(trace: Trace, format: str = "ascii") -> str:
-    _integer(trace.horizon, "horizon", 0)
     return _RENDERERS[_choice(format, "format", _RENDERERS)](trace)

@@ -173,6 +173,9 @@ class Trace:
     horizon: int
     task_ids: List[int]
 
+    def __post_init__(self):
+        _counts(self, "", horizon=0)
+
     def __iter__(self):
         return iter(self.events)
 
@@ -274,8 +277,8 @@ class Trace:
         """Read ``to_csv`` output.
 
         A malformed row (not four fields, a tick or task that is not an
-        integer, a kind not in ``EVENT_KINDS``, a payload that is not one
-        JSON object) is a ``ConfigError`` naming its line.
+        ASCII integer, a kind not in ``EVENT_KINDS``, a payload that is not
+        one JSON object) is a ``ConfigError`` naming its line.
         """
         reader = csv.reader(io.StringIO(text))
         try:
@@ -352,9 +355,9 @@ def _bulk_columns(rows: Iterable[List[str]]) -> Optional[Tuple[list, list, list,
     """The tick, kind, task and payload columns of CSV rows, ticks and tasks
     as ints and every payload decoded by one ``json.loads``.
 
-    Returns None unless every row has four fields, integer tick and task and
-    a kind in ``EVENT_KINDS``, and the payloads pass the check below;
-    ``_checked_events`` reads the rest.
+    Returns None unless every row has four fields, tick and task that
+    ``_ints`` reads and a kind in ``EVENT_KINDS``, and the payloads pass the
+    check below; ``_checked_events`` reads the rest.
 
     The n payloads are joined by ",\\n" and decoded as one JSON array.  The
     join must hold n - 1 newlines, so no payload holds one, and n "{", one
@@ -372,8 +375,7 @@ def _bulk_columns(rows: Iterable[List[str]]) -> Optional[Tuple[list, list, list,
             kinds.append(kind)
             tasks.append(task)
             payloads.append(payload)
-        ticks = list(map(int, ticks))
-        tasks = list(map(int, tasks))
+        ticks, tasks = _ints(ticks), _ints(tasks)
         n = len(payloads)
         joined = ",\n".join(payloads)
         if joined.count("\n") != n - 1 or joined.count("{") != n \
@@ -386,6 +388,15 @@ def _bulk_columns(rows: Iterable[List[str]]) -> Optional[Tuple[list, list, list,
             or not _SORT_RANK.keys() >= set(kinds):
         return None
     return ticks, kinds, tasks, values
+
+
+def _ints(fields: List[str]) -> List[int]:
+    """The CSV fields as ints if each is ASCII -?[0-9]+, as to_csv writes
+    them; else ValueError.  One strip of the joined fields finds any other
+    character, and int() reads a field of these alone only in that form."""
+    if "".join(fields).strip("-0123456789"):
+        raise ValueError("not an integer")
+    return list(map(int, fields))
 
 
 def _checked_events(text: str) -> List[Event]:
@@ -405,7 +416,7 @@ def _checked_events(text: str) -> List[Event]:
             raise ConfigError(where + "expected 4 fields tick,kind,task,payload, "
                               "got %d" % len(row))
         try:
-            tick, task = int(row[0]), int(row[2])
+            tick, task = _ints([row[0], row[2]])
         except ValueError:
             tick, task = row[0], row[2]
         try:
@@ -509,10 +520,15 @@ class SchedulerConfig:
         _counts(self, "scheduler.", horizon=1)
         if self.kind == "fixed_priority" and not self.priorities:
             raise ConfigError("scheduler.priorities: required for fixed_priority")
-        for name in ("priorities", "reservations"):  # dicts by task id
-            if not isinstance(getattr(self, name), (dict, type(None))):
+        for name in ("priorities", "reservations"):  # dicts by task id, an int >= 0
+            by_task = getattr(self, name)
+            if not isinstance(by_task, (dict, type(None))):
                 raise ConfigError("scheduler.%s: must be a dict by task id, got %r"
-                                  % (name, getattr(self, name)))
+                                  % (name, by_task))
+            if by_task is not None:
+                object.__setattr__(self, name, {
+                    _integer(tid, "scheduler.%s[%r]" % (name, tid), 0): v
+                    for tid, v in by_task.items()})
         if self.priorities is not None:
             object.__setattr__(self, "priorities", {
                 tid: _integer(prio, "scheduler.priorities[%s]" % tid)

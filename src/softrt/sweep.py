@@ -12,7 +12,8 @@ plant is discretised once per interval, for its synthesis and every
 mechanism alike.  A debug line on this module's logger reports each
 mechanism's plants, budgets, operator size and wall time.  tt_hard needs the
 budget to cover the worst-case demand every task period, which with
-worst-case utilization 1 holds only at b = 1.
+worst-case utilization 1 holds only at b = 1, and the loop to be stable
+with a period of actuation delay.
 """
 
 from __future__ import annotations

@@ -252,6 +252,7 @@ def _count_callers():
            lambda v: MissConstraint(0, 2, ((0, v),)).conjunction[0][1], True)
     yield ("render_trace.horizon", "horizon", 0,
            lambda v: render_trace(Trace([], v, [])), False)
+    yield "Trace.horizon", "horizon", 0, lambda v: Trace([], v, []).horizon, True
 
 
 def _count_error(arg, low, v):
@@ -315,7 +316,7 @@ def test_every_caller_takes_exactly_the_rules_options(name, arg, options, call):
 
 def _malformed():
     """(name, call, the path of the field at fault) for every malformed
-    collection or mapping value a config class or a plant takes."""
+    collection or mapping value a config class, a plant or verdicts takes."""
     yield ("collect-mixed-set",
            lambda: SchedulerConfig("edf", 8, collect=frozenset({3, "bogus"})),
            "scheduler.collect[0]")
@@ -344,6 +345,14 @@ def _malformed():
            "scheduler.reservations")
     yield ("reservations-value", lambda: SchedulerConfig("cbs_edf", 8, reservations={1: 5}),
            "scheduler.reservations[1]")
+    yield ("priorities-key", lambda: SchedulerConfig("fixed_priority", 8, priorities={"1": 0}),
+           "scheduler.priorities['1']")
+    yield ("reservations-key", lambda: SchedulerConfig(
+        "cbs_edf", 8, reservations={-1: ReservationSpec(1, 2)}), "scheduler.reservations[-1]")
+    yield ("budgets-scalar", lambda: verdicts(PLANT, K, _moc("tt_maxb"), MODEL, 5, 2, 4),
+           "budgets")
+    yield ("budgets-string", lambda: verdicts(PLANT, K, _moc("tt_hard"), MODEL, "12", 2, 4),
+           "budgets")
     yield "exec-model", lambda: TaskSpec(**TASK, exec_model=5), "task.exec_model"
     yield "gap-model", lambda: Activation("sporadic", gap_model=5), "activation.gap_model"
 
@@ -361,6 +370,9 @@ def test_collections_are_stored_as_tuples():
     assert MissConstraint(1, 2, conjunction=[[0, 1]]).conjunction == ((0, 1),)
     assert Empirical([2, 1]).values == (2, 1)
     assert SchedulerConfig("edf", 8, collect=["arrival"]).collect == frozenset({"arrival"})
+    # a mapping's task ids are stored as ints
+    keys = SchedulerConfig("fixed_priority", 8, priorities={np.int64(1): 0}).priorities
+    assert [type(k) for k in keys] == [int]
     # a set's items are checked in sorted-repr order, the same in every run
     assert _error(lambda: SweepConfig(mocs={"x", "cs"})) == \
         "sweep.mocs[1]: must be one of %s, got 'x'" % ", ".join(MOC_KINDS)

@@ -330,6 +330,22 @@ def test_cosim_tt_hard_tracks_single_mode_radius():
     assert res.verdict == "stable"
 
 
+def test_tt_hard_verdict_counts_the_actuation_delay():
+    # every job fits its budget, but a period of actuation delay breaks a
+    # loop the same gain keeps stable with none (Cervin et al., IEEE CSM 2003)
+    plant = scalar_plant(a=2.0)
+    d = c2d(plant, 1.0)
+    K, _ = dlqr(d.A, d.B, np.eye(1), 0.01 * np.eye(1))
+    for act_delay, stable in ((None, False), (0, True)):
+        moc = MocKind("tt_hard", act_delay=act_delay)
+        M = tt_hard_modes(plant, K, 1, act_delay).matrices[0]
+        rho = np.max(np.abs(np.linalg.eigvals(M)))
+        assert rho < 0.01 if stable else abs(rho - 6.2) < 0.01
+        assert verdicts(plant, K, moc, Deterministic(1), [1], 1, 1) == [stable]
+        res = cosimulate(plant, K, moc, Deterministic(1), Q=1, R=1, T=1)
+        assert res.verdict == ("stable" if stable else "unstable")
+
+
 def test_cosim_validation():
     plant = scalar_plant()
     with pytest.raises(ConfigError):
@@ -498,8 +514,8 @@ def test_stabilizes_rule_per_mechanism():
                 MocKind("tt_sort", max_delay=1), MocKind("cs", max_delay=1)):
         assert not stabilizes(plant, K, moc, model, 1, 2, 2, **kw), moc.kind
         assert stabilizes(plant, K, moc, model, 2, 2, 2, **kw), moc.kind
-    # tt_hard is schedulability alone: it ignores the loop dynamics
-    assert stabilizes(plant, [[0.0]], MocKind("tt_hard"), model, 2, 2, 2, **kw)
+    # a schedulable budget is not enough: without feedback the plant drifts
+    assert not stabilizes(plant, [[0.0]], MocKind("tt_hard"), model, 2, 2, 2, **kw)
     assert not stabilizes(plant, [[0.0]], MocKind("tt_maxb"), model, 2, 2, 2, **kw)
     with pytest.raises(ConfigError, match="Q"):
         stabilizes(plant, K, MocKind("tt_hard"), model, 3, 2, 2, **kw)

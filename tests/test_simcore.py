@@ -298,6 +298,32 @@ def test_trace_round_trips(overload_tasks):
     assert Trace.from_csv(trace.to_csv()).horizon == 20
 
 
+@pytest.mark.parametrize("field", ["1_0", " 2 ", "+1", "\u0663", "1-2", "-"])
+@pytest.mark.parametrize("column", [0, 2])
+def test_csv_ticks_and_tasks_are_ascii_integers(field, column):
+    # to_csv writes a tick or task as -?[0-9]+; int() also reads the first
+    # four of these fields, but neither reader (the bulk one, nor the row by
+    # row one it leaves a bad row to) takes anything else
+    row = ["3", "arrival", "1", "{}"]
+    row[column] = field
+    text = 'tick,kind,task,payload\n-1,arrival,-2,{}\n"%s","%s","%s",%s\n' % tuple(row)
+    with pytest.raises(ConfigError) as err:
+        Trace.from_csv(text)
+    assert str(err.value) == "trace: line 3: tick and task must be integers, got %r and %r" \
+        % (row[0], row[2])
+    assert [e[::2] for e in Trace.from_csv(text.rsplit("\n", 2)[0] + "\n", 5)] == [(-1, -2)]
+
+
+@pytest.mark.parametrize("horizon, message", [
+    ("50", "must be an integer, got '50'"),
+    (None, "must be >= 0, got -1"),  # read from the last tick
+])
+def test_from_csv_checks_the_horizon(horizon, message):
+    with pytest.raises(ConfigError) as err:
+        Trace.from_csv("tick,kind,task,payload\n-1,arrival,1,{}\n", horizon)
+    assert str(err.value) == "horizon: " + message
+
+
 def test_job_records_rebuild(overload_tasks):
     trace = simulate(overload_tasks, SchedulerConfig(kind="edf", horizon=20))
     recs = trace.job_records()[1]

@@ -211,8 +211,7 @@ def test_sweep_logs_one_debug_line_per_mechanism(caplog):
                          r"operator, \d+\.\d{3} s", line)
         assert m, line
         unknowns[m[1]] = int(m[2])
-    # tt_hard is a closed form; tt_maxb and cs solve for the 6 entries of
-    # one symmetric 3 x 3 V over (x, u_held); tt_sort stacks one V_d a backlog
-    assert unknowns["tt_hard"] == 0
-    assert unknowns["tt_maxb"] == unknowns["cs"] == 6
+    # tt_hard, tt_maxb and cs solve for the 6 entries of one symmetric 3 x 3
+    # V over (x, u_held); tt_sort stacks one V_d a backlog
+    assert unknowns["tt_hard"] == unknowns["tt_maxb"] == unknowns["cs"] == 6
     assert unknowns["tt_sort"] > 6

@@ -2,6 +2,7 @@
 of each stochastic verdict once per plant, against the one-budget code in
 verdict_oracle.py.
 
+tt_hard (a schedulable budget, at the default and at a drawn act_delay),
 tt_maxb and cs are decided by the mean-square solve on the lower triangles
 here and by the eigenvalues of the full Kronecker sum there, both with the
 1e-9 margin; their verdicts must be identical.  tt_sort solves on the lower
@@ -35,7 +36,8 @@ models = st.one_of(
 )
 
 
-def _case(n, p, plant_seed, scale, lqr, R, F, budgets, tick, max_delay, model):
+def _case(n, p, plant_seed, scale, lqr, R, F, budgets, tick, max_delay, model,
+          act_delay=0):
     g = np.random.default_rng(plant_seed)
     plant = ContinuousLti.from_ab(scale * g.uniform(-1.0, 1.0, (n, n)),
                                   g.uniform(-1.0, 1.0, (n, p)))
@@ -47,20 +49,21 @@ def _case(n, p, plant_seed, scale, lqr, R, F, budgets, tick, max_delay, model):
         except NumericalError:
             pass
     return dict(plant=plant, K=K, model=model, budgets=budgets, R=R, T=F * R,
-                tick=tick, max_delay=max_delay)
+                tick=tick, max_delay=max_delay, act_delay=act_delay)
 
 
 @st.composite
 def cases(draw):
-    R = draw(st.integers(1, 4))
+    R, F = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     return _case(
         n=draw(st.integers(1, 3)), p=draw(st.integers(1, 2)),
         plant_seed=draw(st.integers(0, 2**32)),
         scale=draw(st.sampled_from((0.5, 1.0, 2.0))), lqr=draw(st.booleans()),
-        R=R, F=draw(st.integers(1, 4)),
+        R=R, F=F,
         budgets=draw(st.lists(st.integers(1, R), min_size=1, max_size=4)),
         tick=draw(st.sampled_from((0.05, 0.2, 0.5))),
-        max_delay=draw(st.integers(1, 5)), model=draw(models))
+        max_delay=draw(st.integers(1, 5)), model=draw(models),
+        act_delay=draw(st.integers(0, F * R)))
 
 
 def _sweep_case(system):
@@ -71,11 +74,12 @@ def _sweep_case(system):
     K, _ = dlqr(d.A, d.B, np.eye(cfg.state_dim), np.eye(1))
     return dict(plant=plant, K=K, model=cfg.exec_model,
                 budgets=[int(round(b * cfg.R)) for b in cfg.grid], R=cfg.R, T=cfg.T,
-                tick=cfg.tick_seconds, max_delay=cfg.max_delay)
+                tick=cfg.tick_seconds, max_delay=cfg.max_delay, act_delay=cfg.T // 2)
 
 
 def _check(c):
-    for moc in (MocKind("tt_maxb"), MocKind("tt_sort", c["max_delay"]),
+    for moc in (MocKind("tt_hard"), MocKind("tt_hard", act_delay=c["act_delay"]),
+                MocKind("tt_maxb"), MocKind("tt_sort", c["max_delay"]),
                 MocKind("cs", c["max_delay"])):
         args = (c["plant"], c["K"], moc, c["model"])
         got = verdicts(*args, c["budgets"], c["R"], c["T"], tick_seconds=c["tick"])
@@ -106,7 +110,7 @@ def _check(c):
     [[0.3895742122801167, 0.40433270005163235], [0.37317694550357416, 0.11667074246450493]],
     [[-0.8404633069732452], [0.17950153219091747]]),
     K=np.array([[-2.6450295248063798, -2.4268669190605103]]), model=Uniform(4.0, 7.5),
-    budgets=[2], R=3, T=3, tick=0.05, max_delay=1))
+    budgets=[2], R=3, T=3, tick=0.05, max_delay=1, act_delay=0))
 @given(cases())
 @settings(max_examples=120, deadline=None)
 def test_verdicts_match_one_budget_reference(case):

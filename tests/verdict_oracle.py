@@ -1,19 +1,21 @@
 """Reference stochastic verdicts: moc.stabilizes and moc._tt_sort_operator
 as softrt shipped them before verdicts were split into per-plant blocks and
-per-budget sums, kept verbatim as the oracle for test_verdict_differential.py;
-and moc._operator as it was before one build served a chunk of plants, the
-oracle for test_verdict_batch.py, its setup calls given the plant's
-discretiser.
+per-budget sums, kept verbatim as the oracle for test_verdict_differential.py
+but that a schedulable tt_hard budget is now decided by the loop's one mode,
+as in the package; and moc._operator as it was before one build served a
+chunk of plants, the oracle for test_verdict_batch.py, its setup calls
+given the plant's discretiser.
 
-Each call rebuilds everything for its one budget: tt_maxb and cs through
-the public mode builders and the eigenvalue rule rho(stability_matrix) <
-1 - 1e-9, written out here so that it does not share the package's
-mean-square solve; tt_sort through the full-square operator (every entry of
-each V_d, not its lower triangle) solved as (I - op)V = I, without the 1e-9
-margin.  stability_matrix is the full n^2 x n^2 Kronecker sum controlcore
-built before its operator acted on lower triangles, kept verbatim as the
-reference for that operator.  Only the mode builders, the eigenvalue
-solver, the backlog recursion and the discretisation come from the package.
+Each call rebuilds everything for its one budget: tt_hard, tt_maxb and cs
+through the mode builders (tt_hard's from moc_oracle) and the eigenvalue
+rule rho(stability_matrix) < 1 - 1e-9, written out here so that it does
+not share the package's mean-square solve; tt_sort through the full-square
+operator (every entry of each V_d, not its lower triangle) solved as (I -
+op)V = I, without the 1e-9 margin.  stability_matrix is the full n^2 x n^2
+Kronecker sum controlcore built before its operator acted on lower
+triangles, kept verbatim as the reference for that operator.  Only the mode
+builders, the eigenvalue solver, the backlog recursion and the
+discretisation come from the package.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from softrt.moc import (MocKind, _backlog_step, _check_reservation, _discretiser
                         _latch_sources, _mode_table, _reachable_backlogs, _tt_sort_setup,
                         cs_modes, service_distribution, tt_maxb_modes)
 from softrt.taskmodel import ExecTimeModel, max_ticks
+
+from moc_oracle import tt_hard_modes
 
 
 def _tt_sort_operator(plant, K, max_delay, model, Q, R, T,
@@ -90,8 +94,8 @@ def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: i
                R: int, T: int, *, tick_seconds: float = 1.0) -> bool:
     """Whether a (Q, R) reservation keeps the loop under moc second-moment stable.
 
-    tt_hard: Q * (T // R) >= max_ticks; tt_maxb and cs: the exact Kronecker
-    test, by eigenvalues; tt_sort: rho(op) < 1 for op = _tt_sort_operator, which holds iff
+    tt_hard: Q * (T // R) >= max_ticks and the exact Kronecker test of its one
+    mode, by eigenvalues; tt_maxb and cs: that test of their modes; tt_sort: rho(op) < 1 for op = _tt_sort_operator, which holds iff
     V = op(V) + I has a solution V >= I.  One solve and a Cholesky of each
     V_d - I/2 decide it; the I/2 margin keeps rounding from passing the tiny
     negative eigenvalue V has when rho is far above 1.
@@ -100,7 +104,8 @@ def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: i
         raise ConfigError("plant: continuous model required for %s" % moc.kind)
     _check_reservation(moc, Q, R, T)
     if moc.kind == "tt_hard":
-        return Q * (T // R) >= max_ticks(model)
+        return Q * (T // R) >= max_ticks(model) and second_moment_stable(
+            tt_hard_modes(plant, K, T, moc.act_delay, tick_seconds))
     if moc.kind == "tt_maxb":
         return second_moment_stable(
             tt_maxb_modes(c2d(plant, T * tick_seconds), K, model, Q, R, T))
