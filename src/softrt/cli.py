@@ -62,7 +62,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    trace = _read_trace(args.trace)
+    trace = _read_trace(args.trace, args.horizon)
     constraints = cfg.parse_constraints(cfg.load_config(args.config)) \
         if args.config else {}
     report = {}
@@ -213,13 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
+    def trace_file(p):
+        p.add_argument("trace")
+        p.add_argument("--horizon", type=int, help="override when the trace file "
+                                                   "does not extend to the horizon")
+
     p = sub.add_parser("simulate", help="run a task set and emit the trace")
     p.add_argument("--config", required=True)
     common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="metrics report over a trace file")
-    p.add_argument("trace")
+    trace_file(p)
     p.add_argument("--config", help="optional constraints section")
     common(p, fmt_default="json")
     p.set_defaults(func=cmd_analyze)
@@ -246,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("render", help="ASCII or SVG schedule timeline")
-    p.add_argument("trace")
-    p.add_argument("--horizon", type=int, help="override when the trace file "
-                                               "does not extend to the horizon")
+    trace_file(p)
     common(p, fmt_choices=("ascii", "svg"), fmt_default="ascii")
     p.set_defaults(func=cmd_render)
     return ap

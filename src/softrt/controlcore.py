@@ -268,7 +268,7 @@ def lqg_assemble(plant_d: DiscreteLti, K, L) -> ControllerLti:
     return ControllerLti(E, L, -K)
 
 
-def gelfand_radius(M, squarings=26) -> float:
+def gelfand_radius(M) -> float:
     """Spectral radius by normalized repeated squaring of the Frobenius norm.
 
     Independent of eigensolvers; converges like norm(M^(2^k))^(1/2^k).
@@ -276,7 +276,7 @@ def gelfand_radius(M, squarings=26) -> float:
     X = _square(M, "gelfand.M").astype(float)
     acc = 0.0
     weight = 1.0
-    for _ in range(squarings + 1):
+    for _ in range(27):  # the norms of M, M^2, M^4, ..., M^(2^26)
         n = float(np.linalg.norm(X))
         if n == 0.0:
             return 0.0

@@ -71,11 +71,11 @@ def render_ascii(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_svg(trace: Trace, cell: int = 12, row_h: int = 26) -> str:
+def render_svg(trace: Trace) -> str:
     """Minimal SVG 1.1 timeline: grey blocks, late ticks red, deadline arrows."""
     width = trace.horizon
     tasks = trace.task_ids
-    top, left = 18, 46
+    top, left, cell, row_h = 18, 46, 12, 26
     W = left + width * cell + 10
     H = top + len(tasks) * row_h + 16
     idx = {t: i for i, t in enumerate(tasks)}

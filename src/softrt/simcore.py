@@ -512,19 +512,20 @@ class SchedulerConfig:
     horizon: int
     priorities: Optional[Dict[int, int]] = None  # fixed_priority: lower runs first
     reservations: Optional[Dict[int, ReservationSpec]] = None  # cbs_edf: per task id
-    miss_detection: str = "deadline"  # deadline | completion
     collect: Optional[frozenset] = None  # record only these kinds when set
 
     def __post_init__(self):
         _choice(self.kind, "scheduler.kind", ("edf", "fixed_priority", "cbs_edf"))
         _counts(self, "scheduler.", horizon=1)
-        if self.kind == "fixed_priority" and not self.priorities:
-            raise ConfigError("scheduler.priorities: required for fixed_priority")
-        for name in ("priorities", "reservations"):  # dicts by task id, an int >= 0
-            by_task = getattr(self, name)
+        for name, owner in (("priorities", "fixed_priority"), ("reservations", "cbs_edf")):
+            by_task = getattr(self, name)  # a dict by task id, an int >= 0
+            if self.kind != owner and by_task is not None:
+                raise ConfigError("scheduler.%s: not applicable to %s" % (name, self.kind))
             if not isinstance(by_task, (dict, type(None))):
                 raise ConfigError("scheduler.%s: must be a dict by task id, got %r"
                                   % (name, by_task))
+            if self.kind == owner and not by_task:
+                raise ConfigError("scheduler.%s: required for %s" % (name, owner))
             if by_task is not None:
                 object.__setattr__(self, name, {
                     _integer(tid, "scheduler.%s[%r]" % (name, tid), 0): v
@@ -533,13 +534,10 @@ class SchedulerConfig:
             object.__setattr__(self, "priorities", {
                 tid: _integer(prio, "scheduler.priorities[%s]" % tid)
                 for tid, prio in self.priorities.items()})
-        if self.kind == "cbs_edf" and not self.reservations:
-            raise ConfigError("scheduler.reservations: required for cbs_edf")
         for tid, spec in (self.reservations or {}).items():
             if not isinstance(spec, ReservationSpec):
                 raise ConfigError("scheduler.reservations[%s]: must be a ReservationSpec, "
                                   "got %r" % (tid, spec))
-        _choice(self.miss_detection, "scheduler.miss_detection", ("deadline", "completion"))
         if self.collect is not None:
             object.__setattr__(self, "collect", frozenset(
                 _choice(kind, "scheduler.collect[%d]" % i, EVENT_KINDS)
@@ -594,7 +592,6 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     edf = scheduler.kind == "edf"
     reservations = scheduler.reservations
     priorities = scheduler.priorities
-    on_deadline = scheduler.miss_detection == "deadline"
     policy = {t.id: t.miss_policy for t in tasks}
     collect = scheduler.collect
     # An event is built only for a recorded kind: every site tests its
@@ -622,7 +619,7 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     per_tick = lcm(*(r.period for r in specs)) if grub else 1  # budget units per tick
     servers = {i: ServerState(i, 0, 0, per_tick=per_tick) for i in ids} if cbs else {}
     drains = {i: r.budget * per_tick // r.period for i, r in zip(ids, specs)}  # bandwidths
-    deadlines: list = []  # heap of (deadline, task id, job index, job), deadline mode only
+    deadlines: list = []  # heap of (deadline, task id, job index, job)
     wakes: list = []  # heap of (wake tick, task id) of suspended hard servers
 
     def drop(job, q):
@@ -635,8 +632,6 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     def resolve_completion(job, t):
         late = t > job.deadline
         job.outcome = "late" if late else "met"
-        if late and rec_miss and not on_deadline:
-            add(_event((t, "deadline_miss", job.task, {"job": job.index})))
         if rec_completion:
             add(_event((t, "completion", job.task, {"job": job.index, "late": late})))
         q = queues[job.task]
@@ -728,8 +723,7 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
             q = queues[tid]
             was_empty = not q
             q.append(job)
-            if on_deadline:
-                heappush(deadlines, (deadline, tid, j, job))
+            heappush(deadlines, (deadline, tid, j, job))
             if cbs and was_empty and servers[tid].status == "idle":
                 s = servers[tid]
                 spec = reservations[tid]

@@ -90,7 +90,7 @@ class SweepConfig:
         return Beta(self.beta_alpha, self.beta_beta, lo=0.0, hi=float(self.T))
 
 
-def random_system(state_dim: int, seed, retries: int = 50) -> ContinuousLti:
+def random_system(state_dim: int, seed) -> ContinuousLti:
     """Random continuous plant with entries uniform on [-1, 1], C = I, D = 0.
 
     Redrawn until the controllability matrix [B, AB, ..., A^(n-1)B] is
@@ -100,13 +100,13 @@ def random_system(state_dim: int, seed, retries: int = 50) -> ContinuousLti:
     """
     state_dim = _integer(state_dim, "state_dim", 1)
     g = np.random.default_rng(derived_seed(seed, "plant"))
-    for _ in range(retries):
+    for _ in range(50):
         A = g.uniform(-1.0, 1.0, (state_dim, state_dim))
         B = g.uniform(-1.0, 1.0, (state_dim, 1))
         ctrb = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(state_dim)])
         if np.linalg.svd(ctrb, compute_uv=False)[-1] > 1e-6:
             return ContinuousLti.from_ab(A, B)
-    raise NumericalError("random_system: no controllable draw in %d retries" % retries)
+    raise NumericalError("random_system: no controllable draw in 50 retries")
 
 
 def _synthesized(config: SweepConfig) -> Tuple[list, list, list]:

@@ -291,17 +291,22 @@ def _option_callers():
     yield ("Activation.kind", "activation.kind", ("periodic", "sporadic"),
            lambda v: Activation(v).kind)
     yield ("SchedulerConfig.kind", "scheduler.kind", ("edf", "fixed_priority", "cbs_edf"),
-           lambda v: SchedulerConfig(v, 8, priorities={1: 0},
-                                     reservations={1: ReservationSpec(1, 2)}).kind)
-    yield ("SchedulerConfig.miss_detection", "scheduler.miss_detection",
-           ("deadline", "completion"),
-           lambda v: SchedulerConfig("edf", 8, miss_detection=v).miss_detection)
+           lambda v: SchedulerConfig(v, 8, **_own_fields(v)).kind)
     yield ("MocKind.kind", "moc.kind", MOC_KINDS,
            lambda v: MocKind(v, 2 if v in BUFFERED_KINDS else None).kind)
     yield "render_trace.format", "format", ("ascii", "svg"), \
         lambda v: render_trace(Trace([], 1, []), v)[:4]
     yield ("parse_control.feedback", "control.feedback", ("lqr", "lqg"),
            lambda v: parse_control({"control": {"feedback": v}})["feedback"])
+
+
+def _own_fields(kind):
+    """The mapping each scheduler kind reads, and no other."""
+    if kind == "fixed_priority":
+        return {"priorities": {1: 0}}
+    if kind == "cbs_edf":
+        return {"reservations": {1: ReservationSpec(1, 2)}}
+    return {}
 
 
 @pytest.mark.parametrize("name, arg, options, call", list(_option_callers()),
@@ -312,6 +317,22 @@ def test_every_caller_takes_exactly_the_rules_options(name, arg, options, call):
     for v in COUNTS:
         assert _error(lambda: call(v)) == "%s: must be one of %s, got %r" % (
             arg, ", ".join(options), v), v
+
+
+@pytest.mark.parametrize("kind, field", [("edf", "priorities"), ("edf", "reservations"),
+                                         ("fixed_priority", "reservations"),
+                                         ("cbs_edf", "priorities")])
+def test_a_field_its_kind_never_reads_is_refused(tmp_path, capsys, kind, field):
+    message = "scheduler.%s: not applicable to %s" % (field, kind)
+    stray = _own_fields("fixed_priority" if field == "priorities" else "cbs_edf")
+    assert _error(lambda: SchedulerConfig(kind, 8, **_own_fields(kind), **stray)) == message
+    if field == "priorities":  # a config's reservations are read for cbs_edf alone
+        doc = {"tasks": [TASK], "reservations": {"1": {"budget": 1, "period": 2}},
+               "scheduler": {"kind": kind, "horizon": 8, "priorities": {"1": 0}}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: %s\n" % message
 
 
 def _malformed():

@@ -81,6 +81,22 @@ def test_analyze_csv(capsys):
         "3,3,1,1\n")
 
 
+def test_analyze_horizon_counts_met_jobs_after_the_last_event(tmp_path, capsys):
+    # the trace of one EDF task (C = 2, T = D = 10) to horizon 100 ends at
+    # tick 92, where a reader infers the horizon: the job due at 100 counts
+    # only when the horizon is given
+    doc = {"tasks": [{"id": 1, "wcet": 2, "rel_deadline": 10, "period": 10}],
+           "scheduler": {"kind": "edf", "horizon": 100}}
+    for fmt, suffix in (("csv", ".csv"), ("json", ".jsonl")):
+        out = str(tmp_path / ("trace" + suffix))
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--format", fmt,
+                     "--out", out]) == 0
+        for argv, instances in (([], 9), (["--horizon", "100"], 10)):
+            assert main(["analyze", out] + argv) == 0
+            report = json.loads(capsys.readouterr().out)["tasks"]["1"]
+            assert (report["instances"], report["misses"]) == (instances, 0), argv
+
+
 def test_analyze_rejects_trace_without_arrivals(tmp_path, capsys):
     doc = json.loads(json.dumps(OVERLOAD_CONFIG))
     doc["scheduler"]["collect"] = ["completion"]

@@ -100,7 +100,7 @@ def test_scheduler_takes_its_class_fields_but_reservations(tmp_path, capsys):
     # its reservations come from the top-level section
     names = [name for name in _names(SchedulerConfig) if name != "reservations"]
     scheduler = {"kind": "fixed_priority", "horizon": 8, "priorities": {"1": 0},
-                 "miss_detection": "completion", "collect": ["arrival"]}
+                 "collect": ["arrival"]}
     assert sorted(scheduler) == sorted(names)
     assert _run(tmp_path, ["simulate"], {"tasks": [TASK], "scheduler": scheduler}) == 0
     capsys.readouterr()

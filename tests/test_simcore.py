@@ -118,8 +118,6 @@ def test_scheduler_config_validation():
         SchedulerConfig(kind="fixed_priority", horizon=8)
     with pytest.raises(ConfigError):
         SchedulerConfig(kind="cbs_edf", horizon=8)
-    with pytest.raises(ConfigError):
-        SchedulerConfig(kind="edf", horizon=8, miss_detection="poll")
     with pytest.raises(ConfigError, match="arival"):
         SchedulerConfig(kind="edf", horizon=8, collect=frozenset({"arival"}))
 
@@ -233,7 +231,7 @@ def test_soft_postpone_keeps_single_task_running():
 
 
 # ---------------------------------------------------------------------------
-# miss policies and detection modes
+# miss policies
 
 
 def test_abort_policy_discards_at_deadline():
@@ -262,26 +260,6 @@ def test_skip_late_drops_jobs_overtaken_by_a_late_one():
     assert misses(trace) == [(1, 4), (1, 8)]
     recs = {r.index: r.outcome for r in trace.job_records()[1]}
     assert recs == {0: "late", 1: "skipped", 2: "skipped", 3: "met"}
-
-
-def test_completion_detection_reports_miss_when_job_ends():
-    t = TaskSpec(id=1, wcet=3, rel_deadline=4, period=8,
-                 exec_model=Scripted((6,), fallback=Deterministic(1)))
-    cfg = SchedulerConfig(kind="edf", horizon=8, miss_detection="completion")
-    trace = simulate([t], cfg)
-    assert misses(trace) == [(1, 6)]  # flagged at completion, not at tick 4
-    comp = trace.of_kind("completion", 1)[0]
-    assert comp.tick == 6 and comp.payload["late"] is True
-
-
-def test_completion_detection_makes_abort_a_no_op():
-    t = TaskSpec(id=1, wcet=3, rel_deadline=4, period=8,
-                 exec_model=Scripted((6,), fallback=Deterministic(1)),
-                 miss_policy="abort")
-    cfg = SchedulerConfig(kind="edf", horizon=8, miss_detection="completion")
-    trace = simulate([t], cfg)
-    assert not trace.of_kind("job_aborted")
-    assert completions(trace, 1) == [6]
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +349,10 @@ def _collect_systems():
             for tid, r in make_overload_reservations().items()}
     return [
         (tasks, dict(kind="edf")),
-        (noisy, dict(kind="fixed_priority", priorities={1: 2, 2: 1, 3: 0},
-                     miss_detection="completion")),
+        (noisy, dict(kind="fixed_priority", priorities={1: 2, 2: 1, 3: 0})),
         (noisy, dict(kind="cbs_edf", reservations=make_overload_reservations())),
         (noisy, dict(kind="cbs_edf", reservations=hard)),
-        (noisy, dict(kind="cbs_edf", reservations=grub, miss_detection="completion")),
+        (noisy, dict(kind="cbs_edf", reservations=grub)),
     ]
 
 

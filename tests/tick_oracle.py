@@ -1,6 +1,7 @@
 """Reference tick engine: the per-tick simulation loop softrt shipped before
-its event-driven rewrite, kept verbatim as the oracle for the differential
-test in test_simcore_differential.py.
+its event-driven rewrite, kept as the oracle for the differential test in
+test_simcore_differential.py.  Like the package, it records a miss only at
+the job's deadline.
 
 It visits every tick from 0 to the horizon, rebuilds the ready set by
 sorting at each one, keeps server state in frozen records updated through
@@ -153,8 +154,6 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
         job.completion = t
         late = t > job.deadline
         job.outcome = "late" if late else "met"
-        if late and scheduler.miss_detection == "completion":
-            emit(t, "deadline_miss", job.task, {"job": job.index})
         emit(t, "completion", job.task, {"job": job.index, "late": late})
         stopped_now.add(id(job))
         q = queues[job.task]
@@ -193,15 +192,14 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
                 if job.deadline != t or job.miss_logged:
                     continue
                 job.miss_logged = True
-                if scheduler.miss_detection == "deadline":
-                    emit(t, "deadline_miss", tid, {"job": job.index})
-                    if by_id[tid].miss_policy == "abort":
-                        job.outcome = "aborted"
-                        emit(t, "job_aborted", tid,
-                             {"job": job.index, "remaining": job.demand - job.executed})
-                        stopped_now.add(id(job))
-                        if job in queues[tid]:
-                            queues[tid].remove(job)
+                emit(t, "deadline_miss", tid, {"job": job.index})
+                if by_id[tid].miss_policy == "abort":
+                    job.outcome = "aborted"
+                    emit(t, "job_aborted", tid,
+                         {"job": job.index, "remaining": job.demand - job.executed})
+                    stopped_now.add(id(job))
+                    if job in queues[tid]:
+                        queues[tid].remove(job)
 
         if t == horizon:
             break
