@@ -2,11 +2,12 @@
 
 Everything here is a pure function over an immutable trace or an execution
 time model.  Miss classification works from job records (arrival, deadline,
-completion) rather than from miss events, so it is independent of the
-detection mode the simulation ran with.  The records come from
-``Trace.records``, which builds them once per trace, so asking for several
-metrics of every task reads the events once.  dropout_probability checks
-its (Q, R, T) by taskmodel.check_reservation, the rule moc's routines use.
+completion, outcome) rather than from ``deadline_miss`` events, because a
+job skipped before its deadline counts as a miss but has no such event.
+The records come from ``Trace.records``, which builds them once per trace,
+so asking for several metrics of every task reads the events once.
+dropout_probability checks its (Q, R, T) by taskmodel.check_reservation,
+the rule moc's routines use.
 """
 
 from __future__ import annotations

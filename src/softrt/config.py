@@ -20,8 +20,6 @@ import json
 from dataclasses import MISSING
 from typing import Dict, List
 
-import numpy as np
-
 from .analysis import MissConstraint
 from .controlcore import ContinuousLti, _as_matrix
 from .errors import ConfigError
@@ -82,6 +80,15 @@ def _task_id(key: str, path: str) -> int:
     if not (key.isascii() and key.isdigit()):
         raise ConfigError("%s[%s]: key must be a task id" % (path, key))
     return int(key)
+
+
+def _by_task(raw, path: str, read=lambda value, path: value) -> dict:
+    """The JSON object raw at path as a dict by task id, each value read by
+    read(value, "path[key]") before its key is checked by _task_id."""
+    out = {}
+    for key, value in _json(raw, path).items():
+        out[_task_id(key, path)] = read(value, "%s[%s]" % (path, key))
+    return out
 
 
 def _get(d: dict, key: str, path: str, default=MISSING):
@@ -195,46 +202,27 @@ def parse_tasks(doc: dict) -> List[TaskSpec]:
 
 
 def parse_reservations(doc: dict) -> Dict[int, ReservationSpec]:
-    out = {}
-    for key, r in _json(_get(doc, "reservations", "config"), "reservations").items():
-        path = "reservations[%s]" % key
-        out[_task_id(key, "reservations")] = _build(ReservationSpec, r, path,
-                                                    "reservation")
-    return out
+    return _by_task(_get(doc, "reservations", "config"), "reservations",
+                    lambda r, path: _build(ReservationSpec, r, path, "reservation"))
 
 
 def parse_scheduler(doc: dict) -> SchedulerConfig:
     kwargs = _kwargs(SchedulerConfig, _get(doc, "scheduler", "config"), "scheduler",
                      {"reservations": "not a scheduler field; reservations is a "
                                       "top-level section"},
-                     priorities=_priorities)
+                     priorities=_by_task)
     if kwargs["kind"] == "cbs_edf":
         kwargs["reservations"] = parse_reservations(doc)
     return SchedulerConfig(**kwargs)
 
 
-def _priorities(raw, path: str) -> Dict[int, object]:
-    return {_task_id(k, path): v for k, v in _json(raw, path).items()}
-
-
 def parse_constraints(doc: dict) -> Dict[int, MissConstraint]:
-    out = {}
-    for key, c in _json(doc.get("constraints", {}), "constraints").items():
-        path = "constraints[%s]" % key
-        out[_task_id(key, "constraints")] = _build(MissConstraint, c, path, "constraint")
-    return out
+    return _by_task(doc.get("constraints", {}), "constraints",
+                    lambda c, path: _build(MissConstraint, c, path, "constraint"))
 
 
 def parse_plant(doc: dict) -> ContinuousLti:
-    raw = _object(_get(doc, "plant", "config"), "plant", ("A", "B", "C", "D"))
-    A = _as_matrix(_get(raw, "A", "plant"), "plant.A")
-    B = _as_matrix(_get(raw, "B", "plant"), "plant.B")
-    if "C" in raw or "D" in raw:
-        n, p = A.shape[0], B.shape[1]
-        C = _as_matrix(raw["C"], "plant.C") if "C" in raw else np.eye(n)
-        D = _as_matrix(raw["D"], "plant.D") if "D" in raw else np.zeros((C.shape[0], p))
-        return ContinuousLti(A, B, C, D)
-    return ContinuousLti.from_ab(A, B)
+    return _build(ContinuousLti, _get(doc, "plant", "config"), "plant", "plant")
 
 
 def parse_control(doc: dict) -> dict:

@@ -57,36 +57,37 @@ def _shaped(M, name: str, shape: Tuple[int, int]) -> np.ndarray:
 
 
 def _check_plant(plant) -> None:
-    """Coerce a plant's A, B, C, D in place and check that their shapes agree."""
+    """Coerce a plant's A, B, C, D in place and check that their shapes agree;
+    a C of None is the n x n identity and a D of None the zero matrix of
+    D's shape, (rows of C, columns of B)."""
     plant.A = _square(plant.A, "plant.A")
     plant.B = _as_matrix(plant.B, "plant.B")
-    plant.C = _as_matrix(plant.C, "plant.C")
-    n, p, m = plant.A.shape[0], plant.B.shape[1], plant.C.shape[0]
+    n, p = plant.A.shape[0], plant.B.shape[1]
+    plant.C = np.eye(n) if plant.C is None else _as_matrix(plant.C, "plant.C")
+    m = plant.C.shape[0]
     if plant.B.shape[0] != n:
         raise ConfigError("plant.B: row count must match A")
     if plant.C.shape[1] != n:
         raise ConfigError("plant.C: column count must match A")
-    plant.D = _shaped(plant.D, "plant.D", (m, p))  # (rows of C, columns of B)
+    plant.D = np.zeros((m, p)) if plant.D is None else _shaped(plant.D, "plant.D", (m, p))
 
 
 @dataclass
 class ContinuousLti:
-    """Plant dx/dt = A x + B u, y = C x + D u."""
+    """Plant dx/dt = A x + B u, y = C x + D u; C defaults to I (the full
+    state is measured) and D to 0."""
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+    C: Optional[np.ndarray] = None
+    D: Optional[np.ndarray] = None
 
     def __post_init__(self):
         _check_plant(self)
 
     @classmethod
     def from_ab(cls, A, B):
-        A = _square(A, "plant.A")
-        B = _as_matrix(B, "plant.B")
-        n = A.shape[0]
-        return cls(A, B, np.eye(n), np.zeros((n, B.shape[1])))
+        return cls(A, B)
 
 
 @dataclass

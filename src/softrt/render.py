@@ -1,19 +1,20 @@
 """Schedule timeline rendering from event traces.
 
-Execution segments are reconstructed from job_start events paired with the
-nearest following stop (preemption, completion, abort or budget
+Each job's arrival and deadline come from ``Trace.records``, analysis's
+reader, so render refuses exactly the traces analysis refuses: say an
+arrival without ``demand``, or an outcome event whose job has no arrival
+(as a ``collect`` filter without ``arrival`` records).  Execution segments
+are reconstructed from job_start events (an integer ``job`` each) paired
+with the nearest following stop (preemption, completion, abort or budget
 exhaustion); a segment still open when the log ends is clamped to the
 horizon.  A tick executed at or past the running job's deadline is late.
-An arrival needs integer ``job`` and ``deadline`` payload fields and a
-job_start an integer ``job``; a trace without them, or in which one job
-arrives twice, is a ConfigError.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .simcore import STOP_KINDS, Trace, _payload_ints, _repeated_arrival
+from .simcore import STOP_KINDS, Trace, _payload_error
 from .taskmodel import _choice
 
 # (task, start, end, deadline of the job that ran)
@@ -21,27 +22,24 @@ Segment = Tuple[int, int, int, Optional[int]]
 
 
 def execution_segments(trace: Trace) -> List[Segment]:
-    deadlines: Dict[Tuple[int, int], int] = {}
-    arrived: Dict[Tuple[int, int], int] = {}  # each job's arrival tick
-    open_seg: Dict[int, list] = {}
+    deadlines = {(r.task_id, r.index): r.abs_deadline
+                 for jobs in trace.records.values() for r in jobs}
+    open_seg: Dict[int, Tuple[int, Optional[int]]] = {}  # task: (start, deadline)
     done: List[Segment] = []
     for e in trace.events:
         tick, kind, task, _ = e
-        if kind == "arrival":
-            job, deadline = _payload_ints(e, "job", "deadline")
-            if (task, job) in arrived:
-                raise _repeated_arrival(task, job, tick, arrived[task, job])
-            deadlines[task, job], arrived[task, job] = deadline, tick
-        elif kind == "job_start":
-            (job,) = _payload_ints(e, "job")
-            open_seg[task] = [tick, job]
+        if kind == "job_start":
+            job = e.payload.get("job")
+            if type(job) is not int:
+                raise _payload_error(e, ("job",), int)
+            open_seg[task] = tick, deadlines.get((task, job))
         elif kind in STOP_KINDS and task in open_seg:
-            start, job = open_seg.pop(task)
+            start, deadline = open_seg.pop(task)
             if tick > start:
-                done.append((task, start, tick, deadlines.get((task, job))))
-    for task, (start, job) in sorted(open_seg.items()):
+                done.append((task, start, tick, deadline))
+    for task, (start, deadline) in sorted(open_seg.items()):
         if trace.horizon > start:
-            done.append((task, start, trace.horizon, deadlines.get((task, job))))
+            done.append((task, start, trace.horizon, deadline))
     done.sort(key=lambda s: (s[0], s[1]))
     return done
 
@@ -53,13 +51,12 @@ def render_ascii(trace: Trace) -> str:
     '|' a deadline boundary on an otherwise idle tick, '.' idle.
     """
     width = trace.horizon
-    segments = execution_segments(trace)  # checks every arrival's fields
+    segments = execution_segments(trace)  # reads and checks trace.records
     rows = {t: ["."] * width for t in trace.task_ids}
-    for _, kind, task, payload in trace.events:
-        if kind == "arrival":
-            d = payload["deadline"]
-            if 0 <= d < width:
-                rows[task][d] = "|"
+    for task, jobs in trace.records.items():
+        for r in jobs:
+            if 0 <= r.abs_deadline < width:
+                rows[task][r.abs_deadline] = "|"
     for task, start, end, deadline in segments:
         for tick in range(start, min(end, width)):
             late = deadline is not None and tick >= deadline
@@ -87,28 +84,28 @@ def render_svg(trace: Trace) -> str:
         out.append('<text x="4" y="%d">t%d</text>' % (y + row_h // 2 + 3, t))
         out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#999"/>'
                    % (left, y + row_h - 6, left + width * cell, y + row_h - 6))
-    for task, start, end, deadline in execution_segments(trace):  # checks arrivals
+    for task, start, end, deadline in execution_segments(trace):  # checks records
         y = top + idx[task] * row_h
         for tick in range(start, min(end, width)):
             late = deadline is not None and tick >= deadline
             out.append('<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>'
                        % (left + tick * cell, y + 6, cell - 1, row_h - 14,
                           "#c62828" if late else "#9e9e9e"))
-    for tick, kind, task, payload in trace.events:
-        y = top + idx[task] * row_h
-        if kind == "arrival":
-            x = left + tick * cell
-            out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#1565c0"/>'
-                       % (x, y + row_h - 6, x, y + 2))
-            out.append('<path d="M %d %d l -3 5 l 6 0 z" fill="#1565c0"/>'
-                       % (x, y + 2))
-            d = payload["deadline"]
-            if d <= width:
-                xd = left + d * cell
-                out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#2e7d32"/>'
-                           % (xd, y + 2, xd, y + row_h - 6))
-                out.append('<path d="M %d %d l -3 -5 l 6 0 z" fill="#2e7d32"/>'
-                           % (xd, y + row_h - 6))
+    # each job's arrival and deadline marks, in (arrival, task) order as in the trace
+    jobs = sorted((r for rs in trace.records.values() for r in rs),
+                  key=lambda r: (r.arrival, r.task_id))
+    for r in jobs:
+        y = top + idx[r.task_id] * row_h
+        x = left + r.arrival * cell
+        out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#1565c0"/>'
+                   % (x, y + row_h - 6, x, y + 2))
+        out.append('<path d="M %d %d l -3 5 l 6 0 z" fill="#1565c0"/>' % (x, y + 2))
+        if r.abs_deadline <= width:
+            xd = left + r.abs_deadline * cell
+            out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#2e7d32"/>'
+                       % (xd, y + 2, xd, y + row_h - 6))
+            out.append('<path d="M %d %d l -3 -5 l 6 0 z" fill="#2e7d32"/>'
+                       % (xd, y + row_h - 6))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

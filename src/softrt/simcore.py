@@ -138,22 +138,6 @@ def _payload_error(event: Event, names: Sequence[str], want: type) -> ConfigErro
                 payload[name]))
 
 
-def _repeated_arrival(task: int, job: int, tick: int, first: int) -> ConfigError:
-    """The error for a second arrival of one job, at tick, after that at first."""
-    return ConfigError("trace: arrival of task %d job %d at tick %d repeats its arrival "
-                       "at tick %d" % (task, job, tick, first))
-
-
-def _payload_ints(event: Event, *names: str) -> List[int]:
-    """The integer payload fields ``names`` of ``event``; a missing or
-    non-integer one is a ``ConfigError`` naming the event and the field."""
-    payload = event[3]
-    values = [payload.get(name) for name in names]
-    if any(type(v) is not int for v in values):
-        raise _payload_error(event, names, int)
-    return values
-
-
 _CSV_HEADER = "tick,kind,task,payload\n"
 # what an outcome event makes of its job; a completion reads its "late" field
 _OUTCOMES = {"completion": None, "job_aborted": "aborted", "job_skipped": "skipped"}
@@ -193,7 +177,8 @@ class Trace:
 
     @cached_property
     def records(self) -> Dict[int, List[JobRecord]]:
-        """``job_records()``, built on first use and kept; shared, so read-only."""
+        """``job_records()``, built on first use and kept; shared, so read-only.
+        ``analysis`` and ``render`` take a trace's jobs from here alone."""
         return self.job_records()
 
     @_gc_paused
@@ -222,7 +207,9 @@ class Trace:
                         or type(demand) is not int:
                     raise _payload_error(e, ("job", "deadline", "demand"), int)
                 if j in jobs:
-                    raise _repeated_arrival(task, j, tick, jobs[j].arrival)
+                    raise ConfigError("trace: arrival of task %d job %d at tick %d repeats "
+                                      "its arrival at tick %d" % (task, j, tick,
+                                                                  jobs[j].arrival))
                 jobs[j] = JobRecord(task, j, tick, deadline, demand)
                 continue
             if kind not in _OUTCOMES:
@@ -278,7 +265,8 @@ class Trace:
 
         A malformed row (not four fields, a tick or task that is not an
         ASCII integer, a kind not in ``EVENT_KINDS``, a payload that is not
-        one JSON object) is a ``ConfigError`` naming its line.
+        one JSON object) is a ``ConfigError`` naming its line.  The horizon
+        is checked as ``_from_events`` says.
         """
         reader = csv.reader(io.StringIO(text))
         try:
@@ -291,10 +279,8 @@ class Trace:
         if columns is None:
             return cls._from_events(_checked_events(text), horizon)
         ticks, kinds, tasks, payloads = columns
-        if horizon is None:
-            horizon = max(ticks, default=0)
-        return cls(list(map(_event, zip(ticks, kinds, tasks, payloads))), horizon,
-                   sorted(set(tasks)))
+        return cls._from_events(list(map(_event, zip(ticks, kinds, tasks, payloads))),
+                                horizon, ticks, tasks)
 
     @classmethod
     @_gc_paused
@@ -302,7 +288,8 @@ class Trace:
         """Read ``to_jsonl`` output: one JSON object per line with an integer
         ``tick`` and ``task``, a ``kind`` in ``EVENT_KINDS`` and an object
         ``payload``; blank lines are skipped.  Anything else is a
-        ``ConfigError`` naming the line."""
+        ``ConfigError`` naming the line.  The horizon is checked as
+        ``_from_events`` says."""
         events = []
         for n, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -321,10 +308,19 @@ class Trace:
         return cls._from_events(events, horizon)
 
     @classmethod
-    def _from_events(cls, events, horizon):
+    def _from_events(cls, events, horizon, ticks=None, tasks=None) -> "Trace":
+        """The trace of what a reader read (``ticks`` and ``tasks``: the
+        events' columns, if it has them).  The horizon defaults to the last
+        event's tick, 0 for none, and may not be below it: that drops jobs."""
+        if ticks is None:
+            ticks, tasks = [e.tick for e in events], [e.task for e in events]
+        last = max(ticks, default=0)
         if horizon is None:
-            horizon = max((e.tick for e in events), default=0)
-        return cls(events, horizon, sorted({e.task for e in events}))
+            horizon = last
+        elif _integer(horizon, "horizon", 0) < last:
+            raise ConfigError("horizon: must be >= %d, the trace's last tick, got %d"
+                              % (last, horizon))
+        return cls(events, horizon, sorted(set(tasks)))
 
 
 def _csv_row(tick, kind, task, payload) -> str:
@@ -578,14 +574,11 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
     ids = [t.id for t in tasks]
     if len(set(ids)) != len(ids):
         raise ConfigError("tasks: duplicate task id")
-    if scheduler.kind == "fixed_priority":
-        missing = [t.id for t in tasks if t.id not in scheduler.priorities]
+    for name in ("priorities", "reservations"):
+        by_task = getattr(scheduler, name)  # set only when the kind reads it
+        missing = [i for i in ids if by_task is not None and i not in by_task]
         if missing:
-            raise ConfigError("scheduler.priorities: missing task id %s" % missing[0])
-    if scheduler.kind == "cbs_edf":
-        missing = [t.id for t in tasks if t.id not in scheduler.reservations]
-        if missing:
-            raise ConfigError("scheduler.reservations: missing task id %s" % missing[0])
+            raise ConfigError("scheduler.%s: missing task id %s" % (name, missing[0]))
 
     horizon = scheduler.horizon
     cbs = scheduler.kind == "cbs_edf"

@@ -97,6 +97,24 @@ def test_analyze_horizon_counts_met_jobs_after_the_last_event(tmp_path, capsys):
             assert (report["instances"], report["misses"]) == (instances, 0), argv
 
 
+def test_a_horizon_before_the_last_event_is_refused(tmp_path, capsys):
+    # the same trace, whose last event is at tick 92: a horizon of 50 used to
+    # report 5 of its 9 jobs with exit 0
+    doc = {"tasks": [{"id": 1, "wcet": 2, "rel_deadline": 10, "period": 10}],
+           "scheduler": {"kind": "edf", "horizon": 100}}
+    for fmt, suffix in (("csv", ".csv"), ("json", ".jsonl")):
+        out = str(tmp_path / ("trace" + suffix))
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--format", fmt,
+                     "--out", out]) == 0
+        for command in ("analyze", "render"):
+            assert main([command, out, "--horizon", "50"]) == 2, (command, fmt)
+            assert capsys.readouterr().err == ("config error: horizon: must be >= 92, "
+                                               "the trace's last tick, got 50\n")
+            for horizon in ("92", "100"):
+                assert main([command, out, "--horizon", horizon]) == 0, (command, horizon)
+                capsys.readouterr()
+
+
 def test_analyze_rejects_trace_without_arrivals(tmp_path, capsys):
     doc = json.loads(json.dumps(OVERLOAD_CONFIG))
     doc["scheduler"]["collect"] = ["completion"]
@@ -107,6 +125,10 @@ def test_analyze_rejects_trace_without_arrivals(tmp_path, capsys):
     assert main(["analyze", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: trace:") and "no arrival event" in err
+    # render used to draw such a trace and exit 0
+    for fmt in ("ascii", "svg"):
+        assert main(["render", str(out), "--format", fmt]) == 2
+        assert capsys.readouterr().err == err
 
 
 def test_malformed_trace_is_config_error(tmp_path, capsys):
@@ -149,10 +171,11 @@ def test_malformed_trace_is_config_error(tmp_path, capsys):
 
 def test_trace_payload_fields_are_checked(tmp_path, capsys):
     # events that are valid JSON but lack a payload field analyze or render
-    # reads, or hold it with the wrong type: exit 2 naming event and field
+    # reads, or hold it with the wrong type: exit 2 naming event and field;
+    # both read a trace's jobs through Trace.records, so they refuse the same
     arrival = (0, "arrival", 1, {"deadline": 4, "demand": 2, "job": 0})
     start = (0, "job_start", 1, {"job": 0, "resumed": False})
-    both, analyze, render = ("analyze", "render"), ("analyze",), ("render",)
+    both, render = ("analyze", "render"), ("render",)
     cases = [
         ([(0, "arrival", 1, {"job": 0})], both,
          "arrival of task 1 at tick 0 has no payload field 'deadline'"),
@@ -161,14 +184,14 @@ def test_trace_payload_fields_are_checked(tmp_path, capsys):
         ([(0, "arrival", 1, {"deadline": "4", "demand": 2, "job": 0})], both,
          "arrival of task 1 at tick 0: payload field 'deadline' must be an integer, "
          "got '4'"),
-        ([arrival, (0, "arrival", 2, {"deadline": 4, "job": 0})], analyze,
+        ([arrival, (0, "arrival", 2, {"deadline": 4, "job": 0})], both,
          "arrival of task 2 at tick 0 has no payload field 'demand'"),
-        ([arrival, start, (2, "completion", 1, {"job": 0})], analyze,
+        ([arrival, start, (2, "completion", 1, {"job": 0})], both,
          "completion of task 1 at tick 2 has no payload field 'late'"),
-        ([arrival, start, (2, "completion", 1, {"job": 0, "late": 0})], analyze,
+        ([arrival, start, (2, "completion", 1, {"job": 0, "late": 0})], both,
          "completion of task 1 at tick 2: payload field 'late' must be true or false, "
          "got 0"),
-        ([arrival, (3, "job_aborted", 1, {"job": None})], analyze,
+        ([arrival, (3, "job_aborted", 1, {"job": None})], both,
          "job_aborted of task 1 at tick 3: payload field 'job' must be an integer, "
          "got None"),
         ([arrival, (0, "job_start", 1, {})], render,

@@ -13,7 +13,10 @@ import pytest
 
 from softrt.analysis import MissConstraint
 from softrt.cli import main
-from softrt.config import parse_exec_model, parse_reservations, parse_sweep, parse_task
+from softrt.config import (parse_exec_model, parse_plant, parse_reservations, parse_sweep,
+                           parse_task)
+from softrt.controlcore import ContinuousLti
+from softrt.errors import ConfigError
 from softrt.simcore import SchedulerConfig
 from softrt.sweep import SweepConfig
 from softrt.taskmodel import (EXEC_MODELS, Activation, Beta, Deterministic, Empirical,
@@ -76,6 +79,9 @@ def _full_objects():
          "reservations[1]"),
         (MissConstraint, ["analyze", str(GOLDEN)], lambda o: {"constraints": {"1": o}},
          {"m": 1, "n": 2, "conjunction": [[0, 1]]}, "constraints[1]"),
+        (ContinuousLti, ["control-synth"], lambda o: {"plant": o},
+         {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]],
+          "D": [[0.0]]}, "plant"),
         (SweepConfig, ["sweep"], lambda o: {"sweep": o},
          {"n_systems": 1, "state_dim": 1, "seed": "s", "grid": [1.0], "R": 2, "T": 4,
           "beta_alpha": 2.0, "beta_beta": 2.0, "mocs": ["tt_hard"], "max_delay": 2,
@@ -118,3 +124,24 @@ def test_left_out_fields_take_the_class_defaults():
         == {1: ReservationSpec(1, 4)}
     assert parse_sweep({}) == SweepConfig()
     assert parse_sweep({}, seed=3) == SweepConfig(seed=3)
+
+
+def test_plant_defaults_and_messages():
+    # C and D default to I and 0, and a null takes the default
+    A, B = [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]]
+    want = parse_plant({"plant": {"A": A, "B": B}})
+    assert (want.C == [[1.0, 0.0], [0.0, 1.0]]).all() and (want.D == [[0.0], [0.0]]).all()
+    for extra in ({"C": None}, {"D": None}, {"C": None, "D": None}):
+        got = parse_plant({"plant": dict(extra, A=A, B=B)})
+        assert all((getattr(got, f) == getattr(want, f)).all() for f in "ABCD")
+    assert (parse_plant({"plant": {"A": A, "B": B, "C": [[1.0, 0.0]]}}).D == [[0.0]]).all()
+    got = parse_plant({"plant": {"A": A, "B": B, "D": [[0.5], [0.0]]}})
+    assert (got.C == want.C).all() and (got.D == [[0.5], [0.0]]).all()
+    for plant, message in (
+            ({"B": B}, "plant.A: missing required field"),
+            ({"A": A, "B": [[1.0]]}, "plant.B: row count must match A"),
+            ({"A": A, "B": B, "E": 1}, "plant.E: unknown field (expected one of A, B, C, D)"),
+            ({"A": A, "B": B, "D": [[0.0, 0.0]]}, "plant.D: expected shape (2, 1), got (1, 2)")):
+        with pytest.raises(ConfigError) as err:
+            parse_plant({"plant": plant})
+        assert str(err.value) == message

@@ -489,6 +489,15 @@ def test_spectral_radius_known_values():
     assert spectral_radius(rot) == pytest.approx(r, abs=1e-12)
 
 
+def test_spectral_radius_falls_back_to_gelfand(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.warns(RuntimeWarning, match="eigenvalue iteration failed"):
+        rho = spectral_radius(np.diag([0.3, -0.9]))
+    assert rho == pytest.approx(0.9, abs=1e-6)
+
+
 def test_gelfand_agrees_with_eigensolver():
     assert gelfand_radius(np.diag([0.3, -0.9])) == pytest.approx(0.9, abs=1e-6)
     assert gelfand_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0

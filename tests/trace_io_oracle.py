@@ -3,7 +3,8 @@ job-record builder and the per-task metrics softrt shipped before the trace
 path was made single-pass (to_jsonl: before it reused one JSON encoder),
 kept verbatim as the oracle for the differential test in
 test_trace_io_differential.py, but that the readers now reject an event
-kind outside EVENT_KINDS, as the package's do.
+kind outside EVENT_KINDS and a horizon below the last event's tick, as the
+package's do.
 
 Each function takes the trace (or the text) it used to be a method or
 argument of.  Only the output types (Event, Trace, JobRecord, CheckResult)
@@ -99,8 +100,12 @@ def _known_kinds(events):
 
 
 def _from_events(events, horizon):
+    last = max((e.tick for e in events), default=0)
     if horizon is None:
-        horizon = max((e.tick for e in events), default=0)
+        horizon = last
+    elif 0 <= horizon < last:
+        raise ConfigError("horizon: must be >= %d, the trace's last tick, got %d"
+                          % (last, horizon))
     return Trace(events, horizon, sorted({e.task for e in events}))
 
 
