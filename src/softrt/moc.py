@@ -102,7 +102,8 @@ def service_distribution(model: ExecTimeModel, Q: int, R: int) -> List[Tuple[int
     return list(_service_distribution(_model(model), Q, R))
 
 
-@functools.lru_cache(maxsize=1024)  # every plant of a sweep reads the same odds
+# read once per (mechanism, budget): the cache serves the other mechanisms at a budget
+@functools.lru_cache(maxsize=1024)
 def _service_distribution(model: ExecTimeModel, Q: int, R: int) -> tuple:
     s_max = service_periods(max_ticks(model), Q, R)
     odds = _cut_odds(model, Q, range(1, s_max + 1))

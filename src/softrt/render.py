@@ -52,7 +52,7 @@ def render_ascii(trace: Trace) -> str:
     """
     width = trace.horizon
     segments = execution_segments(trace)  # reads and checks trace.records
-    rows = {t: ["."] * width for t in trace.task_ids}
+    rows = {t: ["."] * width for t in sorted(trace.records)}  # task_ids + tasks with events
     for task, jobs in trace.records.items():
         for r in jobs:
             if 0 <= r.abs_deadline < width:
@@ -63,7 +63,7 @@ def render_ascii(trace: Trace) -> str:
             rows[task][tick] = "!" if late else "#"
     header = "tick  " + "".join(str(t % 10) for t in range(width))
     lines = [header]
-    for t in trace.task_ids:
+    for t in rows:
         lines.append("t%-4d %s" % (t, "".join(rows[t])))
     return "\n".join(lines) + "\n"
 
@@ -71,7 +71,7 @@ def render_ascii(trace: Trace) -> str:
 def render_svg(trace: Trace) -> str:
     """Minimal SVG 1.1 timeline: grey blocks, late ticks red, deadline arrows."""
     width = trace.horizon
-    tasks = trace.task_ids
+    tasks = sorted(trace.records)  # task_ids and every task with events
     top, left, cell, row_h = 18, 46, 12, 26
     W = left + width * cell + 10
     H = top + len(tasks) * row_h + 16

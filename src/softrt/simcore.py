@@ -475,22 +475,21 @@ def cbs_on_arrival(server: ServerState, now: int, spec: ReservationSpec) -> Serv
 def cbs_on_exhaustion(server: ServerState, now: int, spec: ReservationSpec) -> ServerState:
     """The budget ran out with work still pending.
 
-    Soft servers immediately recharge and postpone the deadline by one server
-    period, staying ready (at lower EDF priority).  Hard servers suspend until
-    the current deadline; the recharge happens at wake-up via cbs_wake.
+    A soft server recharges at once through cbs_wake: full budget, deadline
+    postponed by one server period, still ready (at lower EDF priority).  So
+    does a hard server whose current deadline is already <= now.  Any other
+    hard server suspends until its current deadline, and cbs_wake recharges
+    it then.
     """
-    if spec.variant == "soft_postpone":
-        server.remaining_budget = spec.budget * server.per_tick
-        server.current_deadline += spec.period
-        server.status = "active"
-    else:
-        server.status = "suspended"
-        server.suspended_until = server.current_deadline
+    if spec.variant == "soft_postpone" or server.current_deadline <= now:
+        return cbs_wake(server, spec)
+    server.status = "suspended"
+    server.suspended_until = server.current_deadline
     return server
 
 
 def cbs_wake(server: ServerState, spec: ReservationSpec) -> ServerState:
-    """End of a hard suspension: full budget, deadline moved one period on."""
+    """Recharge: full budget, deadline moved one period on, server ready."""
     server.remaining_budget = spec.budget * server.per_tick
     server.current_deadline += spec.period
     server.status = "active"
@@ -567,8 +566,10 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
 
     Each visited tick runs the per-tick steps in a fixed order: completion of
     the previous tick's work, hard-server wake-ups, deadline checks, arrivals,
-    budget exhaustion, dispatch.  A debug line on the ``softrt.simcore``
-    logger reports the ticks visited and the events emitted and collected.
+    budget exhaustion, dispatch.  A server recharged at exhaustion (soft, or
+    hard at its deadline) records its recharge there, as a woken one does.
+    A debug line on the ``softrt.simcore`` logger reports the ticks visited
+    and the events emitted and collected.
     """
     tasks = sorted(tasks, key=lambda t: t.id)
     ids = [t.id for t in tasks]
@@ -637,6 +638,14 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
                     add(_event((t, "job_skipped", job.task, {"job": stale.index})))
                 drop(stale, q)
 
+    def recharged(tid, t):
+        """Record the recharge cbs_wake just gave server tid."""
+        if rec_recharge:
+            add(_event((t, "server_recharge", tid, {"budget": reservations[tid].budget})))
+        if rec_postponed:
+            add(_event((t, "deadline_postponed", tid,
+                        {"deadline": servers[tid].current_deadline})))
+
     def exhaust(tid, t):
         """Exhaustion of server tid, whose budget is spent: if it has pending
         work, returns the job whose execution segment this closes, else None."""
@@ -644,20 +653,13 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
         q = queues[tid]
         if s.status != "active" or not q:
             return None
-        spec = reservations[tid]
         job = q[0]
         if rec_exhausted:
             add(_event((t, "budget_exhausted", tid, {"job": job.index})))
-        cbs_on_exhaustion(s, t, spec)
-        if s.status == "suspended":
-            if s.suspended_until > t:
-                heappush(wakes, (s.suspended_until, tid))
-                return job
-            cbs_wake(s, spec)
-        if rec_recharge:
-            add(_event((t, "server_recharge", tid, {"budget": spec.budget})))
-        if rec_postponed:
-            add(_event((t, "deadline_postponed", tid, {"deadline": s.current_deadline})))
+        if cbs_on_exhaustion(s, t, reservations[tid]).status == "suspended":
+            heappush(wakes, (s.suspended_until, tid))
+        else:
+            recharged(tid, t)
         return job
 
     runner: Optional[_Job] = None  # job that executed in the tick before t
@@ -675,15 +677,10 @@ def simulate(tasks: Sequence[TaskSpec], scheduler: SchedulerConfig, seed=0) -> T
         # 2. hard-server wake-ups due now, in task id order
         while wakes and wakes[0][0] <= t:
             tid = heappop(wakes)[1]
-            spec = reservations[tid]
-            s = cbs_wake(servers[tid], spec)
+            s = cbs_wake(servers[tid], reservations[tid])
             if not queues[tid]:
                 s.status = "idle"
-            if rec_recharge:
-                add(_event((t, "server_recharge", tid, {"budget": spec.budget})))
-            if rec_postponed:
-                add(_event((t, "deadline_postponed", tid,
-                            {"deadline": s.current_deadline})))
+            recharged(tid, t)
 
         # 3. deadline checks and miss policies, in task id order
         while deadlines and deadlines[0][0] <= t:

@@ -752,6 +752,11 @@ def test_render_ascii_golden(capsys):
         "t1    ##..|.##|...!!..!...\n"
         "t2    ..##.|..##|...#!...#\n"
         "t3    ....##|...##|....#!.\n")
+    # a task with events but not in task_ids gets its row, as analysis reads
+    # its jobs; render used to raise KeyError on it
+    trace = Trace([Event(0, "arrival", 2, {"job": 0, "deadline": 3, "demand": 1})], 5, [1])
+    assert render_trace(trace) == "tick  01234\nt1    .....\nt2    ...|.\n"
+    assert '<text x="4" y="60">t2</text>' in render_trace(trace, "svg")
 
 
 def test_render_ascii_horizon_override(capsys):

@@ -150,6 +150,11 @@ def test_cbs_exhaustion_soft_and_hard():
     assert (woke.remaining_budget, woke.current_deadline, woke.status) == \
         (2, 13, "active")
     assert woke.suspended_until is None
+    # a hard server whose deadline has come recharges at once, as a soft one
+    late = ReservationSpec(budget=2, period=4, variant="hard_suspend")
+    s = cbs_on_exhaustion(ServerState(1, 0, 6, "active"), now=6, spec=late)
+    assert (s.remaining_budget, s.current_deadline, s.status, s.suspended_until) == \
+        (2, 10, "active", None)
 
 
 # ---------------------------------------------------------------------------
