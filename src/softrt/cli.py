@@ -65,6 +65,9 @@ def cmd_analyze(args) -> int:
     trace = _read_trace(args.trace, args.horizon)
     constraints = cfg.parse_constraints(cfg.load_config(args.config)) \
         if args.config else {}
+    for tid in constraints:
+        if tid not in trace.task_ids:
+            raise ConfigError("constraints[%d]: no such task in the trace" % tid)
     report = {}
     for tid in trace.task_ids:
         pattern = miss_pattern(trace, tid)
@@ -74,13 +77,8 @@ def cmd_analyze(args) -> int:
             "miss_events": trace.miss_count(tid),
             "tardiness": tardiness(trace, tid),
         }
-        if tid in constraints:
-            res = check_mn(trace, tid, constraints[tid])
-            entry["constraint"] = {
-                "ok": res.ok,
-                "violation": res.violation,
-                "indeterminate": res.indeterminate,
-            }
+        if tid in constraints:  # the result's fields: ok, violation, indeterminate
+            entry["constraint"] = vars(check_mn(trace, tid, constraints[tid]))
         report[str(tid)] = entry
     if args.format == "csv":
         lines = ["task,instances,misses,tardiness"]

@@ -36,16 +36,13 @@ builds each mechanism's jump-system operator from blocks that do not depend
 on Q, each (state, key) block once for the whole chunk as one stacked
 array; a budget only sums the chunk's blocks, weighted by its odds, into
 one stack whose slices are the plants' operators, and one solve per plant
-decides it.  Only tt_hard's budgets are first gated, by schedulability.
-Each plant's discretiser (_discretiser) keeps one c2d per interval for its
-synthesis and all its mechanisms, and alone says where a DiscreteLti plant
-may run.
-verdicts() is _verdict_table for one plant and stabilizes() its one-budget
-call.  cosimulate(), their oracle, draws demands from the same
-per-trajectory streams and accepts the same loops.  Every routine here
-checks a reservation (Q, R, and T but under cs), a duration and a demand
-model by taskmodel's rules: check_reservation, _positive and _model, and
-a count by _integer.
+decides it.  Each plant's discretiser (_discretiser) keeps one c2d per
+interval for its synthesis and all its mechanisms, and alone says where a
+DiscreteLti plant may run.  verdicts() is _verdict_table for one plant,
+stabilizes() its one-budget call and cosimulate() their oracle: one rule,
+_runs, admits the same runs to all three (an unschedulable tt_hard budget
+is a False verdict and cosimulate's error on Q).  Inputs are checked by
+taskmodel's rules: check_reservation, _positive, _model and _integer.
 """
 
 from __future__ import annotations
@@ -221,6 +218,23 @@ def build_delay_chain(model: ExecTimeModel, Q: int, R: int, T: int,
     return DelayChain(P, pi)
 
 
+def _runs(moc: MocKind, model: ExecTimeModel, Q: int, R: int, T: Optional[int]):
+    """The one rule for which runs exist, for verdicts and cosimulate alike:
+    the odds [(s, P(s))] of moc's jumps on a (Q, R) reservation that exists
+    (check_reservation; T unused by cs, needed by every other kind), or None
+    for no run.  tt_hard reads only max_ticks: one certain mode at a budget
+    that covers the largest demand every task period, else no run.  The
+    others read the stationary law (service_distribution), which a Scripted
+    model has not."""
+    check_reservation(Q, R, *(() if T is None or moc.kind == "cs" else (T,)))
+    if T is None and moc.kind != "cs":
+        raise ConfigError("T: %s needs a task period that is a positive multiple "
+                          "of R" % moc.kind)
+    if moc.kind != "tt_hard":
+        return service_distribution(model, Q, R)
+    return [(1, 1)] if Q * (T // R) >= max_ticks(model) else None
+
+
 # ---------------------------------------------------------------------------
 # mode builders
 
@@ -325,7 +339,7 @@ def tt_maxb_modes(plant_d: DiscreteLti, K, model: ExecTimeModel, Q: int, R: int,
     task period: mu = P(ceil(c/Q) R > T) = P(c > Q * (T // R)).
     """
     moc = MocKind("tt_maxb")
-    _check_reservation(moc, Q, R, T)
+    _runs(moc, model, Q, R, T)
     if not isinstance(plant_d, DiscreteLti):
         raise ConfigError("plant: tt_maxb_modes needs a DiscreteLti, got %s"
                           % type(plant_d).__name__)
@@ -347,7 +361,7 @@ def cs_modes(plant: ContinuousLti, K, model: ExecTimeModel, Q: int, R: int,
     service); zero-probability modes are omitted.
     """
     moc = MocKind("cs", max_delay)
-    _check_reservation(moc, Q, R, None)
+    _runs(moc, model, Q, R, None)
     labels, cuts, matrix = _mode_table(plant, K, moc, R, None,
                                        _discretiser(plant, tick_seconds))
     odds = _cut_odds(model, Q, cuts)
@@ -413,14 +427,6 @@ def _ensemble_switched(mats, mode_idx):
     return est
 
 
-def _check_reservation(moc: MocKind, Q: int, R: int, T: Optional[int]) -> None:
-    """check_reservation under moc: cs has no task period, every other kind needs one."""
-    check_reservation(Q, R, *(() if T is None or moc.kind == "cs" else (T,)))
-    if T is None and moc.kind != "cs":
-        raise ConfigError("T: %s needs a task period that is a positive multiple "
-                          "of R" % moc.kind)
-
-
 def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
                T: Optional[int] = None, *, tick_seconds: float = 1.0,
                horizon: int = 300, n_traj: int = 100, seed=0) -> CoSimResult:
@@ -430,17 +436,19 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
     execution demands are drawn per trajectory from streams keyed by
     (seed, trajectory index), so results are independent of evaluation
     order.  T is the task period in ticks (unused by cs).  K is a static
-    gain or, but for tt_sort, a ControllerLti.  tt_hard has no randomness:
-    all trajectories coincide, so one is run.
+    gain or, but for tt_sort, a ControllerLti.  A budget with no run
+    (_runs), an unschedulable one under tt_hard, is a ConfigError naming Q.
+    tt_hard has no randomness: all trajectories coincide, so one is run.
     """
     n_traj, horizon = _integer(n_traj, "n_traj", 1), _integer(horizon, "horizon", 4)
-    _check_reservation(moc, Q, R, T)
-    _model(model)
-    disc = _discretiser(plant, tick_seconds)
+    odds, disc = _runs(moc, model, Q, R, T), _discretiser(plant, tick_seconds)
     if moc.kind == "tt_sort":
         return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, disc, horizon,
                               n_traj, seed)
     labels, cuts, matrix = _mode_table(plant, K, moc, R, T, disc)
+    if odds is None:  # after the loop's checks, as in the verdicts
+        raise ConfigError("Q: tt_hard is unschedulable: Q * (T // R) < %d ticks, the "
+                          "largest demand" % max_ticks(model))
     if cuts:
         mode_idx = np.searchsorted(cuts, -(-_traj_demands(model, horizon, n_traj, seed) // Q))
     else:  # tt_hard
@@ -588,16 +596,13 @@ def _verdict_table(plants, gains, discs, moc: MocKind, model: ExecTimeModel,
     second-moment stable, and unknowns the size of the largest operator
     solved.  Every mechanism is decided by _mean_square_stable on the
     operators of VERDICT_CHUNK loops at a time, whose blocks _operator
-    builds once per chunk; each budget only weights them by its own odds.
-    tt_hard's budgets are first gated by schedulability, Q * (T // R) >=
-    max_ticks: one that fails it is unstable and not solved.
+    builds once per chunk; each budget only weights them by its own odds
+    (_runs).  A budget with no run, an unschedulable one under tt_hard, is
+    unstable and not solved.
     """
-    budgets = _items(budgets, "budgets")
-    for Q in budgets:
-        _check_reservation(moc, Q, R, T)
-    solved = [(j, service_distribution(model, Q, R)) for j, Q in enumerate(budgets)
-              if moc.kind != "tt_hard" or Q * (T // R) >= max_ticks(model)]
-    table = np.zeros((len(plants), len(budgets)), dtype=bool)
+    runs = [_runs(moc, model, Q, R, T) for Q in _items(budgets, "budgets")]
+    solved = [(j, dist) for j, dist in enumerate(runs) if dist is not None]
+    table = np.zeros((len(plants), len(runs)), dtype=bool)
     unknowns = 0
     for lo in range(0, len(plants), VERDICT_CHUNK):
         chunk = slice(lo, lo + VERDICT_CHUNK)

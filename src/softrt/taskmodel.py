@@ -236,17 +236,13 @@ def sample_exec_time(model: ExecTimeModel, job_index: int, key: str) -> int:
 
 
 def sample_exec_times(model: ExecTimeModel, n: int, seed) -> np.ndarray:
-    """Vectorised batch of n demand draws (its own stream, not the per-job one)."""
-    _model(model)
+    """Vectorised batch of n i.i.d. demand draws (its own stream, not the
+    per-job one); a Scripted model has no stationary law: tick_cdf's error."""
+    if isinstance(_model(model), Scripted):
+        tick_cdf(model, 1)  # raises
     g = np.random.default_rng(derived_seed(seed, "bulk"))
     if isinstance(model, Deterministic):
         return np.full(n, model.ticks, dtype=np.int64)
-    if isinstance(model, Scripted):
-        head = np.asarray(model.values[:n], dtype=np.int64)
-        if n <= len(head):
-            return head[:n]
-        tail = sample_exec_times(model.fallback, n - len(head), seed)
-        return np.concatenate([head, tail])
     if isinstance(model, Empirical):
         return g.choice(np.asarray(model.values, dtype=np.int64), size=n)
     if isinstance(model, Uniform):

@@ -12,8 +12,9 @@ Here the tt_maxb drop rule, the cs service-length rule and the tt_sort
 backlog recursion are each written out where they are used, as they were;
 _cosim_tt_sort is the trajectory-vectorised loop, so tt_sort estimates can
 be compared bit for bit.  Only the types, the unchanged helpers (the mode
-table, the ensemble loop, the verdict rule, the reservation check) and the
-demand streams come from the package.
+table, the ensemble loop, the verdict rule, the admission rule _runs) and
+the demand streams come from the package.  cosimulate refuses an
+unschedulable tt_hard budget as the package does, by its own test.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 from softrt.controlcore import (ClosedLoopModes, ContinuousLti, ControllerLti,
                                 DiscreteLti, _as_matrix, _shaped, c2d)
 from softrt.errors import ConfigError, NumericalError
-from softrt.moc import (CoSimResult, DelayChain, MocKind, _check_reservation, _discretiser,
-                        _ensemble_switched, _mode_table, _verdict, service_periods)
+from softrt.moc import (CoSimResult, DelayChain, MocKind, _discretiser, _ensemble_switched,
+                        _mode_table, _runs, _verdict, service_periods)
 from softrt.taskmodel import (ExecTimeModel, _integer, derived_seed, max_ticks,
                               sample_exec_times, tick_cdf)
 
@@ -261,7 +262,10 @@ def cosimulate(plant, K, moc: MocKind, model: ExecTimeModel, Q: int, R: int,
         raise ConfigError("n_traj: must be >= 1")
     if horizon < 4:
         raise ConfigError("horizon: must be >= 4")
-    _check_reservation(moc, Q, R, T)
+    _runs(moc, model, Q, R, T)  # the reservation, and a stationary law but for tt_hard
+    if moc.kind == "tt_hard" and Q * (T // R) < max_ticks(model):
+        raise ConfigError("Q: tt_hard is unschedulable: Q * (T // R) < %d ticks, the "
+                          "largest demand" % max_ticks(model))
 
     if moc.kind == "tt_sort":
         return _cosim_tt_sort(plant, K, moc.max_delay, model, Q, R, T, tick_seconds,

@@ -492,7 +492,7 @@ def test_cosim_takes_lqg_feedback_except_under_tt_sort(tmp_path, capsys):
     assert main(["cosim", "--config", write_config(tmp_path, lqr),
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["estimates"] != rep["estimates"]
-    for kind, extra in (("tt_hard", {}), ("cs", {"max_delay": 3})):
+    for kind, extra in (("tt_hard", {"T": 3}), ("cs", {"max_delay": 3})):
         doc = dict(README_LOOP, moc=dict(README_LOOP["moc"], kind=kind, **extra))
         assert main(["cosim", "--config", write_config(tmp_path, doc)]) == 0, kind
         capsys.readouterr()
@@ -505,14 +505,24 @@ def test_cosim_takes_lqg_feedback_except_under_tt_sort(tmp_path, capsys):
                    "not a dynamic controller\n")
 
 
+def test_cosim_refuses_an_unschedulable_tt_hard_budget(tmp_path, capsys):
+    # README's loop under tt_hard: Q * (T // R) = 2 ticks a period cannot
+    # serve a demand of 3, so there is no run, and its verdict is False
+    doc = dict(README_LOOP, moc=dict(README_LOOP["moc"], kind="tt_hard"))
+    assert main(["cosim", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr() == ("", "config error: moc.Q: tt_hard is unschedulable: "
+                                       "Q * (T // R) < 3 ticks, the largest demand\n")
+
+
 # sha256 of cosim's JSON and CSV for README's loop at --seed 7, by case
-# "kind/feedback[/moc field=value]"
+# "kind/feedback[/moc field=value]"; tt_hard runs at T = 3, where its budget
+# covers the largest demand
 COSIM_SHA256 = {
-    "tt_hard/lqg": ("b9b31edb19c3db1caf90358a08012f7a118867fabaa988c8bdfb49ddef2fa88c",
-                    "c62fcc5ffd7bfa323ead947ee2ebb085fe7f05d2baf658ade37b8e52cb0bf8a0"),
-    "tt_hard/lqg/act_delay=0": (
-        "957bae4cc048c9ea1b38af3c31602435d38a60df1807d283ba50157c8ad1a466",
-        "02f4d195ec06f9a820c130cc41fe80083a00afba2c3793d414080db3bc0d5095"),
+    "tt_hard/lqg/T=3": ("63c190cdf453a4ce7698f5ae37ba58d5844148e48750bd2a7ca048428007bc38",
+                        "b9b8fd078cb9735869e037aa9d5cf75a59a8a496b8d70b12bcbb46cd6d316838"),
+    "tt_hard/lqg/T=3/act_delay=0": (
+        "9282e8e590aca577540547485c7c0c96cd46f9982f5b21ab54c21c17aa2b2023",
+        "a3269680e640108714a12bbb8485ff82e99ec35679b8f876d1c3825e377afd5d"),
     "tt_maxb/lqr": ("c592c6a7240e03fbd9736fd0a09cb8ec674c01383e16651de8bd4f0e29db4e00",
                     "4e8e6ad4c0d97601cfb837c506a99a24e9475aac4a5abe278de8be326c6e2925"),
     "tt_maxb/lqg": ("5511f3aa59a3dfa1c8877f8a545bf11a6e4ba1dcd942553155f41694f5f2a28d",
@@ -1035,14 +1045,17 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys, cmd, doc, field):
     (["cosim"], _with_moc(kind="tt_maxb", max_delay=None, T=None), "moc.T: tt_maxb needs"),
     (["cosim"], _with_moc(n_traj=0), "moc.n_traj: must be >= 1"),
     (["cosim"], _with_moc(horizon=3), "moc.horizon: must be >= 4"),
-    (["cosim"], _with_moc(kind="tt_hard", max_delay=None, act_delay=5),
+    (["cosim"], _with_moc(kind="tt_hard", max_delay=None, T=3, act_delay=5),
      "moc.act_delay: need 0 <= act_delay <= T"),
     (["analyze", str(GOLDEN)], {"constraints": {"1": {"m": 3, "n": 2}}},
      "constraints[1].m: need 0 <= m <= n"),
     (["analyze", str(GOLDEN)], {"constraints": {"2": {"m": 0, "n": 0}}},
      "constraints[2].n: must be >= 1, got 0"),
+    (["analyze", str(GOLDEN)], {"constraints": {"7": {"m": 1, "n": 2}}},
+     "constraints[7]: no such task in the trace"),
 ], ids=["chain-Q", "chain-R", "chain-d_max", "chain-T", "chain-scripted", "moc-Q", "moc-T",
-        "moc-n_traj", "moc-horizon", "moc-act_delay", "constraint-m", "constraint-n"])
+        "moc-n_traj", "moc-horizon", "moc-act_delay", "constraint-m", "constraint-n",
+        "constraint-task"])
 def test_routine_value_errors_name_their_json_path(tmp_path, capsys, cmd, doc, message):
     assert main(cmd + ["--config", write_config(tmp_path, doc)]) == 2
     assert "config error: %s" % message in capsys.readouterr().err

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moc_oracle as oracle
@@ -39,8 +39,10 @@ from softrt.taskmodel import (
     Deterministic,
     Empirical,
     ReservationSpec,
+    Scripted,
     TaskSpec,
     Uniform,
+    max_ticks,
     sample_exec_times,
 )
 
@@ -419,13 +421,14 @@ def test_a_plant_sampled_at_the_loops_own_interval_is_its_continuous_plant():
     R = T = 4
     tick = 0.05
     plant_d, K = c2d(plant, T * tick), lqr_gain(plant, T * tick)
-    model = Empirical((1, 2, 3, 5, 8, 13))
+    model = Empirical((1, 2, 3, 4))
     for moc in (MocKind("tt_maxb"), MocKind("tt_hard", act_delay=0), MocKind("tt_hard"),
                 MocKind("tt_hard", act_delay=T), MocKind("tt_sort", 1), MocKind("cs", 1)):
         got, want = (verdicts(p, K, moc, model, [1, 2, 3, 4], R, T, tick_seconds=tick)
                      for p in (plant_d, plant))
         assert np.array_equal(got, want), moc
-        got, want = (cosimulate(p, K, moc, model, 2, R, T, tick_seconds=tick, horizon=40,
+        Q = R if moc.kind == "tt_hard" else 2  # tt_hard runs only if every demand fits
+        got, want = (cosimulate(p, K, moc, model, Q, R, T, tick_seconds=tick, horizon=40,
                                 n_traj=5, seed=3).estimates for p in (plant_d, plant))
         assert np.array_equal(got, want), moc
 
@@ -458,23 +461,73 @@ def any_loop(draw):
     return plant, K, moc, model, Q, R, T
 
 
-def _rejects(run) -> bool:
-    try:
-        run()
-    except ConfigError:
-        return True
-    return False
+UNSCHEDULABLE = "Q: tt_hard is unschedulable: "
+
+
+def _admissions(plant, K, moc, model, Q, R, T):
+    """(cosimulate's refusal, the verdicts' refusal, the verdict) at budget
+    Q: a refusal is its ConfigError's message, None where there is none, and
+    so is the verdict where the verdicts refuse."""
+    def refusal(run):
+        try:
+            run()
+        except ConfigError as exc:
+            return str(exc)
+        return None
+
+    got = []
+    return (refusal(lambda: cosimulate(plant, K, moc, model, Q, R, T, tick_seconds=0.1,
+                                       horizon=8, n_traj=2)),
+            refusal(lambda: got.extend(verdicts(plant, K, moc, model, [Q], R, T,
+                                                tick_seconds=0.1))),
+            got[0] if got else None)
 
 
 @given(any_loop())
 @settings(max_examples=400, deadline=None)
 def test_cosim_and_verdicts_accept_the_same_loops(loop):
-    # the verdicts' oracle runs exactly the loops they decide
-    plant, K, moc, model, Q, R, T = loop
-    cosim = _rejects(lambda: cosimulate(plant, K, moc, model, Q, R, T, tick_seconds=0.1,
-                                        horizon=8, n_traj=2))
-    exact = _rejects(lambda: verdicts(plant, K, moc, model, [Q], R, T, tick_seconds=0.1))
-    assert cosim == exact
+    # the verdicts' oracle runs exactly the loops they decide, refusing the
+    # rest in the same words; an unschedulable tt_hard budget is a False
+    # verdict, and no run
+    cosim, exact, verdict = _admissions(*loop)
+    if cosim is not None and cosim.startswith(UNSCHEDULABLE):
+        assert (exact, verdict) == (None, False)
+    else:
+        assert cosim == exact
+
+
+demand_models = st.one_of(
+    st.builds(Deterministic, st.integers(1, 8)),
+    st.lists(st.integers(1, 8), min_size=1, max_size=3).map(lambda v: Empirical(tuple(v))),
+    st.builds(lambda a, hi: Beta(a, a, 0.0, float(hi)), st.sampled_from((0.5, 2.0)),
+              st.integers(1, 8)),
+    st.builds(lambda v, f: Scripted(tuple(v), Deterministic(f)),
+              st.lists(st.integers(1, 8), max_size=2), st.integers(1, 8)))
+
+
+# a scripted model: tt_hard runs it at Q = 4 (its largest demand), no other kind does
+@example("tt_hard", Scripted((1, 4), Deterministic(2)), 4, 1)
+@example("tt_maxb", Scripted((1, 4), Deterministic(2)), 4, 1)
+@given(st.sampled_from(MOC_KINDS), demand_models, st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_verdicts_and_cosimulate_admit_the_same_runs(kind, model, R, F):
+    # one rule for which runs exist, at every budget: a refusal (a Scripted
+    # model has no stationary law for the stochastic kinds) is the same; a
+    # tt_hard run needs only the largest demand covered, and on this plant,
+    # which every such run stabilizes, its verdict is False exactly where
+    # cosimulate refuses Q
+    T, plant = R * F, scalar_plant(a=-0.5)
+    K, moc = lqr_gain(plant, T * 0.1), MocKind(kind, 2 if kind in BUFFERED_KINDS else None)
+    for Q in range(1, R + 1):
+        cosim, exact, verdict = _admissions(plant, K, moc, model, Q, R, T)
+        if kind != "tt_hard":
+            assert cosim == exact, Q
+            assert (exact is None) == (not isinstance(model, Scripted)), Q
+            continue
+        assert exact is None, Q
+        assert (verdict is False) == (cosim is not None), Q
+        assert cosim is None or cosim == UNSCHEDULABLE + (
+            "Q * (T // R) < %d ticks, the largest demand" % max_ticks(model)), Q
 
 
 def test_cosim_discrete_plant_must_sample_at_the_task_period():

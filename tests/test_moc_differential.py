@@ -2,7 +2,7 @@
 co-simulation against the per-mechanism code in moc_oracle.py.
 
 Labels, matrices, service distributions, delay chains and every cosimulate
-output must be bit-identical.  Mode probabilities may move in the last
+output must be bit-identical, and a refused run refused in the same words.  Mode probabilities may move in the last
 bits: the package takes each one as a difference of tick_cdf, where the
 reference took tt_maxb's closed-mode odds as 1 - mu and summed cs's cancel
 odds term by term.  1 - mu loses the low bits of a small closed-mode
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import moc_oracle as oracle
 from softrt.analysis import dropout_probability
 from softrt.controlcore import ContinuousLti, c2d, dlqr, second_moment_stable
-from softrt.errors import NumericalError
+from softrt.errors import ConfigError, NumericalError
 from softrt.moc import (MocKind, build_delay_chain, cosimulate, cs_modes,
                         service_distribution, tt_maxb_modes)
 from softrt.sweep import SweepConfig, random_system
@@ -85,7 +85,19 @@ def _assert_same_modes(got, ref):
     assert second_moment_stable(got) == second_moment_stable(ref)
 
 
+def _cosim(cosimulate, *args, **kw):
+    """cosimulate's result, or the message of its ConfigError (an
+    unschedulable tt_hard budget has no run)."""
+    try:
+        return cosimulate(*args, **kw)
+    except ConfigError as exc:
+        return str(exc)
+
+
 def _assert_same_cosim(got, ref):
+    if isinstance(ref, str):
+        assert got == ref
+        return
     np.testing.assert_array_equal(got.estimates, ref.estimates)  # nan matches nan
     assert got.verdict == ref.verdict
     assert got.n_traj == ref.n_traj
@@ -118,13 +130,16 @@ def _check(c):
                        oracle.cs_modes(plant, K, model, Q, R, D, tick))
 
     kw = dict(tick_seconds=tick, horizon=c["horizon"], n_traj=c["n_traj"], seed=c["seed"])
-    for moc, p in ((MocKind("tt_hard"), plant),
-                   (MocKind("tt_hard", act_delay=c["act_delay"]), plant),
-                   (MocKind("tt_maxb"), plant), (MocKind("tt_maxb"), plant_d),
-                   (MocKind("tt_sort", D), plant), (MocKind("cs", D), plant)):
+    # tt_hard runs its one mode whatever the model, if the budget covers the
+    # largest demand: so at the case's model and at one tick, which every
+    # budget covers
+    hard = (MocKind("tt_hard"), MocKind("tt_hard", act_delay=c["act_delay"]))
+    for moc, p, m in ([(h, plant, m) for h in hard for m in (model, Deterministic(1))] +
+                      [(MocKind("tt_maxb"), plant, model), (MocKind("tt_maxb"), plant_d, model),
+                       (MocKind("tt_sort", D), plant, model), (MocKind("cs", D), plant, model)]):
         Tm = None if moc.kind == "cs" else T
-        _assert_same_cosim(cosimulate(p, K, moc, model, Q, R, Tm, **kw),
-                           oracle.cosimulate(p, K, moc, model, Q, R, Tm, **kw))
+        _assert_same_cosim(_cosim(cosimulate, p, K, moc, m, Q, R, Tm, **kw),
+                           _cosim(oracle.cosimulate, p, K, moc, m, Q, R, Tm, **kw))
 
 
 # the default sweep's U-shaped Beta demand at a low and a high budget

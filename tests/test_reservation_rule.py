@@ -22,6 +22,7 @@ VALUES = (-1, 0, 1, 2, 3, 4, 2.0, 2.5, True, np.int64(2), None)
 PLANT = ContinuousLti.from_ab([[0.2]], [[1.0]])
 K = [[0.4]]
 MODEL = Empirical((1, 3))
+ONE_TICK = Deterministic(1)  # every budget covers it: tt_hard runs at every reservation
 
 
 def _error(call):
@@ -62,8 +63,9 @@ def _routines():
                lambda Q, R, T, kind=kind: verdicts(PLANT, K, _moc(kind), MODEL, [Q], R, T,
                                                    tick_seconds=0.1))
         yield ("cosimulate/" + kind, _words(kind),
-               lambda Q, R, T, kind=kind: cosimulate(PLANT, K, _moc(kind), MODEL, Q, R, T,
-                                                     tick_seconds=0.1, horizon=4, n_traj=2))
+               lambda Q, R, T, kind=kind: cosimulate(PLANT, K, _moc(kind), ONE_TICK, Q, R,
+                                                     T, tick_seconds=0.1, horizon=4,
+                                                     n_traj=2))
 
 
 @pytest.mark.parametrize("name, missing, call", list(_routines()),

@@ -143,11 +143,13 @@ def test_sample_determinism():
     assert np.array_equal(xs, ys)
 
 
-def test_sample_exec_times_scripted_head():
+def test_sample_exec_times_refuses_scripted():
+    # a batch is i.i.d. draws from a stationary law, which a scripted model has not
     m = Scripted((4, 5), fallback=Deterministic(2))
-    xs = sample_exec_times(m, 6, 0)
-    assert list(xs) == [4, 5, 2, 2, 2, 2]
-    assert list(sample_exec_times(m, 1, 0)) == [4]
+    for n in (1, 6):
+        with pytest.raises(ConfigError) as err:
+            sample_exec_times(m, n, 0)
+        assert str(err.value) == "exec_model: no stationary distribution for %r" % (m,)
 
 
 def test_tick_cdf_deterministic_and_empirical():

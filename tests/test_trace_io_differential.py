@@ -102,7 +102,10 @@ def test_hand_built_traces_match_reference(trace):
 
 
 def _reference_report(trace, constraints):
-    """cli.cmd_analyze's JSON report, computed by the reference functions."""
+    """cli.cmd_analyze's JSON report, computed by the reference functions;
+    a constraint on a task with no events in the trace is refused."""
+    if set(constraints) - set(trace.task_ids):
+        raise ConfigError("constraints: a task with no events in the trace")
     report = {}
     for tid in trace.task_ids:
         pattern = oracle.miss_pattern(trace, tid)
@@ -137,7 +140,8 @@ def _check_analyze(trace, constraints):
         try:
             want = _reference_report(oracle.from_csv(trace.to_csv()), constraints)
         except ConfigError:
-            # a collect filter that drops arrivals: both sides reject it
+            # a collect filter that drops arrivals, or a constraint on a task
+            # the trace has no events of: both sides reject it
             assert main(["analyze", trace_path, "--config", config_path,
                          "--out", out_path]) == 2
             return

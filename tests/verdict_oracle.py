@@ -29,9 +29,9 @@ from scipy.linalg.lapack import dgesv, dpotrf
 from softrt.controlcore import (ClosedLoopModes, ContinuousLti, DiscreteLti, _half_kron,
                                 _shaped, c2d, spectral_radius)
 from softrt.errors import ConfigError
-from softrt.moc import (MocKind, _backlog_step, _check_reservation, _discretiser,
-                        _latch_sources, _mode_table, _reachable_backlogs, _tt_sort_setup,
-                        cs_modes, service_distribution, tt_maxb_modes)
+from softrt.moc import (MocKind, _backlog_step, _discretiser, _latch_sources, _mode_table,
+                        _reachable_backlogs, _runs, _tt_sort_setup, cs_modes,
+                        service_distribution, tt_maxb_modes)
 from softrt.taskmodel import ExecTimeModel, max_ticks
 
 from moc_oracle import tt_hard_modes
@@ -102,7 +102,7 @@ def stabilizes(plant: ContinuousLti, K, moc: MocKind, model: ExecTimeModel, Q: i
     """
     if isinstance(plant, DiscreteLti) and moc.kind != "tt_hard":
         raise ConfigError("plant: continuous model required for %s" % moc.kind)
-    _check_reservation(moc, Q, R, T)
+    _runs(moc, model, Q, R, T)  # the package's rule for the reservation and the model
     if moc.kind == "tt_hard":
         return Q * (T // R) >= max_ticks(model) and second_moment_stable(
             tt_hard_modes(plant, K, T, moc.act_delay, tick_seconds))
